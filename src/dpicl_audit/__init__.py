@@ -8,7 +8,6 @@ observed error rates into Gaussian-DP lower bounds on the privacy loss.
 from .audit import (
     AuditConfig,
     AuditReport,
-    DecisionThreshold,
     bootstrap_audit,
     run_audit,
     sweep_threshold,
@@ -21,6 +20,7 @@ from .gdp import (
     delta_from_eps_mu,
     eps_emp_dp,
     eps_from_mu_delta,
+    mu_from_eps_delta,
     mu_lower,
 )
 from .gaussian_model import VotePattern, analytic_rates, eps_emp_analytic, mu_gauss
@@ -60,7 +60,6 @@ __all__ = [
     "CanaryDetectorConfig",
     "CanaryDetectorEmbeddingOracle",
     "CanaryDetectorVoteOracle",
-    "DecisionThreshold",
     "ErrorBounds",
     "Exemplar",
     "ExemplarContext",
@@ -86,6 +85,7 @@ __all__ = [
     "esa_noise_scale",
     "esa_select",
     "esa_sensitivity",
+    "mu_from_eps_delta",
     "mu_gauss",
     "mu_lower",
     "partition",

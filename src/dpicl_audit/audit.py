@@ -4,9 +4,8 @@ For each of n_sample trials per hypothesis a clean response is resampled
 with replacement, mechanism noise is added, and a decision rule converts it
 into a membership bit. Black-box rules read only the released output;
 white-box rules threshold a 1-D statistic (vote difference or embedding
-distance difference) with the threshold chosen to maximize the mu lower
-bound over the generated statistics themselves — audits certify lower
-bounds, so overfitting the threshold only strengthens the attack.
+distance difference) at the tau maximizing the mu lower bound. Tau is chosen
+on the same trials it is scored on, which biases that bound upward.
 
 All randomness is derived from (seed, hypothesis, trial block), so a report
 is a pure function of its config and identical across worker counts.
@@ -33,7 +32,6 @@ from .gdp import AttackCounts, GdpEstimate, audit_epsilon, eps_emp_dp
 from .mechanisms import (
     MechanismConfig,
     NeighboringPair,
-    NoisyVoteVector,
     VoteVector,
     esa_noise_scale,
     voting_noise_scale,
@@ -86,15 +84,6 @@ class AuditConfig:
             raise ValueError("delta_target must lie in (0, 1)")
         if self.yes_index == self.no_index:
             raise ValueError("yes and no classes must differ")
-
-
-@dataclass(frozen=True)
-class DecisionThreshold:
-    tau: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -185,68 +174,6 @@ def append_report_csv(path: Union[str, Path], report: AuditReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Decision rules
-# ---------------------------------------------------------------------------
-
-def decide_blackbox_classification(winner: int, yes_index: int = 0) -> int:
-    """1 iff the released label is the designated "yes" class."""
-    if winner < 0:
-        raise ValueError("winner must be a valid class index")
-    return 1 if winner == yes_index else 0
-
-
-def decide_whitebox_classification(
-    noisy: NoisyVoteVector, tau: DecisionThreshold, yes_index: int = 0, no_index: int = 1
-) -> int:
-    """1 iff noisy yes-count minus noisy no-count strictly exceeds tau."""
-    return 1 if noisy.values[yes_index] - noisy.values[no_index] > tau.tau else 0
-
-
-def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-candidate class: 1 for y1's embedding, 0 for y0's, -1 for non-signal."""
-    classes = np.full(len(candidates), -1, dtype=np.int64)
-    for index, candidate in enumerate(candidates):
-        c = np.asarray(candidate, dtype=np.float64)
-        if np.array_equal(c, pair.y1_embedding):
-            classes[index] = 1
-        elif np.array_equal(c, pair.y0_embedding):
-            classes[index] = 0
-    return classes
-
-
-def decide_blackbox_generation(selected: int, pair: SignalPair,
-                               candidates: Optional[Sequence[np.ndarray]] = None) -> int:
-    """1 iff the released candidate is y1; non-signal picks map to 0.
-
-    Without an explicit pool the index semantics of the signal pair apply
-    (0 = y1, 1 = y0); with a pool, candidates are classified by content so
-    duplicates of the signal embeddings still count.
-    """
-    if candidates is None:
-        if not (0 <= selected < 2):
-            raise ValueError(f"selected index {selected} outside the signal pair")
-        return 1 if selected == 0 else 0
-    if not (0 <= selected < len(candidates)):
-        raise ValueError(f"selected index {selected} outside the pool of {len(candidates)}")
-    label = _classify_pool(pair, candidates)[selected]
-    if label < 0:
-        warnings.warn("non-signal candidate selected; treating as canary-absent", stacklevel=2)
-        return 0
-    return int(label)
-
-
-def decide_whitebox_generation(noisy_mean: np.ndarray, pair: SignalPair,
-                               tau: DecisionThreshold) -> int:
-    """1 iff dist(mean, y1) - dist(mean, y0) <= tau (non-strict)."""
-    m = np.asarray(noisy_mean, dtype=np.float64)
-    if m.shape != pair.y1_embedding.shape:
-        raise ValueError("noisy mean dimension does not match the signal pair")
-    d1 = float(np.linalg.norm(m - pair.y1_embedding))
-    d0 = float(np.linalg.norm(m - pair.y0_embedding))
-    return 1 if d1 - d0 <= tau.tau else 0
-
-
-# ---------------------------------------------------------------------------
 # Threshold sweep
 # ---------------------------------------------------------------------------
 
@@ -267,19 +194,21 @@ def sweep_threshold(
     stats_with: Sequence[float],
     stats_without: Sequence[float],
     confidence: float,
-    delta_target: float,
     rule: str = "greater",
-) -> tuple[DecisionThreshold, GdpEstimate]:
+) -> tuple[float, AttackCounts]:
     """Pick the tau maximizing the mu lower bound over pooled-midpoint candidates.
 
     Candidates are every midpoint between adjacent pooled sorted statistics
     plus finite sentinels outside the data range (accept-all / reject-all).
-    Ties break toward the smallest tau.
+    Ties break toward the smallest tau. Returns tau and the attack's counts
+    at tau.
     """
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
     if w.size == 0 or wo.size == 0:
         raise ValueError("both statistic lists must be non-empty")
+    if not (np.isfinite(w).all() and np.isfinite(wo).all()):
+        raise ValueError("statistics must be finite")
 
     pooled = np.sort(np.concatenate([w, wo]))
     midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
@@ -304,8 +233,7 @@ def sweep_threshold(
         false_negatives=int(fn[best]),
         true_negatives=int(wo.size - fp[best]),
     )
-    estimate = audit_epsilon(counts, confidence, delta_target)
-    return DecisionThreshold(tau=float(thresholds[best])), estimate
+    return float(thresholds[best]), counts
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +307,18 @@ def whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
     return d1 - d0
 
 
+def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-candidate class: 1 for y1's embedding, 0 for y0's, -1 for non-signal."""
+    classes = np.full(len(candidates), -1, dtype=np.int64)
+    for index, candidate in enumerate(candidates):
+        c = np.asarray(candidate, dtype=np.float64)
+        if np.array_equal(c, pair.y1_embedding):
+            classes[index] = 1
+        elif np.array_equal(c, pair.y0_embedding):
+            classes[index] = 0
+    return classes
+
+
 def _blackbox_bits(noisy: np.ndarray, config: AuditConfig,
                    signal_pair: Optional[SignalPair],
                    candidates: Optional[Sequence[np.ndarray]]) -> np.ndarray:
@@ -414,32 +354,21 @@ def bootstrap_audit(
 
     tau: Optional[float] = None
     if config.threat_model == "black_box":
-        bits_with = _blackbox_bits(noisy_with, config, signal_pair, candidates)
-        bits_without = _blackbox_bits(noisy_without, config, signal_pair, candidates)
+        tp = int(np.count_nonzero(_blackbox_bits(noisy_with, config, signal_pair, candidates)))
+        fp = int(np.count_nonzero(_blackbox_bits(noisy_without, config, signal_pair, candidates)))
+        counts = AttackCounts(
+            true_positives=tp,
+            false_positives=fp,
+            false_negatives=config.n_sample - tp,
+            true_negatives=config.n_sample - fp,
+        )
     else:
         rule = "greater" if config.task == "classification" else "less_equal"
-        stat_with = whitebox_statistic(noisy_with, config, signal_pair)
-        stat_without = whitebox_statistic(noisy_without, config, signal_pair)
-        threshold, _ = sweep_threshold(stat_with, stat_without,
-                                       config.confidence, config.delta_target, rule)
-        tau = threshold.tau
-        if rule == "greater":
-            bits_with = stat_with > tau
-            bits_without = stat_without > tau
-        else:
-            bits_with = stat_with <= tau
-            bits_without = stat_without <= tau
-
-    tp = int(np.count_nonzero(bits_with))
-    fp = int(np.count_nonzero(bits_without))
-    counts = AttackCounts(
-        true_positives=tp,
-        false_positives=fp,
-        false_negatives=config.n_sample - tp,
-        true_negatives=config.n_sample - fp,
-    )
+        tau, counts = sweep_threshold(whitebox_statistic(noisy_with, config, signal_pair),
+                                      whitebox_statistic(noisy_without, config, signal_pair),
+                                      config.confidence, rule)
     estimate = audit_epsilon(counts, config.confidence, config.delta_target)
-    eps_point = math.inf if fp == 0 else eps_emp_dp(counts.tpr, counts.fpr)
+    eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,
                        config=config, tau=tau, wall_ms=wall_ms)

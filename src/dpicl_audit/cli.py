@@ -30,6 +30,7 @@ from .gdp import (
     audit_epsilon,
     delta_from_eps_mu,
     eps_from_mu_delta,
+    mu_from_eps_delta,
 )
 from .oracles import (
     DecodeSettings,
@@ -185,18 +186,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if target == 0:
             print("eps=0 -> mu=0")
             return EXIT_OK
-        lo, hi = 0.0, 1.0
-        while eps_from_mu_delta(hi, args.delta) < target:
-            hi *= 2.0
-            if hi > 1e6:
-                raise ArithmeticError("mu search bracket exhausted")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if eps_from_mu_delta(mid, args.delta) < target:
-                lo = mid
-            else:
-                hi = mid
-        mu = 0.5 * (lo + hi)
+        mu = mu_from_eps_delta(target, args.delta)
         print(f"eps={target:.9g} delta_target={args.delta:.3g}")
         print(f"mu={mu:.9g}")
         print(f"round_trip_eps={eps_from_mu_delta(mu, args.delta):.9g}")

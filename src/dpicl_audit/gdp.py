@@ -119,13 +119,14 @@ def delta_from_eps_mu(eps: float, mu: float) -> float:
     """delta(eps; mu) for the Gaussian trade-off curve.
 
     Defined as 0 at mu = 0 (the continuity limit; the formula itself is 0/0
-    there, and a zero-mu channel leaks nothing).
+    there, and a zero-mu channel leaks nothing), and likewise 0 for a
+    positive mu so small that eps / mu overflows.
     """
     if eps < 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     if mu < 0.0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    if mu == 0.0:
+    if mu == 0.0 or math.isinf(eps / mu):
         return 0.0
     delta = std_normal_cdf(mu / 2.0 - eps / mu) - math.exp(eps + log_std_normal_cdf(-eps / mu - mu / 2.0))
     # mathematically delta < 1 for finite mu; rounding can hit 1.0 exactly
@@ -159,6 +160,28 @@ def eps_from_mu_delta(mu: float, delta_target: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def mu_from_eps_delta(eps: float, delta_target: float) -> float:
+    """The mu with delta(eps; mu) = delta_target, by one Brent root-find in mu.
+
+    Unlike :func:`eps_from_mu_delta`, not limited to eps <= EPS_BRACKET_MAX.
+    """
+    if not (0.0 < delta_target < 1.0):
+        raise ValueError(f"delta_target must lie in (0, 1), got {delta_target}")
+    if not (0.0 <= eps < math.inf):
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+
+    def excess(mu: float) -> float:
+        return delta_from_eps_mu(eps, mu) - delta_target
+
+    # imported here: scipy.optimize adds about 0.25 s to every command's start-up
+    from scipy.optimize import brentq
+
+    hi = 1.0
+    while excess(hi) <= 0.0:
+        hi *= 2.0
+    return brentq(excess, 0.0, hi)
 
 
 def eps_emp_dp(tpr: float, fpr: float) -> float:

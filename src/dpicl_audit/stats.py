@@ -1,11 +1,10 @@
 """Normal-distribution special functions and exact binomial confidence bounds.
 
 Everything here is a pure function of its arguments. The normal CDF is
-computed from the complementary error function, the inverse CDF from a
-rational approximation refined by one Newton step, and the one-sided
-Clopper-Pearson upper bound by bisection on the exact binomial tail sum
-(switching to regularized-incomplete-beta inversion for large trial counts,
-where the tail sum is needlessly slow).
+computed from the complementary error function, its logarithm by
+``scipy.special.log_ndtr``, the inverse CDF from a rational approximation
+refined by one Newton step, and the one-sided Clopper-Pearson upper bound by
+regularized-incomplete-beta inversion.
 """
 
 from __future__ import annotations
@@ -17,12 +16,6 @@ from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Above this many trials the Clopper-Pearson bound is solved through the
-# regularized incomplete beta function instead of the exact tail sum.
-_EXACT_TAIL_MAX_TRIALS = 10_000
-
-_CP_BISECTION_TOL = 1e-10
 
 
 def std_normal_cdf(x: float) -> float:
@@ -45,20 +38,7 @@ def log_std_normal_cdf(x: float) -> float:
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if x >= -1.0:
-        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
-    tail = 0.5 * math.erfc(-x / _SQRT2)
-    if tail > 0.0:
-        return math.log(tail)
-    # erfc underflowed (x below about -37.5): asymptotic Mills-ratio series.
-    # Past 1/x^2 < 1e-17 the correction is 1.0 to double precision (and its
-    # higher powers would overflow), so only the leading term survives.
-    xsq = x * x
-    if xsq > 1e17:
-        log_series = 0.0
-    else:
-        log_series = math.log(1.0 - 1.0 / xsq + 3.0 / xsq**2 - 15.0 / xsq**3 + 105.0 / xsq**4)
-    return -0.5 * xsq - math.log(-x) - 0.5 * math.log(2.0 * math.pi) + log_series
+    return float(special.log_ndtr(x))
 
 
 # Coefficients of Acklam's rational approximation to the normal quantile.
@@ -110,17 +90,6 @@ def std_normal_inv_cdf(p: float) -> float:
     return x
 
 
-def _log_binom_tail(log_coeffs: np.ndarray, k: np.ndarray, n: int, p: float) -> float:
-    """log P[Bin(n, p) <= s] where k = 0..s and log_coeffs = log C(n, k)."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return -math.inf
-    terms = log_coeffs + k * math.log(p) + (n - k) * math.log1p(-p)
-    m = terms.max()
-    return float(m + math.log(np.exp(terms - m).sum()))
-
-
 def binom_upper_bound(successes: int, trials: int, confidence: float) -> float:
     """One-sided Clopper-Pearson upper confidence bound on a binomial rate.
 
@@ -135,30 +104,14 @@ def binom_upper_bound(successes: int, trials: int, confidence: float) -> float:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    if successes == trials:
-        return 1.0
-    if trials > _EXACT_TAIL_MAX_TRIALS:
-        return float(special.betaincinv(successes + 1.0, trials - successes, confidence))
-
-    k = np.arange(successes + 1)
-    log_coeffs = (special.gammaln(trials + 1) - special.gammaln(k + 1)
-                  - special.gammaln(trials - k + 1))
-    target = math.log(1.0 - confidence)
-    lo, hi = 0.0, 1.0
-    while hi - lo > _CP_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _log_binom_tail(log_coeffs, k, trials, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(binom_upper_bound_array(np.array([successes]), trials, confidence)[0])
 
 
 def binom_upper_bound_array(successes: np.ndarray, trials: int, confidence: float) -> np.ndarray:
     """Vectorized Clopper-Pearson upper bound via beta-quantile inversion.
 
-    Solves the same boundary equation as :func:`binom_upper_bound`; used by
-    the threshold sweep, which needs the bound at every candidate threshold.
+    Unchecked; :func:`binom_upper_bound` validates and calls it, and the
+    threshold sweep needs the bound at every candidate threshold.
     """
     s = np.asarray(successes, dtype=np.float64)
     out = np.ones_like(s)

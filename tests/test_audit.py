@@ -7,13 +7,11 @@ import pytest
 from dpicl_audit.audit import (
     AuditConfig,
     AuditReport,
-    DecisionThreshold,
+    _blackbox_bits,
+    _classify_pool,
+    _counts_for_rule,
     append_report_csv,
     bootstrap_audit,
-    decide_blackbox_classification,
-    decide_blackbox_generation,
-    decide_whitebox_classification,
-    decide_whitebox_generation,
     generate_noisy_samples,
     run_audit,
     sweep_threshold,
@@ -24,7 +22,6 @@ from dpicl_audit.mechanisms import (
     Exemplar,
     MechanismConfig,
     NeighboringPair,
-    NoisyVoteVector,
     VoteVector,
     voting_noise_scale,
 )
@@ -59,77 +56,87 @@ ONE_D_PAIR = SignalPair(y1_text="target", y0_text="control",
 
 
 class TestDecisionRules:
+    """The decision rules as the engine applies them to whole trial arrays."""
+
     def test_blackbox_classification(self):
-        assert decide_blackbox_classification(0, yes_index=0) == 1
-        assert decide_blackbox_classification(1, yes_index=0) == 0
+        # the released label is the argmax of the noisy votes; yes_index = 0
+        bits = _blackbox_bits(np.array([[1.0, 0.0], [0.0, 1.0]]), vote_config("black_box"), None, None)
+        assert bits.tolist() == [True, False]
 
     def test_blackbox_classification_on_example_votes(self):
         # noisy [5.5, 4] releases "yes"; noisy [4, 11] releases "no"
-        assert decide_blackbox_classification(int(np.argmax([5.5, 4.0]))) == 1
-        assert decide_blackbox_classification(int(np.argmax([4.0, 11.0]))) == 0
+        bits = _blackbox_bits(np.array([[5.5, 4.0], [4.0, 11.0]]), vote_config("black_box"), None, None)
+        assert bits.tolist() == [True, False]
 
     def test_whitebox_classification_examples(self):
-        tau = DecisionThreshold(0.0)
-        assert decide_whitebox_classification(NoisyVoteVector((5.5, 4.0), 1.0), tau) == 1
-        assert decide_whitebox_classification(NoisyVoteVector((4.0, 11.0), 1.0), tau) == 0
+        stat = whitebox_statistic(np.array([[5.5, 4.0], [4.0, 11.0]]), vote_config())
+        tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]), "greater")
+        assert (tp.tolist(), fp.tolist()) == ([1], [0])
 
     def test_whitebox_classification_is_strict(self):
-        tau = DecisionThreshold(1.5)
-        assert decide_whitebox_classification(NoisyVoteVector((4.0, 2.5), 1.0), tau) == 0
+        stat = whitebox_statistic(np.array([[4.0, 2.5]]), vote_config())
+        tp, fp = _counts_for_rule(stat, stat, np.array([1.5]), "greater")
+        assert (tp.tolist(), fp.tolist()) == ([0], [0])
 
     def test_blackbox_generation(self):
-        assert decide_blackbox_generation(0, ONE_D_PAIR) == 1
-        assert decide_blackbox_generation(1, ONE_D_PAIR) == 0
+        noisy = np.stack([ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding])
+        bits = _blackbox_bits(noisy, generation_config("black_box"), ONE_D_PAIR, None)
+        assert bits.tolist() == [True, False]
 
     def test_blackbox_generation_non_signal_warns(self):
         pool = [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding, np.array([0.25])]
         with pytest.warns(UserWarning):
-            assert decide_blackbox_generation(2, ONE_D_PAIR, candidates=pool) == 0
+            bits = _blackbox_bits(np.array([[0.25]]), generation_config("black_box"), ONE_D_PAIR, pool)
+        assert bits.tolist() == [False]
 
     def test_blackbox_generation_duplicate_signal_in_pool(self):
         # a duplicate of y1 later in the pool still counts as y1
         pool = [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding, ONE_D_PAIR.y1_embedding]
-        assert decide_blackbox_generation(2, ONE_D_PAIR, candidates=pool) == 1
+        assert _classify_pool(ONE_D_PAIR, pool).tolist() == [1, 0, 1]
 
     def test_whitebox_generation(self):
-        tau = DecisionThreshold(0.0)
-        assert decide_whitebox_generation(ONE_D_PAIR.y1_embedding, ONE_D_PAIR, tau) == 1
-        assert decide_whitebox_generation(ONE_D_PAIR.y0_embedding, ONE_D_PAIR, tau) == 0
+        noisy = np.stack([ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding])
+        stat = whitebox_statistic(noisy, generation_config(), ONE_D_PAIR)
+        tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]), "less_equal")
+        assert (tp.tolist(), fp.tolist()) == ([1], [0])
 
     def test_whitebox_generation_boundary_is_non_strict(self):
         midpoint = (ONE_D_PAIR.y1_embedding + ONE_D_PAIR.y0_embedding) / 2.0
-        assert decide_whitebox_generation(midpoint, ONE_D_PAIR, DecisionThreshold(0.0)) == 1
+        stat = whitebox_statistic(midpoint[None, :], generation_config(), ONE_D_PAIR)
+        tp, _ = _counts_for_rule(stat, stat, np.array([0.0]), "less_equal")
+        assert tp.tolist() == [1]
 
     def test_generation_example_mean(self):
         # DP mean -0.2 against the pool {-1, +1} selects the target string
-        from dpicl_audit.mechanisms import esa_select
-
-        selected = esa_select(np.array([-0.2]), [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding])
-        assert decide_blackbox_generation(selected, ONE_D_PAIR) == 1
+        bits = _blackbox_bits(np.array([[-0.2]]), generation_config("black_box"), ONE_D_PAIR, None)
+        assert bits.tolist() == [True]
 
     def test_threshold_must_be_finite(self):
-        with pytest.raises(ValueError):
-            DecisionThreshold(math.inf)
+        # tau is a midpoint or sentinel of the statistics, so they must be finite
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sweep_threshold([bad, 0.0], [1.0], 0.95)
 
 
 class TestSweepThreshold:
     def test_single_midpoint(self):
-        tau, _ = sweep_threshold([1.0], [0.0], 0.95, 1e-5)
-        assert tau.tau == pytest.approx(0.5)
+        tau, counts = sweep_threshold([1.0], [0.0], 0.95)
+        assert tau == pytest.approx(0.5)
+        assert counts == AttackCounts(1, 0, 0, 1)
 
     def test_perfect_separation_matches_zero_error_counts(self):
         rng = np.random.default_rng(0)
         with_stats = rng.normal(10.0, 0.1, size=500)
         without_stats = rng.normal(-10.0, 0.1, size=500)
-        tau, estimate = sweep_threshold(with_stats, without_stats, 0.95, 1e-5)
-        oracle = audit_epsilon(AttackCounts(500, 0, 0, 500), 0.95, 1e-5)
-        assert estimate.mu_lower == pytest.approx(oracle.mu_lower, abs=1e-6)
-        assert -10.0 < tau.tau < 10.0
+        tau, counts = sweep_threshold(with_stats, without_stats, 0.95)
+        assert counts == AttackCounts(500, 0, 0, 500)
+        assert -10.0 < tau < 10.0
 
     def test_identical_distributions_yield_zero(self):
         rng = np.random.default_rng(1)
         stats = rng.normal(size=2000)
-        _, estimate = sweep_threshold(stats, stats, 0.95, 1e-5)
+        _, counts = sweep_threshold(stats, stats, 0.95)
+        estimate = audit_epsilon(counts, 0.95, 1e-5)
         assert estimate.mu_lower == 0.0
         assert estimate.eps_emp == 0.0
 
@@ -138,20 +145,33 @@ class TestSweepThreshold:
         rng = np.random.default_rng(2)
         member = rng.normal(-3.0, 0.2, size=50)
         non_member = rng.normal(3.0, 0.2, size=50)
-        tau, estimate = sweep_threshold(member, non_member, 0.95, 1e-5, rule="less_equal")
-        assert -2.0 < tau.tau < 2.0
-        assert estimate.mu_lower > 0
+        tau, counts = sweep_threshold(member, non_member, 0.95, rule="less_equal")
+        assert -2.0 < tau < 2.0
+        assert audit_epsilon(counts, 0.95, 1e-5).mu_lower > 0
 
     def test_tie_breaks_to_smallest_tau(self):
         # identical lists: every informative threshold ranks equal, the
         # smallest one wins
-        tau, estimate = sweep_threshold([0.0, 1.0], [0.0, 1.0], 0.95, 1e-5)
-        assert tau.tau == pytest.approx(0.0)
-        assert estimate.mu_lower == 0.0
+        tau, counts = sweep_threshold([0.0, 1.0], [0.0, 1.0], 0.95)
+        assert tau == pytest.approx(0.0)
+        assert audit_epsilon(counts, 0.95, 1e-5).mu_lower == 0.0
+
+    @pytest.mark.parametrize("rule", ["greater", "less_equal"])
+    def test_counts_are_the_rule_applied_at_tau(self, rule):
+        rng = np.random.default_rng(3)
+        stat_with = np.round(rng.normal(0.5, 1.0, size=3000), 1)  # rounding makes ties
+        stat_without = np.round(rng.normal(0.0, 1.0, size=2000), 1)
+        if rule == "less_equal":
+            stat_with = -stat_with
+        tau, counts = sweep_threshold(stat_with, stat_without, 0.95, rule=rule)
+        decide = np.greater if rule == "greater" else np.less_equal
+        tp = int(np.count_nonzero(decide(stat_with, tau)))
+        fp = int(np.count_nonzero(decide(stat_without, tau)))
+        assert counts == AttackCounts(tp, fp, stat_with.size - tp, stat_without.size - fp)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            sweep_threshold([], [1.0], 0.95, 1e-5)
+            sweep_threshold([], [1.0], 0.95)
 
 
 class TestBootstrapAudit:

@@ -47,6 +47,13 @@ class TestConvert:
         round_trip = float(out.split("round_trip_eps=")[1].splitlines()[0])
         assert abs(round_trip - 3.0) <= 1e-6
 
+    def test_eps_beyond_eps_bracket(self, capsys):
+        # the inverse is not capped at EPS_BRACKET_MAX = 200
+        assert main(["convert", "--eps", "250", "--delta", "1e-5"]) == 0
+        out = capsys.readouterr().out
+        assert "mu=18.5383603" in out
+        assert "delta_at_eps=1e-05" in out
+
     def test_two_modes_rejected(self, capsys):
         assert main(["convert", "--mu", "1", "--eps", "2"]) == 2
 

@@ -13,6 +13,7 @@ from dpicl_audit.gdp import (
     delta_from_eps_mu,
     eps_emp_dp,
     eps_from_mu_delta,
+    mu_from_eps_delta,
     mu_lower,
 )
 from dpicl_audit.stats import std_normal_cdf, std_normal_inv_cdf
@@ -50,6 +51,11 @@ class TestDeltaFromEpsMu:
     def test_zero_mu_is_zero_everywhere(self):
         for eps in [0.0, 0.5, 3.0, 100.0]:
             assert delta_from_eps_mu(eps, 0.0) == 0.0
+
+    def test_underflowing_mu_is_zero(self):
+        # eps / mu overflows to inf; the limit of delta is 0
+        assert delta_from_eps_mu(2.0, 1.1e-308) == 0.0
+        assert delta_from_eps_mu(100.0, 5e-324) == 0.0
 
     def test_symmetry_value(self):
         expected = std_normal_cdf(0.5) - std_normal_cdf(-0.5)
@@ -115,6 +121,22 @@ class TestEpsFromMuDelta:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 eps_from_mu_delta(1.0, bad)
+
+
+class TestMuFromEpsDelta:
+    def test_inverts_delta(self):
+        for eps in (0.5, 3.0, 8.0, 250.0):
+            mu = mu_from_eps_delta(eps, 1e-5)
+            assert delta_from_eps_mu(eps, mu) == pytest.approx(1e-5, rel=1e-9)
+
+    def test_inverts_frozen_eps(self):
+        # eps_from_mu_delta(1.0, 1e-5) = 4.377178096, frozen from the grid-scan oracle
+        assert mu_from_eps_delta(4.377178096, 1e-5) == pytest.approx(1.0, abs=1e-6)
+
+    def test_rejects_bad_inputs(self):
+        for eps, delta in ((-1.0, 1e-5), (math.inf, 1e-5), (math.nan, 1e-5), (1.0, 0.0), (1.0, 1.0)):
+            with pytest.raises(ValueError):
+                mu_from_eps_delta(eps, delta)
 
 
 class TestEpsEmpDp:

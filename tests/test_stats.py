@@ -53,7 +53,7 @@ class TestLogStdNormalCdf:
             assert abs(log_std_normal_cdf(x) - math.log(std_normal_cdf(x))) <= 1e-12
 
     def test_beyond_erfc_underflow(self):
-        # erfc underflows near x = -37.6; the asymptotic branch takes over
+        # past x = -37.6, where erfc and so Phi itself underflow
         for x in (-40.0, -50.0, -80.0):
             assert log_std_normal_cdf(x) == pytest.approx(normal_log_cdf_mp(x), rel=1e-10)
 
@@ -100,7 +100,7 @@ class TestBinomUpperBound:
         assert got == pytest.approx(0.980094436, abs=1e-8)  # frozen from the oracle
 
     def test_beta_inversion_path_matches_tail(self):
-        # above the exact-tail cutoff the bound comes from beta inversion
+        # at a large trial count the bound still solves the exact tail equation
         bound = binom_upper_bound(11, 20000, 0.95)
         residual = binom_tail_exact(11, 20000, bound) - 0.05
         assert abs(residual) <= 1e-8
