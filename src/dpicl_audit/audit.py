@@ -46,6 +46,15 @@ THREAT_MODELS = ("black_box", "white_box")
 # generator; block boundaries are independent of the worker count.
 _TRIAL_BLOCK = 1 << 16
 
+# Largest count-grid spacing of each threshold-sweep pass, coarse to exact.
+# Within 2 * _SWEEP_TAIL of either end of the count range, where the bound's
+# terms are steep, every grid holds every count; farther in, the spacing
+# doubles with the distance to the nearer end. The slack absorbs ULP-level
+# non-monotonicity of the beta inversion.
+_SWEEP_SPACINGS = (64, 16, 4, 1)
+_SWEEP_TAIL = 64
+_SWEEP_SLACK = 1e-9
+
 _ARM_WITH = 0
 _ARM_WITHOUT = 1
 
@@ -190,6 +199,87 @@ def _counts_for_rule(stat_with: np.ndarray, stat_without: np.ndarray,
     raise ValueError(f"unknown rule {rule!r}")
 
 
+def _candidate_thresholds(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
+    """Every distinct midpoint of adjacent pooled statistics, and a sentinel
+    below and above the data (accept-all / reject-all)."""
+    pooled = np.sort(np.concatenate([w, wo]))
+    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
+    return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
+
+
+def _count_grid(trials: int, spacing: int) -> np.ndarray:
+    """A pass's sorted grid of counts in [0, trials], both ends included.
+
+    It is symmetric about trials / 2 and holds trials // 2. Counts x up to
+    trials // 2 from the nearer end are spaced by the largest power of two not
+    above x // _SWEEP_TAIL, capped to [1, spacing] (a power of two).
+    """
+    half = trials // 2
+    parts, step, start = [], 1, 0
+    while start <= half:
+        stop = half + 1 if step == spacing else min(2 * step * _SWEEP_TAIL, half + 1)
+        parts.append(np.arange(start, stop, step))
+        start, step = stop, 2 * step
+    left = np.concatenate(parts)
+    if left[-1] != half:
+        left = np.append(left, half)
+    right = trials - left[::-1]
+    return np.concatenate([left, right[1:] if right[0] == half else right])
+
+
+def _term_tables(errors: np.ndarray, survivors: np.ndarray, trials: int, spacing: int,
+                 confidence: float, term) -> tuple[np.ndarray, np.ndarray]:
+    """``term`` of the Clopper-Pearson bound at the grid counts below and
+    above each survivor's count, as two tables indexed by the count.
+
+    The bound increases in the count, so the pair brackets the term's value
+    at the count itself; at spacing 1 both equal it. The bound is inverted
+    once per grid count that brackets some survivor's count; the tables are
+    unset at the counts no survivor has.
+    """
+    seen = np.zeros(trials + 1, dtype=bool)
+    for start in range(0, survivors.size, _TRIAL_BLOCK):
+        seen[errors[survivors[start:start + _TRIAL_BLOCK]]] = True
+    counts = np.flatnonzero(seen)
+    if spacing == 1:
+        value = term(binom_upper_bound_array(counts, trials, confidence))
+        below = above = np.arange(counts.size)
+    else:
+        grid = _count_grid(trials, spacing)
+        index = np.arange(grid.size)
+        # the grid index at or below, and at or above, each count
+        below = np.repeat(index, np.diff(np.searchsorted(counts, grid), append=counts.size))
+        above = np.repeat(index, np.diff(np.searchsorted(counts, grid, side="right"), prepend=0))
+        used = np.zeros(grid.size, dtype=bool)
+        used[below] = used[above] = True
+        value = np.empty(grid.size)
+        value[used] = term(binom_upper_bound_array(grid[used], trials, confidence))
+    at_below, at_above = np.empty(trials + 1), np.empty(trials + 1)
+    at_below[counts], at_above[counts] = value[below], value[above]
+    return at_below, at_above
+
+
+# mu = Phi^-1(1 - beta_bar) - Phi^-1(alpha_bar) is the sum of these terms;
+# a saturated bound (1) makes its term -inf
+def _fn_term(beta_bar: np.ndarray) -> np.ndarray:
+    return special.ndtri(1.0 - beta_bar)
+
+
+def _fp_term(alpha_bar: np.ndarray) -> np.ndarray:
+    return -special.ndtri(alpha_bar)
+
+
+def _mu(fn_term: np.ndarray, fp_term: np.ndarray) -> np.ndarray:
+    # rank on the unclamped bound so an informative threshold always beats
+    # the degenerate accept-all/reject-all sentinels; saturated bounds rank
+    # at -inf (the reported estimate still clamps at zero), also where the
+    # other term is +inf and the sum is NaN
+    with np.errstate(invalid="ignore"):
+        mu = fn_term + fp_term
+    mu[np.isnan(mu)] = -np.inf
+    return mu
+
+
 def sweep_threshold(
     stats_with: Sequence[float],
     stats_without: Sequence[float],
@@ -202,6 +292,20 @@ def sweep_threshold(
     plus finite sentinels outside the data range (accept-all / reject-all).
     Ties break toward the smallest tau. Returns tau and the attack's counts
     at tau.
+
+    The result is that of evaluating the bound at every candidate, without
+    doing so. The Clopper-Pearson bound increases in the error count, and mu
+    decreases in both bounds, so the bounds at the neighbouring counts of a
+    grid below and above a candidate's FP and FN counts give an upper and a
+    lower bracket on its mu. Each pass keeps the candidates whose upper
+    bracket reaches the largest lower bracket less a slack of 1e-9. The
+    grids' spacing is at most 64, 16, 4 and 1 in turn, and finer near the
+    ends of the count range, where the bound's terms are steep; on the last
+    grid, every count, the brackets are the exact values. The maximizer and
+    every earlier candidate tied with it always survive, so the first
+    maximum among the survivors is the brute-force answer. The bound is
+    computed once per grid count that some survivor's bracket needs, and
+    candidates are read in blocks, so memory stays at the count arrays.
     """
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
@@ -210,25 +314,29 @@ def sweep_threshold(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    pooled = np.sort(np.concatenate([w, wo]))
-    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
-    thresholds = np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
-
+    thresholds = _candidate_thresholds(w, wo)
     tp, fp = _counts_for_rule(w, wo, thresholds, rule)
     fn = w.size - tp
-    alpha_bar = binom_upper_bound_array(fp, wo.size, confidence)
-    beta_bar = binom_upper_bound_array(fn, w.size, confidence)
+    del tp  # free a candidate-sized array before the passes allocate theirs
 
-    # rank on the unclamped bound so an informative threshold always beats
-    # the degenerate accept-all/reject-all sentinels; saturated bounds rank
-    # at -inf (the reported estimate still clamps at zero)
-    mu = np.full_like(alpha_bar, -np.inf)
-    open_mask = (alpha_bar < 1.0) & (beta_bar < 1.0)
-    mu[open_mask] = special.ndtri(1.0 - beta_bar[open_mask]) - special.ndtri(alpha_bar[open_mask])
+    survivors = np.arange(thresholds.size)
+    for spacing in _SWEEP_SPACINGS:
+        fp_below, fp_above = _term_tables(fp, survivors, wo.size, spacing, confidence, _fp_term)
+        fn_below, fn_above = _term_tables(fn, survivors, w.size, spacing, confidence, _fn_term)
+        upper = np.empty(survivors.size)
+        best_lower = -np.inf
+        for start in range(0, survivors.size, _TRIAL_BLOCK):
+            chunk = survivors[start:start + _TRIAL_BLOCK]
+            fp_chunk, fn_chunk = fp[chunk], fn[chunk]
+            upper[start:start + chunk.size] = _mu(fn_below[fn_chunk], fp_below[fp_chunk])
+            best_lower = max(best_lower, _mu(fn_above[fn_chunk], fp_above[fp_chunk]).max())
+        if spacing == 1:
+            break
+        survivors = survivors[upper >= best_lower - _SWEEP_SLACK]
 
-    best = int(np.argmax(mu))  # first maximum = smallest tau
+    best = int(survivors[np.argmax(upper)])  # first maximum = smallest tau
     counts = AttackCounts(
-        true_positives=int(tp[best]),
+        true_positives=int(w.size - fn[best]),
         false_positives=int(fp[best]),
         false_negatives=int(fn[best]),
         true_negatives=int(wo.size - fp[best]),

@@ -27,6 +27,7 @@ from .config import (
 from .gdp import (
     AttackCounts,
     DEFAULT_DELTA_TARGET,
+    EPS_BRACKET_MAX,
     audit_epsilon,
     delta_from_eps_mu,
     eps_from_mu_delta,
@@ -183,13 +184,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
         target = args.eps
         if target < 0:
             raise ConfigError("--eps must be non-negative")
-        if target == 0:
-            print("eps=0 -> mu=0")
-            return EXIT_OK
         mu = mu_from_eps_delta(target, args.delta)
+        round_trip = eps_from_mu_delta(mu, args.delta)
         print(f"eps={target:.9g} delta_target={args.delta:.3g}")
         print(f"mu={mu:.9g}")
-        print(f"round_trip_eps={eps_from_mu_delta(mu, args.delta):.9g}")
+        if math.isinf(round_trip):
+            print(f"round_trip_eps=unbounded (above EPS_BRACKET_MAX={EPS_BRACKET_MAX:g})")
+        else:
+            print(f"round_trip_eps={round_trip:.9g}")
         print(f"delta_at_eps={delta_from_eps_mu(target, mu):.6g}")
         return EXIT_OK
 

@@ -3,14 +3,21 @@
 Each function here deliberately avoids the package's own code path for the
 quantity it checks: quadrature instead of erfc, bisection on the CDF instead
 of a rational approximation, exact combinatorial tail sums instead of beta
-inversion, grid scans instead of bisection.
+inversion, grid scans instead of bisection, and a threshold sweep that
+evaluates the bound at every candidate instead of pruning.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from scipy import integrate
+import numpy as np
+from scipy import integrate, special
+
+from dpicl_audit.audit import _counts_for_rule
+from dpicl_audit.gdp import AttackCounts
+from dpicl_audit.stats import binom_upper_bound_array
 
 
 def normal_cdf_quad(x: float) -> float:
@@ -90,3 +97,43 @@ def eps_grid_scan(mu: float, delta_target: float, delta_fn) -> float:
     while delta_fn(eps, mu) > delta_target:
         eps += fine
     return eps
+
+
+def sweep_threshold_bruteforce(
+    stats_with: Sequence[float],
+    stats_without: Sequence[float],
+    confidence: float,
+    rule: str = "greater",
+) -> tuple[float, AttackCounts]:
+    """The threshold sweep evaluating the mu lower bound at every candidate."""
+    w = np.asarray(stats_with, dtype=np.float64)
+    wo = np.asarray(stats_without, dtype=np.float64)
+    if w.size == 0 or wo.size == 0:
+        raise ValueError("both statistic lists must be non-empty")
+    if not (np.isfinite(w).all() and np.isfinite(wo).all()):
+        raise ValueError("statistics must be finite")
+
+    pooled = np.sort(np.concatenate([w, wo]))
+    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
+    thresholds = np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
+
+    tp, fp = _counts_for_rule(w, wo, thresholds, rule)
+    fn = w.size - tp
+    alpha_bar = binom_upper_bound_array(fp, wo.size, confidence)
+    beta_bar = binom_upper_bound_array(fn, w.size, confidence)
+
+    # rank on the unclamped bound so an informative threshold always beats
+    # the degenerate accept-all/reject-all sentinels; saturated bounds rank
+    # at -inf (the reported estimate still clamps at zero)
+    mu = np.full_like(alpha_bar, -np.inf)
+    open_mask = (alpha_bar < 1.0) & (beta_bar < 1.0)
+    mu[open_mask] = special.ndtri(1.0 - beta_bar[open_mask]) - special.ndtri(alpha_bar[open_mask])
+
+    best = int(np.argmax(mu))  # first maximum = smallest tau
+    counts = AttackCounts(
+        true_positives=int(tp[best]),
+        false_positives=int(fp[best]),
+        false_negatives=int(fn[best]),
+        true_negatives=int(wo.size - fp[best]),
+    )
+    return float(thresholds[best]), counts

@@ -1,9 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpicl_audit import audit
 from dpicl_audit.audit import (
     AuditConfig,
     AuditReport,
@@ -30,7 +34,10 @@ from dpicl_audit.oracles import (
     CanaryDetectorEmbeddingOracle,
     CanaryDetectorVoteOracle,
     SignalPair,
+    collect,
 )
+
+from reference import sweep_threshold_bruteforce
 
 
 def make_pair(n=8, canary_index=0):
@@ -172,6 +179,108 @@ class TestSweepThreshold:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sweep_threshold([], [1.0], 0.95)
+
+
+_ADJACENT = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+
+
+@st.composite
+def sweep_inputs(draw, max_trials):
+    """Statistic pairs built to break a pruned sweep: ties, adjacent floats,
+    identical arms, heavy tails and unequal arm sizes."""
+    kind = draw(st.sampled_from(["ties", "adjacent", "identical", "cauchy", "normal"]))
+    n_with = draw(st.integers(min_value=1, max_value=max_trials))
+    n_without = draw(st.integers(min_value=1, max_value=max_trials))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shift = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    if kind == "ties":
+        w, wo = rng.integers(-2, 5, n_with), rng.integers(-3, 4, n_without)
+    elif kind == "adjacent":
+        w, wo = _ADJACENT[rng.integers(0, 3, n_with)], _ADJACENT[rng.integers(0, 3, n_without)]
+    elif kind == "identical":
+        w = rng.normal(size=n_with)
+        wo = w.copy()
+    elif kind == "cauchy":
+        w = rng.standard_cauchy(n_with) + shift
+        wo = rng.standard_cauchy(n_without)
+    else:
+        w, wo = rng.normal(shift, 1.0, n_with), rng.normal(0.0, 1.0, n_without)
+    confidence = draw(st.floats(min_value=0.5, max_value=0.999999))
+    rule = draw(st.sampled_from(["greater", "less_equal"]))
+    return w.astype(np.float64), wo.astype(np.float64), confidence, rule
+
+
+class TestSweepMatchesBruteForce:
+    """The pruned sweep returns exactly what evaluating every candidate does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_inputs(max_trials=3000))
+    def test_random_inputs(self, case):
+        assert repr(sweep_threshold(*case)) == repr(sweep_threshold_bruteforce(*case))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_inputs(max_trials=300))
+    def test_random_inputs_across_small_blocks(self, case):
+        # seven-candidate blocks put block boundaries inside every pass
+        with mock.patch.object(audit, "_TRIAL_BLOCK", 7):
+            got = sweep_threshold(*case)
+        assert repr(got) == repr(sweep_threshold_bruteforce(*case))
+
+    def test_bound_below_rounding_at_tiny_confidence(self):
+        # 1 - beta_bar rounds to 1 at few false negatives here, so the
+        # accept-all sentinel pairs a saturated alpha_bar with an infinite
+        # term; it must still rank at -inf
+        rng = np.random.default_rng(5)
+        w, wo = rng.normal(2.0, 1.0, 50), rng.normal(0.0, 1.0, 50)
+        got = sweep_threshold(w, wo, 1e-15)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 1e-15))
+        assert got[1].false_positives < 50
+
+    @pytest.mark.parametrize("rule", ["greater", "less_equal"])
+    def test_classification_channel_at_100k(self, rule):
+        # white-box classification, T=4, eps 8, canary-detector votes
+        config = vote_config("white_box", eps_theory=8.0, n_sample=100_000, seed=2, n_llm=200)
+        collection = collect(CanaryDetectorVoteOracle(), make_pair(), "CANARY", 4, 200, seed=2)
+        w = whitebox_statistic(generate_noisy_samples(collection.clean_with, config, 0), config)
+        wo = whitebox_statistic(generate_noisy_samples(collection.clean_without, config, 1), config)
+        if rule == "less_equal":
+            w, wo = -w, -wo
+        got = sweep_threshold(w, wo, 0.95, rule)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95, rule))
+        assert audit_epsilon(got[1], 0.95, 1e-5).mu_lower > 1.0
+
+
+class TestSweepGrids:
+    """The count grids the pruned sweep brackets the bound on."""
+
+    @pytest.mark.parametrize("spacing", audit._SWEEP_SPACINGS)
+    def test_grid_spans_the_counts(self, spacing):
+        for trials in [*range(1, 300), 4097, 20_000, 400_000, 400_001]:
+            grid = audit._count_grid(trials, spacing)
+            gaps = np.diff(grid)
+            assert grid[0] == 0 and grid[-1] == trials
+            assert gaps.min() >= 1 and gaps.max() <= spacing
+            assert np.array_equal(grid, trials - grid[::-1])
+            # every count near either end, where the bound's terms are steep
+            near_end = np.minimum(grid[1:], trials - grid[:-1]) <= 2 * audit._SWEEP_TAIL
+            assert (gaps[near_end] == 1).all()
+
+    def test_far_apart_arms_prune_in_the_tails(self):
+        # the optimum sits at ~100 false negatives of 100k; grids spaced 64
+        # apart that close to the end of the range made 33,782 evaluations
+        rng = np.random.default_rng(4)
+        w, wo = rng.normal(4.0, 2.0, 100_000), rng.normal(-4.0, 2.0, 100_000)
+        evals = []
+        original = audit.binom_upper_bound_array
+
+        def counted(successes, trials, confidence):
+            evals.append(len(successes))
+            return original(successes, trials, confidence)
+
+        with mock.patch.object(audit, "binom_upper_bound_array", counted):
+            got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        assert sum(evals) < 10_000
 
 
 class TestBootstrapAudit:

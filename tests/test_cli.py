@@ -53,6 +53,17 @@ class TestConvert:
         out = capsys.readouterr().out
         assert "mu=18.5383603" in out
         assert "delta_at_eps=1e-05" in out
+        # the forward conversion stops at the bracket and says so
+        assert "round_trip_eps=unbounded (above EPS_BRACKET_MAX=200)" in out
+        assert "inf" not in out
+
+    def test_eps_zero_goes_through_the_inverse(self, capsys):
+        # every mu up to this one converts to eps=0 at delta=1e-5
+        assert main(["convert", "--eps", "0", "--delta", "1e-5"]) == 0
+        out = capsys.readouterr().out
+        assert "mu=2.50662827e-05" in out
+        assert "round_trip_eps=0\n" in out
+        assert "delta_at_eps=1e-05" in out
 
     def test_two_modes_rejected(self, capsys):
         assert main(["convert", "--mu", "1", "--eps", "2"]) == 2

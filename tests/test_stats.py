@@ -117,6 +117,15 @@ class TestBinomUpperBound:
         gamma = data.draw(st.floats(min_value=0.05, max_value=0.99))
         assert binom_upper_bound(s + 1, trials, gamma) >= binom_upper_bound(s, trials, gamma)
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999999])
+    def test_array_strictly_increasing_to_one(self, confidence):
+        # the threshold sweep brackets each candidate's bound between the
+        # bounds at neighbouring counts, which relies on this order
+        for trials in [*range(1, 65), 1000, 20000]:
+            bounds = binom_upper_bound_array(np.arange(trials + 1), trials, confidence)
+            assert np.all(np.diff(bounds) > 0), trials
+            assert bounds[-1] == 1.0, trials
+
     @given(st.integers(min_value=1, max_value=60), st.data())
     def test_dominates_point_estimate(self, trials, data):
         # holds for confidence >= 0.5; below that the bound can cross s/n
