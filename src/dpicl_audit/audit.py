@@ -7,8 +7,12 @@ white-box rules threshold a 1-D statistic (vote difference or embedding
 distance difference) at the tau maximizing the mu lower bound. Tau is chosen
 on the same trials it is scored on, which biases that bound upward.
 
-All randomness is derived from (seed, hypothesis, trial block), so a report
-is a pure function of its config and identical across worker counts.
+Trials are streamed in fixed-size blocks: one kernel draws a block's noise
+and reduces it at once to a decision tally or a 1-D statistic, so no arm's
+noisy responses or candidate distances are ever held whole, and ``workers``
+threads run whole blocks, noise and decision together. All randomness is
+derived from (seed, hypothesis, trial block), so a report is a pure function
+of its config and identical across worker counts.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ THREAT_MODELS = ("black_box", "white_box")
 # Trials are generated in fixed-size blocks, each with its own derived
 # generator; block boundaries are independent of the worker count.
 _TRIAL_BLOCK = 1 << 16
+
+# Byte budget of the rows x pool x d difference tensor of one chunk of the
+# nearest-candidate search (at least one row). It bounds the search's
+# temporaries whatever the pool size and dimension; at pool 10 and d=16,
+# budgets from 0.5 to 8 MiB ran alike on a 2-core Xeon.
+_NEAREST_CHUNK_BYTES = 1 << 21
 
 # Largest count-grid spacing of each threshold-sweep pass, coarse to exact.
 # Within 2 * _SWEEP_TAIL of either end of the count range, where the bound's
@@ -362,26 +372,27 @@ def _clean_matrix(clean: Sequence, task: str) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=np.float64) for v in clean])
 
 
-def _noisy_matrix(clean: np.ndarray, sigma: float, n_sample: int, seed: int,
-                  arm: int, workers: int = 1) -> np.ndarray:
-    """Resample clean rows and perturb coordinate-wise, in fixed trial blocks."""
-    out = np.empty((n_sample, clean.shape[1]), dtype=np.float64)
-    blocks = [(b, start, min(start + _TRIAL_BLOCK, n_sample))
-              for b, start in enumerate(range(0, n_sample, _TRIAL_BLOCK))]
+def _block_sizes(n_sample: int) -> list[int]:
+    """The trial count of each block, in block order."""
+    return [min(_TRIAL_BLOCK, n_sample - start) for start in range(0, n_sample, _TRIAL_BLOCK)]
 
-    def fill(block: tuple[int, int, int]) -> None:
-        index, start, stop = block
-        rng = np.random.default_rng([seed, arm, index])
-        rows = rng.integers(0, clean.shape[0], size=stop - start)
-        out[start:stop] = clean[rows] + rng.normal(0.0, sigma, size=(stop - start, clean.shape[1]))
 
+def _block_noise(clean: np.ndarray, sigma: float, seed: int, arm: int, index: int,
+                 size: int) -> np.ndarray:
+    """Trial block ``index`` of an arm: resampled clean rows, perturbed coordinate-wise."""
+    rng = np.random.default_rng([seed, arm, index])
+    rows = rng.integers(0, clean.shape[0], size=size)
+    noisy = rng.normal(0.0, sigma, size=(size, clean.shape[1]))
+    noisy += clean[rows]  # the same sums as clean[rows] + noise, one array fewer
+    return noisy
+
+
+def _map_blocks(fn, blocks: Sequence, workers: int) -> list:
+    """``fn`` over the blocks, in order; on ``workers`` threads when more than one."""
     if workers == 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-    return out
+        return [fn(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def mechanism_sigma(config: AuditConfig) -> float:
@@ -397,15 +408,28 @@ def generate_noisy_samples(
     arm: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """The bootstrap sampling stage: n_sample resampled-and-perturbed responses."""
+    """The bootstrap sampling stage: n_sample resampled-and-perturbed responses.
+
+    These are the trial blocks that ``bootstrap_audit`` streams, stacked.
+    """
     matrix = _clean_matrix(clean, config.task)
     sigma = mechanism_sigma(config)
-    return _noisy_matrix(matrix, sigma, config.n_sample, config.seed, arm, workers)
+    sizes = _block_sizes(config.n_sample)
+    return np.concatenate(_map_blocks(
+        lambda index: _block_noise(matrix, sigma, config.seed, arm, index, sizes[index]),
+        range(len(sizes)), workers))
 
 
 def whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
                        signal_pair: Optional[SignalPair] = None) -> np.ndarray:
     """The 1-D statistic the white-box threshold test reads."""
+    # the audit's pool threads call the private twin: a tracer wrapping the
+    # public name keeps one span stack per process, not per thread
+    return _whitebox_statistic(noisy, config, signal_pair)
+
+
+def _whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
+                        signal_pair: Optional[SignalPair]) -> np.ndarray:
     if config.task == "classification":
         return noisy[:, config.yes_index] - noisy[:, config.no_index]
     if signal_pair is None:
@@ -427,23 +451,59 @@ def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.nda
     return classes
 
 
-def _blackbox_bits(noisy: np.ndarray, config: AuditConfig,
-                   signal_pair: Optional[SignalPair],
-                   candidates: Optional[Sequence[np.ndarray]]) -> np.ndarray:
-    if config.task == "classification":
-        winners = np.argmax(noisy, axis=1)
-        return winners == config.yes_index
+def _candidate_pool(signal_pair: Optional[SignalPair],
+                    candidates: Optional[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked candidate embeddings (y1's and y0's by default) and their classes."""
     if signal_pair is None:
         raise ValueError("generation audits need a signal pair")
     pool = candidates if candidates is not None else [signal_pair.y1_embedding,
                                                       signal_pair.y0_embedding]
     stacked = np.stack([np.asarray(c, dtype=np.float64) for c in pool])
-    distances = np.linalg.norm(noisy[:, None, :] - stacked[None, :, :], axis=2)
-    selected = np.argmin(distances, axis=1)
-    labels = _classify_pool(signal_pair, pool)
-    if np.any(labels[selected] < 0):
-        warnings.warn("non-signal candidates selected; counted as canary-absent", stacklevel=2)
-    return labels[selected] == 1
+    return stacked, _classify_pool(signal_pair, pool)
+
+
+def _nearest(noisy: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """Index of the candidate nearest to each row (the first one on ties).
+
+    Rows go in chunks whose rows x pool x d difference tensor fits
+    _NEAREST_CHUNK_BYTES. Each row's distances are computed from that row
+    alone, so the picks do not depend on the chunking.
+    """
+    rows = max(1, _NEAREST_CHUNK_BYTES // stacked.nbytes)
+    picks = np.empty(noisy.shape[0], dtype=np.intp)
+    for start in range(0, noisy.shape[0], rows):
+        chunk = noisy[start:start + rows]
+        distances = np.linalg.norm(chunk[:, None, :] - stacked[None, :, :], axis=2)
+        picks[start:start + rows] = np.argmin(distances, axis=1)
+    return picks
+
+
+def _blackbox_classes(noisy: np.ndarray, config: AuditConfig,
+                      pool: Optional[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Per trial, the class of the released output: 1 for the canary-present
+    one, 0 otherwise, and -1 for a non-signal candidate (counted as absent).
+    ``pool`` is ``_candidate_pool``'s result; classification ignores it."""
+    if config.task == "classification":
+        return (np.argmax(noisy, axis=1) == config.yes_index).astype(np.int64)
+    stacked, classes = pool
+    return classes[_nearest(noisy, stacked)]
+
+
+def _warn_non_signal(count: int) -> None:
+    # stacklevel 3 names the caller of the function that found the picks
+    warnings.warn(f"{count} trials selected a non-signal candidate; counted as canary-absent",
+                  stacklevel=3)
+
+
+def _blackbox_bits(noisy: np.ndarray, config: AuditConfig,
+                   signal_pair: Optional[SignalPair],
+                   candidates: Optional[Sequence[np.ndarray]]) -> np.ndarray:
+    pool = None if config.task == "classification" else _candidate_pool(signal_pair, candidates)
+    classes = _blackbox_classes(noisy, config, pool)
+    non_signal = int(np.count_nonzero(classes < 0))
+    if non_signal:
+        _warn_non_signal(non_signal)
+    return classes == 1
 
 
 def bootstrap_audit(
@@ -455,15 +515,42 @@ def bootstrap_audit(
     candidates: Optional[Sequence[np.ndarray]] = None,
     workers: int = 1,
 ) -> AuditReport:
-    """Resample, perturb, decide, tally, convert. Deterministic given config.seed."""
+    """Resample, perturb, decide, tally, convert. Deterministic given config.seed.
+
+    One kernel maps each trial block of either arm to its decision tally and
+    non-signal count (black-box) or its statistic (white-box); the blocks of
+    both arms run on ``workers`` threads, and no arm's trials are ever held
+    whole. Non-signal picks warn once per audit, with their count.
+    """
     start = time.perf_counter()
-    noisy_with = generate_noisy_samples(clean_with, config, _ARM_WITH, workers)
-    noisy_without = generate_noisy_samples(clean_without, config, _ARM_WITHOUT, workers)
+    generation = config.task == "generation"
+    if generation and signal_pair is None:
+        raise ValueError("generation audits need a signal pair")
+    black_box = config.threat_model == "black_box"
+    pool = _candidate_pool(signal_pair, candidates) if generation and black_box else None
+    sigma = mechanism_sigma(config)
+    arms = (_clean_matrix(clean_with, config.task), _clean_matrix(clean_without, config.task))
+    sizes = _block_sizes(config.n_sample)
+
+    def kernel(block: tuple[int, int]):
+        arm, index = block
+        noisy = _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index])
+        if not black_box:
+            return _whitebox_statistic(noisy, config, signal_pair)
+        classes = _blackbox_classes(noisy, config, pool)
+        return int(np.count_nonzero(classes == 1)), int(np.count_nonzero(classes < 0))
+
+    results = _map_blocks(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
+                                   for index in range(len(sizes))], workers)
+    with_blocks, without_blocks = results[:len(sizes)], results[len(sizes):]
 
     tau: Optional[float] = None
-    if config.threat_model == "black_box":
-        tp = int(np.count_nonzero(_blackbox_bits(noisy_with, config, signal_pair, candidates)))
-        fp = int(np.count_nonzero(_blackbox_bits(noisy_without, config, signal_pair, candidates)))
+    if black_box:
+        tp = sum(positives for positives, _ in with_blocks)
+        fp = sum(positives for positives, _ in without_blocks)
+        non_signal = sum(count for _, count in results)
+        if non_signal:
+            _warn_non_signal(non_signal)
         counts = AttackCounts(
             true_positives=tp,
             false_positives=fp,
@@ -472,8 +559,7 @@ def bootstrap_audit(
         )
     else:
         rule = "greater" if config.task == "classification" else "less_equal"
-        tau, counts = sweep_threshold(whitebox_statistic(noisy_with, config, signal_pair),
-                                      whitebox_statistic(noisy_without, config, signal_pair),
+        tau, counts = sweep_threshold(np.concatenate(with_blocks), np.concatenate(without_blocks),
                                       config.confidence, rule)
     estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)

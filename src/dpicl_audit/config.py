@@ -6,6 +6,7 @@ document is what gets validated and echoed into reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from importlib import resources
@@ -80,6 +81,19 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _schema_validator() -> jsonschema.protocols.Validator:
+    """The validator of the packaged schema, built once per process.
+
+    The schema is checked against its metaschema here, once, rather than on
+    every load as ``jsonschema.validate`` does; a broken schema still raises.
+    """
+    schema = load_schema()
+    validator_class = jsonschema.validators.validator_for(schema)
+    validator_class.check_schema(schema)
+    return validator_class(schema)
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     merged = dict(base)
     for key, value in override.items():
@@ -124,10 +138,9 @@ def load_run_config(path: str | Path, overrides: Optional[list[str]] = None) -> 
     merged = _deep_merge(DEFAULTS, document)
     for assignment in overrides or []:
         apply_override(merged, assignment)
-    try:
-        jsonschema.validate(merged, load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config violates the schema at {'/'.join(map(str, exc.path))}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(merged))
+    if error is not None:
+        raise ConfigError(f"config violates the schema at {'/'.join(map(str, error.path))}: {error.message}") from error
     return merged
 
 

@@ -3,20 +3,35 @@
 Each function here deliberately avoids the package's own code path for the
 quantity it checks: quadrature instead of erfc, bisection on the CDF instead
 of a rational approximation, exact combinatorial tail sums instead of beta
-inversion, grid scans instead of bisection, and a threshold sweep that
-evaluates the bound at every candidate instead of pruning.
+inversion, grid scans instead of bisection, a threshold sweep that
+evaluates the bound at every candidate instead of pruning, and a bootstrap
+audit that holds each arm's noisy trials and candidate distances whole
+instead of streaming trial blocks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, special
 
-from dpicl_audit.audit import _counts_for_rule
-from dpicl_audit.gdp import AttackCounts
+from dpicl_audit import audit
+from dpicl_audit.audit import (
+    AuditConfig,
+    AuditReport,
+    _classify_pool,
+    _clean_matrix,
+    _counts_for_rule,
+    mechanism_sigma,
+    sweep_threshold,
+)
+from dpicl_audit.gdp import AttackCounts, audit_epsilon, eps_emp_dp
+from dpicl_audit.oracles import SignalPair
 from dpicl_audit.stats import binom_upper_bound_array
 
 
@@ -137,3 +152,94 @@ def sweep_threshold_bruteforce(
         true_negatives=int(wo.size - fp[best]),
     )
     return float(thresholds[best]), counts
+
+
+def _noisy_matrix(clean: np.ndarray, sigma: float, n_sample: int, seed: int,
+                  arm: int, workers: int = 1) -> np.ndarray:
+    """Resample clean rows and perturb coordinate-wise, in fixed trial blocks."""
+    out = np.empty((n_sample, clean.shape[1]), dtype=np.float64)
+    blocks = [(b, start, min(start + audit._TRIAL_BLOCK, n_sample))
+              for b, start in enumerate(range(0, n_sample, audit._TRIAL_BLOCK))]
+
+    def fill(block: tuple[int, int, int]) -> None:
+        index, start, stop = block
+        rng = np.random.default_rng([seed, arm, index])
+        rows = rng.integers(0, clean.shape[0], size=stop - start)
+        out[start:stop] = clean[rows] + rng.normal(0.0, sigma, size=(stop - start, clean.shape[1]))
+
+    if workers == 1:
+        for block in blocks:
+            fill(block)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, blocks))
+    return out
+
+
+def _whitebox_statistic_full(noisy: np.ndarray, config: AuditConfig,
+                             signal_pair: Optional[SignalPair] = None) -> np.ndarray:
+    if config.task == "classification":
+        return noisy[:, config.yes_index] - noisy[:, config.no_index]
+    if signal_pair is None:
+        raise ValueError("generation audits need a signal pair")
+    d1 = np.linalg.norm(noisy - signal_pair.y1_embedding, axis=1)
+    d0 = np.linalg.norm(noisy - signal_pair.y0_embedding, axis=1)
+    return d1 - d0
+
+
+def _blackbox_bits_full(noisy: np.ndarray, config: AuditConfig,
+                        signal_pair: Optional[SignalPair],
+                        candidates: Optional[Sequence[np.ndarray]]) -> np.ndarray:
+    if config.task == "classification":
+        winners = np.argmax(noisy, axis=1)
+        return winners == config.yes_index
+    if signal_pair is None:
+        raise ValueError("generation audits need a signal pair")
+    pool = candidates if candidates is not None else [signal_pair.y1_embedding,
+                                                      signal_pair.y0_embedding]
+    stacked = np.stack([np.asarray(c, dtype=np.float64) for c in pool])
+    distances = np.linalg.norm(noisy[:, None, :] - stacked[None, :, :], axis=2)
+    selected = np.argmin(distances, axis=1)
+    labels = _classify_pool(signal_pair, pool)
+    if np.any(labels[selected] < 0):
+        warnings.warn("non-signal candidates selected; counted as canary-absent", stacklevel=2)
+    return labels[selected] == 1
+
+
+def bootstrap_audit_full_matrix(
+    clean_with: Sequence,
+    clean_without: Sequence,
+    config: AuditConfig,
+    *,
+    signal_pair: Optional[SignalPair] = None,
+    candidates: Optional[Sequence[np.ndarray]] = None,
+    workers: int = 1,
+) -> AuditReport:
+    """The audit on whole arms: every noisy trial, then every decision."""
+    start = time.perf_counter()
+    sigma = mechanism_sigma(config)
+    noisy_with = _noisy_matrix(_clean_matrix(clean_with, config.task), sigma, config.n_sample,
+                               config.seed, 0, workers)
+    noisy_without = _noisy_matrix(_clean_matrix(clean_without, config.task), sigma,
+                                  config.n_sample, config.seed, 1, workers)
+
+    tau: Optional[float] = None
+    if config.threat_model == "black_box":
+        tp = int(np.count_nonzero(_blackbox_bits_full(noisy_with, config, signal_pair, candidates)))
+        fp = int(np.count_nonzero(_blackbox_bits_full(noisy_without, config, signal_pair, candidates)))
+        counts = AttackCounts(
+            true_positives=tp,
+            false_positives=fp,
+            false_negatives=config.n_sample - tp,
+            true_negatives=config.n_sample - fp,
+        )
+    else:
+        rule = "greater" if config.task == "classification" else "less_equal"
+        tau, counts = sweep_threshold(_whitebox_statistic_full(noisy_with, config, signal_pair),
+                                      _whitebox_statistic_full(noisy_without, config, signal_pair),
+                                      config.confidence, rule)
+    estimate = audit_epsilon(counts, config.confidence, config.delta_target)
+    eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,
+                       config=config, tau=tau, wall_ms=wall_ms)

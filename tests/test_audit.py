@@ -1,5 +1,8 @@
 import json
 import math
+import threading
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -37,7 +40,7 @@ from dpicl_audit.oracles import (
     collect,
 )
 
-from reference import sweep_threshold_bruteforce
+from reference import _noisy_matrix, bootstrap_audit_full_matrix, sweep_threshold_bruteforce
 
 
 def make_pair(n=8, canary_index=0):
@@ -60,6 +63,37 @@ def generation_config(threat="white_box", eps_theory=8.0, n_sample=20_000, seed=
 
 ONE_D_PAIR = SignalPair(y1_text="target", y0_text="control",
                         y1_embedding=np.array([-1.0]), y0_embedding=np.array([1.0]))
+
+# Test trial blocks: three full blocks plus a partial one. A 10 x 16 float64
+# pool puts 1638 rows in a nearest-candidate chunk, so each block spans chunks.
+SMALL_BLOCK = 4096
+SPANNING_N = 3 * SMALL_BLOCK + 1234
+
+
+def generation_pool(signal, near, far=0):
+    """y1, y0, then ``near`` non-signal candidates scattered around their
+    midpoint, where noisy trials can pick them, and ``far`` ones no trial
+    reaches."""
+    rng = np.random.default_rng(0)
+    d = signal.y1_embedding.size
+    mid = (signal.y1_embedding + signal.y0_embedding) / 2.0
+    near_pool = [mid + rng.normal(0.0, 0.3, d) for _ in range(near)]
+    far_pool = [np.full(d, 100.0 + i) for i in range(far)]
+    return [signal.y1_embedding, signal.y0_embedding, *near_pool, *far_pool]
+
+
+def audit_cell(task, threat):
+    """Clean lists, config and keyword arguments for one {task} x {threat} audit."""
+    if task == "classification":
+        config = vote_config(threat, n_sample=SPANNING_N, seed=9)
+        return [VoteVector((1, 3), 4), VoteVector((2, 2), 4)], [VoteVector((0, 4), 4)], config, {}
+    signal = SignalPair.synthetic(0.7476, 16)
+    clean_with = [(signal.y1_embedding + k * signal.y0_embedding) / (k + 1) for k in (3, 7)]
+    config = generation_config(threat, n_sample=SPANNING_N, seed=9)
+    extra = {"signal_pair": signal}
+    if threat == "black_box":
+        extra["candidates"] = generation_pool(signal, near=8)
+    return clean_with, [signal.y0_embedding], config, extra
 
 
 class TestDecisionRules:
@@ -325,13 +359,76 @@ class TestBootstrapAudit:
             black = bootstrap_audit(clean_with, clean_without, vote_config("black_box", seed=seed))
             assert white.estimate.mu_lower >= black.estimate.mu_lower - 1e-12
 
-    def test_deterministic_across_worker_counts(self):
-        clean_with = [VoteVector((1, 3), 4), VoteVector((2, 2), 4)]
-        clean_without = [VoteVector((0, 4), 4)]
-        config = vote_config(n_sample=150_000, seed=9)
-        solo = bootstrap_audit(clean_with, clean_without, config, workers=1)
-        pooled = bootstrap_audit(clean_with, clean_without, config, workers=8)
-        assert solo.to_json() == pooled.to_json()
+    @pytest.mark.parametrize("threat", audit.THREAT_MODELS)
+    @pytest.mark.parametrize("task", audit.TASKS)
+    def test_deterministic_across_worker_counts(self, task, threat):
+        # streamed blocks give the report of the whole-arm path at any
+        # worker count; generation black-box also picks non-signal candidates
+        clean_with, clean_without, config, extra = audit_cell(task, threat)
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports = [bootstrap_audit(clean_with, clean_without, config, workers=workers, **extra)
+                       for workers in (1, 2, 8)]
+            full = bootstrap_audit_full_matrix(clean_with, clean_without, config, **extra)
+        assert [report.to_json() for report in reports] == [full.to_json()] * 3
+        assert 0 < full.counts.true_positives < config.n_sample
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_noisy_samples_stack_the_streamed_blocks(self, workers):
+        clean_with, _, config, _ = audit_cell("generation", "white_box")
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
+            got = generate_noisy_samples(clean_with, config, arm=1, workers=workers)
+            want = _noisy_matrix(np.stack(clean_with), audit.mechanism_sigma(config),
+                                 config.n_sample, config.seed, 1)
+        assert np.array_equal(got, want)
+
+    def test_memory_flat_in_n_sample(self):
+        # generation black-box, pool 10, d=16: whole arms would hold n x d
+        # noisy trials and an n x pool x d distance tensor
+        signal = SignalPair.synthetic(0.7476, 16)
+        candidates = generation_pool(signal, near=0, far=8)
+
+        def peak(n_sample):
+            config = generation_config("black_box", n_sample=n_sample)
+            tracemalloc.start()
+            try:
+                bootstrap_audit([signal.y1_embedding], [signal.y0_embedding], config,
+                                signal_pair=signal, candidates=candidates, workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
+            small, large = peak(4 * SMALL_BLOCK), peak(16 * SMALL_BLOCK)
+        # at most two float64 per extra trial and arm; one n x d arm is 16
+        assert large - small <= 2 * 2 * 8 * (16 - 4) * SMALL_BLOCK
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_signal_picks_warn_once_with_their_count(self, workers):
+        clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
+        signal, candidates = extra["signal_pair"], extra["candidates"]
+        sigma = audit.mechanism_sigma(config)
+        expected = 0
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
+            for arm, clean in enumerate((clean_with, clean_without)):
+                noisy = _noisy_matrix(np.stack(clean), sigma, config.n_sample, config.seed, arm)
+                picks = np.argmin(np.linalg.norm(noisy[:, None, :] - np.stack(candidates)[None],
+                                                 axis=2), axis=1)
+                expected += int(np.count_nonzero(picks >= 2))
+            threads = []
+            warn = warnings.warn
+
+            def recording(*args, **kwargs):
+                threads.append(threading.get_ident())
+                warn(*args, **kwargs)
+
+            with mock.patch.object(audit.warnings, "warn", recording), \
+                    pytest.warns(UserWarning) as record:
+                bootstrap_audit(clean_with, clean_without, config, workers=workers, **extra)
+        assert expected > 0
+        assert [str(w.message) for w in record] == [
+            f"{expected} trials selected a non-signal candidate; counted as canary-absent"]
+        assert threads == [threading.get_ident()]
 
     def test_soundness_against_exact_gaussian_channel(self):
         # clean [1,3] vs [0,4] is the margin-1 channel with mu* = sqrt(2)/sigma;

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
+import jsonschema
 import pytest
 import yaml
 
+from dpicl_audit import config as config_module
 from dpicl_audit.cli import main
 
 
@@ -86,6 +89,27 @@ class TestConfigHandling:
         doc["bogus_section"] = {"x": 1}
         path.write_text(yaml.safe_dump(doc))
         assert main(["audit", "--config", str(path)]) == 2
+
+    def test_packaged_schema_passes_its_metaschema(self):
+        schema = config_module.load_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_schema_violation_message(self, tmp_path):
+        path = write_config(tmp_path, audit={"n_llm": 20, "confidence": 2})
+        with pytest.raises(config_module.ConfigError) as info:
+            config_module.load_run_config(path)
+        assert str(info.value) == ("config violates the schema at audit/confidence: "
+                                   "2 is greater than or equal to the maximum of 1")
+
+    def test_broken_packaged_schema_raises(self, tmp_path):
+        path = write_config(tmp_path)
+        config_module._schema_validator.cache_clear()
+        try:
+            with mock.patch.object(config_module, "load_schema", return_value={"type": 12}):
+                with pytest.raises(jsonschema.SchemaError):
+                    config_module.load_run_config(path)
+        finally:
+            config_module._schema_validator.cache_clear()
 
     def test_set_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
