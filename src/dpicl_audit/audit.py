@@ -51,9 +51,10 @@ THREAT_MODELS = ("black_box", "white_box")
 _TRIAL_BLOCK = 1 << 16
 
 # Byte budget of the rows x pool x d difference tensor of one chunk of the
-# nearest-candidate search (at least one row). It bounds the search's
-# temporaries whatever the pool size and dimension; at pool 10 and d=16,
-# budgets from 0.5 to 8 MiB ran alike on a 2-core Xeon.
+# nearest-candidate search (at least one row), where pool counts the distinct
+# candidates. It bounds the search's temporaries whatever the pool size and
+# dimension; at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB
+# ran alike on a 2-core Xeon.
 _NEAREST_CHUNK_BYTES = 1 << 21
 
 # Largest count-grid spacing of each threshold-sweep pass, coarse to exact.
@@ -453,21 +454,35 @@ def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.nda
 
 def _candidate_pool(signal_pair: Optional[SignalPair],
                     candidates: Optional[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked candidate embeddings (y1's and y0's by default) and their classes."""
+    """The distinct candidate embeddings (y1's and y0's by default), stacked,
+    and their classes.
+
+    A zero-shot pool often repeats itself, so bitwise-identical candidates are
+    kept once, at their first occurrence, in pool order. The nearest search
+    over these rows picks the full pool's candidate or an identical copy of
+    it, of the same class: identical rows get identical distances, the full
+    pool's first minimum is a first occurrence, and keeping the pool order
+    keeps the first-index tie-break between distinct candidates.
+    """
     if signal_pair is None:
         raise ValueError("generation audits need a signal pair")
     pool = candidates if candidates is not None else [signal_pair.y1_embedding,
                                                       signal_pair.y0_embedding]
-    stacked = np.stack([np.asarray(c, dtype=np.float64) for c in pool])
-    return stacked, _classify_pool(signal_pair, pool)
+    distinct: dict[bytes, np.ndarray] = {}
+    for candidate in pool:
+        row = np.asarray(candidate, dtype=np.float64)
+        distinct.setdefault(row.tobytes(), row)
+    rows = list(distinct.values())
+    return np.stack(rows), _classify_pool(signal_pair, rows)
 
 
 def _nearest(noisy: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """Index of the candidate nearest to each row (the first one on ties).
 
-    Rows go in chunks whose rows x pool x d difference tensor fits
-    _NEAREST_CHUNK_BYTES. Each row's distances are computed from that row
-    alone, so the picks do not depend on the chunking.
+    ``stacked`` is ``_candidate_pool``'s distinct rows, so repeated candidates
+    cost nothing. Rows go in chunks whose rows x pool x d difference tensor
+    fits _NEAREST_CHUNK_BYTES. Each row's distances are computed from that
+    row alone, so the picks do not depend on the chunking.
     """
     rows = max(1, _NEAREST_CHUNK_BYTES // stacked.nbytes)
     picks = np.empty(noisy.shape[0], dtype=np.intp)

@@ -423,7 +423,7 @@ def collect(
                     collection.records.append(
                         OracleRecord(
                             ctx=ctx_label, trial=trial, part=part_index,
-                            emb=tuple(float(x) for x in stacked[part_index]),
+                            emb=tuple(stacked[part_index].tolist()),
                         )
                     )
                 vector = stacked.mean(axis=0)

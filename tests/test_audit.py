@@ -15,8 +15,10 @@ from dpicl_audit.audit import (
     AuditConfig,
     AuditReport,
     _blackbox_bits,
+    _candidate_pool,
     _classify_pool,
     _counts_for_rule,
+    _nearest,
     append_report_csv,
     bootstrap_audit,
     generate_noisy_samples,
@@ -38,6 +40,7 @@ from dpicl_audit.oracles import (
     CanaryDetectorVoteOracle,
     SignalPair,
     collect,
+    zero_shot_candidates,
 )
 
 from reference import _noisy_matrix, bootstrap_audit_full_matrix, sweep_threshold_bruteforce
@@ -64,8 +67,9 @@ def generation_config(threat="white_box", eps_theory=8.0, n_sample=20_000, seed=
 ONE_D_PAIR = SignalPair(y1_text="target", y0_text="control",
                         y1_embedding=np.array([-1.0]), y0_embedding=np.array([1.0]))
 
-# Test trial blocks: three full blocks plus a partial one. A 10 x 16 float64
-# pool puts 1638 rows in a nearest-candidate chunk, so each block spans chunks.
+# Test trial blocks: three full blocks plus a partial one. A pool of 10
+# distinct 16-d float64 candidates puts 1638 rows in a nearest-candidate
+# chunk (5 distinct: 3276), so each block spans chunks.
 SMALL_BLOCK = 4096
 SPANNING_N = 3 * SMALL_BLOCK + 1234
 
@@ -80,6 +84,20 @@ def generation_pool(signal, near, far=0):
     near_pool = [mid + rng.normal(0.0, 0.3, d) for _ in range(near)]
     far_pool = [np.full(d, 100.0 + i) for i in range(far)]
     return [signal.y1_embedding, signal.y0_embedding, *near_pool, *far_pool]
+
+
+def full_pool_non_signal(clean_with, clean_without, config, signal_pair, candidates):
+    """Non-signal picks of both arms by argmin over the whole pool, repeats
+    included, on the whole-arm noise."""
+    sigma = audit.mechanism_sigma(config)
+    stacked = np.stack(candidates)
+    classes = _classify_pool(signal_pair, candidates)
+    count = 0
+    for arm, clean in enumerate((clean_with, clean_without)):
+        noisy = _noisy_matrix(np.stack(clean), sigma, config.n_sample, config.seed, arm)
+        picks = np.argmin(np.linalg.norm(noisy[:, None, :] - stacked[None], axis=2), axis=1)
+        count += int(np.count_nonzero(classes[picks] < 0))
+    return count
 
 
 def audit_cell(task, threat):
@@ -131,9 +149,26 @@ class TestDecisionRules:
         assert bits.tolist() == [False]
 
     def test_blackbox_generation_duplicate_signal_in_pool(self):
-        # a duplicate of y1 later in the pool still counts as y1
+        # a duplicate of y1 later in the pool still counts as y1, and the
+        # nearest search keeps it once
         pool = [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding, ONE_D_PAIR.y1_embedding]
         assert _classify_pool(ONE_D_PAIR, pool).tolist() == [1, 0, 1]
+        stacked, classes = _candidate_pool(ONE_D_PAIR, pool)
+        assert stacked.tolist() == [[-1.0], [1.0]]
+        assert classes.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("order", ["0101", "110", "010", "101"])
+    def test_distinct_pool_keeps_the_tie_order(self, order):
+        # trials at 0.0 tie between y1 (-1) and y0 (+1): the full pool's
+        # argmin takes the first in pool order, and so must the distinct pool
+        signal = {"1": ONE_D_PAIR.y1_embedding, "0": ONE_D_PAIR.y0_embedding}
+        pool = [signal[c] for c in order]
+        noisy = np.array([[0.0], [-1.0], [1.0], [0.0], [0.3], [-0.3]])
+        full = np.argmin(np.linalg.norm(noisy[:, None, :] - np.stack(pool)[None], axis=2), axis=1)
+        stacked, classes = _candidate_pool(ONE_D_PAIR, pool)
+        assert len(stacked) == 2
+        assert (classes[_nearest(noisy, stacked)].tolist()
+                == _classify_pool(ONE_D_PAIR, pool)[full].tolist())
 
     def test_whitebox_generation(self):
         noisy = np.stack([ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding])
@@ -373,6 +408,32 @@ class TestBootstrapAudit:
         assert [report.to_json() for report in reports] == [full.to_json()] * 3
         assert 0 < full.counts.true_positives < config.n_sample
 
+    def test_duplicate_heavy_pool_gives_the_full_pool_report(self):
+        # the canary detector's zero-shot pool holds coin-flip copies of y1
+        # and y0 (here y0 first); with repeated non-signal candidates 5 of
+        # its 19 rows are distinct, and the search runs over those alone
+        clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
+        signal = extra["signal_pair"]
+        zero_shot = zero_shot_candidates(CanaryDetectorEmbeddingOracle(signal), "q", 10, seed=4)
+        near = generation_pool(signal, near=3)[2:]
+        candidates = [*zero_shot, *near, *near[::-1], *near]
+        assert len(_candidate_pool(signal, candidates)[0]) == 5
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
+            expected = full_pool_non_signal(clean_with, clean_without, config, signal, candidates)
+            with pytest.warns(UserWarning) as record:
+                reports = [bootstrap_audit(clean_with, clean_without, config, workers=workers,
+                                           signal_pair=signal, candidates=candidates)
+                           for workers in (1, 2, 8)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                full = bootstrap_audit_full_matrix(clean_with, clean_without, config,
+                                                   signal_pair=signal, candidates=candidates)
+        assert [report.to_json() for report in reports] == [full.to_json()] * 3
+        assert 0 < full.counts.true_positives < config.n_sample
+        assert expected > 0
+        assert [str(w.message) for w in record] == [
+            f"{expected} trials selected a non-signal candidate; counted as canary-absent"] * 3
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_noisy_samples_stack_the_streamed_blocks(self, workers):
         clean_with, _, config, _ = audit_cell("generation", "white_box")
@@ -406,15 +467,8 @@ class TestBootstrapAudit:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_signal_picks_warn_once_with_their_count(self, workers):
         clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
-        signal, candidates = extra["signal_pair"], extra["candidates"]
-        sigma = audit.mechanism_sigma(config)
-        expected = 0
         with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
-            for arm, clean in enumerate((clean_with, clean_without)):
-                noisy = _noisy_matrix(np.stack(clean), sigma, config.n_sample, config.seed, arm)
-                picks = np.argmin(np.linalg.norm(noisy[:, None, :] - np.stack(candidates)[None],
-                                                 axis=2), axis=1)
-                expected += int(np.count_nonzero(picks >= 2))
+            expected = full_pool_non_signal(clean_with, clean_without, config, **extra)
             threads = []
             warn = warnings.warn
 
