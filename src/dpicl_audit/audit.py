@@ -197,25 +197,59 @@ def append_report_csv(path: Union[str, Path], report: AuditReport) -> None:
 # Threshold sweep
 # ---------------------------------------------------------------------------
 
-def _counts_for_rule(stat_with: np.ndarray, stat_without: np.ndarray,
-                     thresholds: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    sw = np.sort(stat_with)
-    swo = np.sort(stat_without)
-    above_w = len(sw) - np.searchsorted(sw, thresholds, side="right")
-    above_wo = len(swo) - np.searchsorted(swo, thresholds, side="right")
-    if rule == "greater":
-        return above_w, above_wo
-    if rule == "less_equal":
-        return len(sw) - above_w, len(swo) - above_wo
-    raise ValueError(f"unknown rule {rule!r}")
-
-
 def _candidate_thresholds(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
     """Every distinct midpoint of adjacent pooled statistics, and a sentinel
     below and above the data (accept-all / reject-all)."""
     pooled = np.sort(np.concatenate([w, wo]))
     midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
     return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
+
+
+def _candidate_counts(w: np.ndarray, wo: np.ndarray,
+                      rule: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_candidate_thresholds`` and the FN and FP counts of ``rule`` at each.
+
+    A stable argsort of the two sorted arms merges them, and a cumulative sum
+    of the arm labels counts the ``w`` statistics in every pooled prefix. The
+    midpoints of adjacent pooled values are non-decreasing, so the candidates
+    are the first midpoint of each run of equal ones. The pooled values at or
+    below the midpoint of gap g are the g + 1 up to the gap, unless the
+    midpoint rounds onto (or overflows past) a neighbour; those few are
+    searched.
+    """
+    if rule not in ("greater", "less_equal"):
+        raise ValueError(f"unknown rule {rule!r}")
+    pooled = np.concatenate([w, wo])
+    pooled[:w.size].sort()
+    pooled[w.size:].sort()
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    with_below = np.zeros(pooled.size + 1, dtype=np.intp)  # w statistics among the first k pooled
+    np.cumsum(order < w.size, out=with_below[1:])
+    del order
+    midpoints = 0.5 * (pooled[1:] + pooled[:-1])
+    # each candidate's gap, until the increment below
+    at_or_below = np.flatnonzero(np.concatenate([[True], midpoints[1:] != midpoints[:-1]]))
+    inner = midpoints[at_or_below]
+    del midpoints
+    odd = np.flatnonzero((inner < pooled[at_or_below]) | (inner >= pooled[at_or_below + 1]))
+    at_or_below += 1
+    at_or_below[odd] = np.searchsorted(pooled, inner[odd], side="right")
+    low = pooled[0] - 1.0  # can equal pooled[0] for large magnitudes
+    at_or_below = np.concatenate([[np.searchsorted(pooled, low, side="right")], at_or_below,
+                                  [pooled.size]])
+    if (inner == 0.0).any():
+        # +0.0 == -0.0, and np.unique decides which sign stands for the run
+        thresholds = _candidate_thresholds(w, wo)
+    else:
+        thresholds = np.concatenate([[low], inner, [pooled[-1] + 1.0]])
+    del inner, pooled
+    fn = with_below[at_or_below]  # w statistics at or below each threshold
+    del with_below
+    fp = np.subtract(at_or_below, fn, out=at_or_below)
+    if rule == "greater":
+        return thresholds, fn, np.subtract(wo.size, fp, out=fp)
+    return thresholds, np.subtract(w.size, fn, out=fn), fp
 
 
 def _count_grid(trials: int, spacing: int) -> np.ndarray:
@@ -238,22 +272,28 @@ def _count_grid(trials: int, spacing: int) -> np.ndarray:
     return np.concatenate([left, right[1:] if right[0] == half else right])
 
 
-def _term_tables(errors: np.ndarray, survivors: np.ndarray, trials: int, spacing: int,
-                 confidence: float, term) -> tuple[np.ndarray, np.ndarray]:
+def _term_tables(errors: np.ndarray, survivors: Optional[np.ndarray], trials: int,
+                 spacing: int, bound, term) -> tuple[np.ndarray, np.ndarray]:
     """``term`` of the Clopper-Pearson bound at the grid counts below and
     above each survivor's count, as two tables indexed by the count.
 
     The bound increases in the count, so the pair brackets the term's value
-    at the count itself; at spacing 1 both equal it. The bound is inverted
-    once per grid count that brackets some survivor's count; the tables are
-    unset at the counts no survivor has.
+    at the count itself; at spacing 1 both equal it. ``survivors`` None means
+    every candidate: the tables then span every count, from the whole grid.
+    Otherwise the bound is needed only at the grid counts that bracket some
+    survivor's count, and the tables are unset at the counts no survivor has.
     """
+    if survivors is None:
+        grid = _count_grid(trials, spacing)
+        value = term(bound(grid, trials))
+        return (np.repeat(value, np.diff(grid, append=trials + 1)),
+                np.repeat(value, np.diff(grid, prepend=-1)))
     seen = np.zeros(trials + 1, dtype=bool)
     for start in range(0, survivors.size, _TRIAL_BLOCK):
         seen[errors[survivors[start:start + _TRIAL_BLOCK]]] = True
     counts = np.flatnonzero(seen)
     if spacing == 1:
-        value = term(binom_upper_bound_array(counts, trials, confidence))
+        value = term(bound(counts, trials))
         below = above = np.arange(counts.size)
     else:
         grid = _count_grid(trials, spacing)
@@ -264,7 +304,7 @@ def _term_tables(errors: np.ndarray, survivors: np.ndarray, trials: int, spacing
         used = np.zeros(grid.size, dtype=bool)
         used[below] = used[above] = True
         value = np.empty(grid.size)
-        value[used] = term(binom_upper_bound_array(grid[used], trials, confidence))
+        value[used] = term(bound(grid[used], trials))
     at_below, at_above = np.empty(trials + 1), np.empty(trials + 1)
     at_below[counts], at_above[counts] = value[below], value[above]
     return at_below, at_above
@@ -305,18 +345,24 @@ def sweep_threshold(
     at tau.
 
     The result is that of evaluating the bound at every candidate, without
-    doing so. The Clopper-Pearson bound increases in the error count, and mu
-    decreases in both bounds, so the bounds at the neighbouring counts of a
-    grid below and above a candidate's FP and FN counts give an upper and a
-    lower bracket on its mu. Each pass keeps the candidates whose upper
-    bracket reaches the largest lower bracket less a slack of 1e-9. The
-    grids' spacing is at most 64, 16, 4 and 1 in turn, and finer near the
-    ends of the count range, where the bound's terms are steep; on the last
-    grid, every count, the brackets are the exact values. The maximizer and
-    every earlier candidate tied with it always survive, so the first
-    maximum among the survivors is the brute-force answer. The bound is
-    computed once per grid count that some survivor's bracket needs, and
-    candidates are read in blocks, so memory stays at the count arrays.
+    doing so. The counts at every candidate come from one merge of the two
+    sorted arms (``_candidate_counts``), with no search per candidate. The
+    Clopper-Pearson bound increases in the error count, and mu decreases in
+    both bounds, so the bounds at the neighbouring counts of a grid below
+    and above a candidate's FP and FN counts give an upper and a lower
+    bracket on its mu. Each pass keeps the candidates whose upper bracket
+    reaches the largest lower bracket less a slack of 1e-9. The grids'
+    spacing is at most 64, 16, 4 and 1 in turn, and finer near the ends of
+    the count range, where the bound's terms are steep; on the last grid,
+    every count, the brackets are the exact values. The maximizer and every
+    earlier candidate tied with it always survive, so the first maximum
+    among the survivors is the brute-force answer. The first pass takes
+    every candidate: its tables span the whole count range, filled from the
+    whole grid, and it reads the candidates by slices. A later pass inverts
+    the bound only at the grid counts some survivor's bracket needs. One
+    memo per trial total holds every bound inverted, so no count is inverted
+    twice, and arms of equal size share it. Candidates are read in blocks,
+    so memory stays at the count arrays.
     """
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
@@ -325,25 +371,34 @@ def sweep_threshold(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    thresholds = _candidate_thresholds(w, wo)
-    tp, fp = _counts_for_rule(w, wo, thresholds, rule)
-    fn = w.size - tp
-    del tp  # free a candidate-sized array before the passes allocate theirs
+    thresholds, fn, fp = _candidate_counts(w, wo, rule)
+    # the bound per trial total, indexed by count; one table when the arms' sizes are equal
+    tables = {trials: np.full(trials + 1, np.nan) for trials in {w.size, wo.size}}
 
-    survivors = np.arange(thresholds.size)
+    def bound(counts: np.ndarray, trials: int) -> np.ndarray:
+        table = tables[trials]
+        missing = counts[np.isnan(table[counts])]
+        table[missing] = binom_upper_bound_array(missing, trials, confidence)
+        return table[counts]
+
+    survivors = None  # every candidate, read by slices
     for spacing in _SWEEP_SPACINGS:
-        fp_below, fp_above = _term_tables(fp, survivors, wo.size, spacing, confidence, _fp_term)
-        fn_below, fn_above = _term_tables(fn, survivors, w.size, spacing, confidence, _fn_term)
-        upper = np.empty(survivors.size)
+        fp_below, fp_above = _term_tables(fp, survivors, wo.size, spacing, bound, _fp_term)
+        fn_below, fn_above = _term_tables(fn, survivors, w.size, spacing, bound, _fn_term)
+        size = thresholds.size if survivors is None else survivors.size
+        upper = np.empty(size)
         best_lower = -np.inf
-        for start in range(0, survivors.size, _TRIAL_BLOCK):
-            chunk = survivors[start:start + _TRIAL_BLOCK]
+        for start in range(0, size, _TRIAL_BLOCK):
+            chunk = (slice(start, start + _TRIAL_BLOCK) if survivors is None
+                     else survivors[start:start + _TRIAL_BLOCK])
             fp_chunk, fn_chunk = fp[chunk], fn[chunk]
-            upper[start:start + chunk.size] = _mu(fn_below[fn_chunk], fp_below[fp_chunk])
+            upper[start:start + fp_chunk.size] = _mu(fn_below[fn_chunk], fp_below[fp_chunk])
             best_lower = max(best_lower, _mu(fn_above[fn_chunk], fp_above[fp_chunk]).max())
         if spacing == 1:
             break
-        survivors = survivors[upper >= best_lower - _SWEEP_SLACK]
+        keep = upper >= best_lower - _SWEEP_SLACK
+        del upper  # before the next pass's tables are built
+        survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
 
     best = int(survivors[np.argmax(upper)])  # first maximum = smallest tau
     counts = AttackCounts(

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import requests
 
 from .mechanisms import (
     ExemplarSubset,
@@ -507,6 +506,10 @@ class HttpTransport:
         self.timeout = timeout
 
     def __call__(self, request: ResponderRequest) -> dict:
+        # imported here: only this transport needs it, and it adds to every
+        # command's start-up
+        import requests
+
         headers = {}
         if self.auth_header and self.auth_token:
             headers[self.auth_header] = self.auth_token

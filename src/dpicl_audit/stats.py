@@ -111,7 +111,7 @@ def binom_upper_bound_array(successes: np.ndarray, trials: int, confidence: floa
     """Vectorized Clopper-Pearson upper bound via beta-quantile inversion.
 
     Unchecked; :func:`binom_upper_bound` validates and calls it, and the
-    threshold sweep needs the bound at every candidate threshold.
+    threshold sweep calls it once per error count it needs.
     """
     s = np.asarray(successes, dtype=np.float64)
     out = np.ones_like(s)

@@ -3,10 +3,10 @@
 Each function here deliberately avoids the package's own code path for the
 quantity it checks: quadrature instead of erfc, bisection on the CDF instead
 of a rational approximation, exact combinatorial tail sums instead of beta
-inversion, grid scans instead of bisection, a threshold sweep that
-evaluates the bound at every candidate instead of pruning, and a bootstrap
-audit that holds each arm's noisy trials and candidate distances whole
-instead of streaming trial blocks.
+inversion, grid scans instead of bisection, a threshold sweep that counts
+each arm by binary search and evaluates the bound at every candidate instead
+of merging the arms and pruning, and a bootstrap audit that holds each arm's
+noisy trials and candidate distances whole instead of streaming trial blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dpicl_audit.audit import (
     AuditReport,
     _classify_pool,
     _clean_matrix,
-    _counts_for_rule,
     mechanism_sigma,
     sweep_threshold,
 )
@@ -114,6 +113,27 @@ def eps_grid_scan(mu: float, delta_target: float, delta_fn) -> float:
     return eps
 
 
+def _counts_for_rule(stat_with: np.ndarray, stat_without: np.ndarray,
+                     thresholds: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    sw = np.sort(stat_with)
+    swo = np.sort(stat_without)
+    above_w = len(sw) - np.searchsorted(sw, thresholds, side="right")
+    above_wo = len(swo) - np.searchsorted(swo, thresholds, side="right")
+    if rule == "greater":
+        return above_w, above_wo
+    if rule == "less_equal":
+        return len(sw) - above_w, len(swo) - above_wo
+    raise ValueError(f"unknown rule {rule!r}")
+
+
+def candidate_thresholds_bruteforce(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
+    """The sorted distinct midpoints of the pooled statistics, and a sentinel
+    below and above the data."""
+    pooled = np.sort(np.concatenate([w, wo]))
+    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
+    return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
+
+
 def sweep_threshold_bruteforce(
     stats_with: Sequence[float],
     stats_without: Sequence[float],
@@ -128,10 +148,7 @@ def sweep_threshold_bruteforce(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    pooled = np.sort(np.concatenate([w, wo]))
-    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
-    thresholds = np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
-
+    thresholds = candidate_thresholds_bruteforce(w, wo)
     tp, fp = _counts_for_rule(w, wo, thresholds, rule)
     fn = w.size - tp
     alpha_bar = binom_upper_bound_array(fp, wo.size, confidence)

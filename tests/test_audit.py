@@ -17,7 +17,6 @@ from dpicl_audit.audit import (
     _blackbox_bits,
     _candidate_pool,
     _classify_pool,
-    _counts_for_rule,
     _nearest,
     append_report_csv,
     bootstrap_audit,
@@ -43,7 +42,13 @@ from dpicl_audit.oracles import (
     zero_shot_candidates,
 )
 
-from reference import _noisy_matrix, bootstrap_audit_full_matrix, sweep_threshold_bruteforce
+from reference import (
+    _counts_for_rule,
+    _noisy_matrix,
+    bootstrap_audit_full_matrix,
+    candidate_thresholds_bruteforce,
+    sweep_threshold_bruteforce,
+)
 
 
 def make_pair(n=8, canary_index=0):
@@ -251,13 +256,15 @@ class TestSweepThreshold:
 
 
 _ADJACENT = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+# signed zeros and the smallest subnormals, whose midpoints round onto zero
+_ZEROS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0])
 
 
 @st.composite
 def sweep_inputs(draw, max_trials):
     """Statistic pairs built to break a pruned sweep: ties, adjacent floats,
-    identical arms, heavy tails and unequal arm sizes."""
-    kind = draw(st.sampled_from(["ties", "adjacent", "identical", "cauchy", "normal"]))
+    signed zeros, identical arms, heavy tails and unequal arm sizes."""
+    kind = draw(st.sampled_from(["ties", "adjacent", "zeros", "identical", "cauchy", "normal"]))
     n_with = draw(st.integers(min_value=1, max_value=max_trials))
     n_without = draw(st.integers(min_value=1, max_value=max_trials))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -266,6 +273,8 @@ def sweep_inputs(draw, max_trials):
         w, wo = rng.integers(-2, 5, n_with), rng.integers(-3, 4, n_without)
     elif kind == "adjacent":
         w, wo = _ADJACENT[rng.integers(0, 3, n_with)], _ADJACENT[rng.integers(0, 3, n_without)]
+    elif kind == "zeros":
+        w, wo = _ZEROS[rng.integers(0, 5, n_with)], _ZEROS[rng.integers(0, 5, n_without)]
     elif kind == "identical":
         w = rng.normal(size=n_with)
         wo = w.copy()
@@ -294,6 +303,36 @@ class TestSweepMatchesBruteForce:
         with mock.patch.object(audit, "_TRIAL_BLOCK", 7):
             got = sweep_threshold(*case)
         assert repr(got) == repr(sweep_threshold_bruteforce(*case))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_inputs(max_trials=3000))
+    def test_candidate_counts_match_the_reference(self, case):
+        # the merged counts equal a binary search of each arm at every candidate
+        w, wo, _, rule = case
+        thresholds, fn, fp = audit._candidate_counts(w, wo, rule)
+        expected = candidate_thresholds_bruteforce(w, wo)
+        assert thresholds.tobytes() == expected.tobytes()
+        tp_ref, fp_ref = _counts_for_rule(w, wo, expected, rule)
+        assert np.array_equal(w.size - fn, tp_ref)
+        assert np.array_equal(fp, fp_ref)
+
+    @pytest.mark.parametrize("without", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0]])
+    def test_signed_zero_threshold(self, without):
+        # tau is the zero midpoint; np.unique decides its sign, whichever
+        # zero the merged pool holds first
+        got = sweep_threshold([-0.0, 1.0], without, 0.95)
+        assert got[0] == 0.0
+        assert repr(got) == repr(sweep_threshold_bruteforce([-0.0, 1.0], without, 0.95))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_overflowing_midpoints(self, sign):
+        # the midpoint of two huge statistics of one sign overflows to an
+        # infinite candidate, beyond its gap's neighbours
+        w, wo = sign * np.array([1.7e308]), sign * np.array([1.7e308, 1.6e308])
+        for rule in ("greater", "less_equal"):
+            with np.errstate(over="ignore"):
+                got = sweep_threshold(w, wo, 0.95, rule)
+                assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95, rule))
 
     def test_bound_below_rounding_at_tiny_confidence(self):
         # 1 - beta_bar rounds to 1 at few false negatives here, so the
@@ -350,6 +389,36 @@ class TestSweepGrids:
             got = sweep_threshold(w, wo, 0.95)
         assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
         assert sum(evals) < 10_000
+
+    def test_equal_arms_invert_each_count_once(self):
+        # both arms hold the same number of trials, so their FP and FN counts
+        # share one table of bounds
+        rng = np.random.default_rng(6)
+        w, wo = rng.normal(0.3, 1.0, 50_000), rng.normal(0.0, 1.0, 50_000)
+        inverted = []
+        original = audit.binom_upper_bound_array
+
+        def counted(successes, trials, confidence):
+            inverted.extend(int(count) for count in successes)
+            return original(successes, trials, confidence)
+
+        with mock.patch.object(audit, "binom_upper_bound_array", counted):
+            got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        assert len(inverted) == len(set(inverted))
+
+    def test_memory_at_200k_trials_per_arm(self):
+        # the candidate-sized arrays are freed as the sweep goes; 27.5 MB
+        # before the counts came from one merge
+        rng = np.random.default_rng(0)
+        w, wo = rng.normal(0.3, 1.0, 200_000), rng.normal(0.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            sweep_threshold(w, wo, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e6
 
 
 class TestBootstrapAudit:

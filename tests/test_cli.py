@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -110,6 +114,19 @@ class TestConfigHandling:
                     config_module.load_run_config(path)
         finally:
             config_module._schema_validator.cache_clear()
+
+    def test_start_up_does_not_import_requests(self, tmp_path):
+        # only the HTTP responder transport needs requests, and it imports it
+        # when it posts
+        path = write_config(tmp_path)
+        script = ("import sys\n"
+                  "from dpicl_audit import cli, config\n"
+                  f"config.load_run_config({str(path)!r})\n"
+                  "print('requests' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_set_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
