@@ -29,14 +29,13 @@ from .mechanisms import (
     ExemplarContext,
     MechanismConfig,
     NeighboringPair,
-    NoisyVoteVector,
     VoteVector,
-    esa_aggregate,
     esa_noise_scale,
     esa_select,
     esa_sensitivity,
+    gaussian_release,
     partition,
-    private_vote,
+    vote_select,
     voting_noise_scale,
 )
 from .oracles import (
@@ -47,7 +46,6 @@ from .oracles import (
     ReplayOracle,
     SignalPair,
     collect,
-    resample,
 )
 from .stats import binom_upper_bound, std_normal_cdf, std_normal_inv_cdf
 
@@ -66,7 +64,6 @@ __all__ = [
     "GdpEstimate",
     "MechanismConfig",
     "NeighboringPair",
-    "NoisyVoteVector",
     "OracleRecord",
     "ReplayOracle",
     "SignalPair",
@@ -81,19 +78,18 @@ __all__ = [
     "eps_emp_analytic",
     "eps_emp_dp",
     "eps_from_mu_delta",
-    "esa_aggregate",
     "esa_noise_scale",
     "esa_select",
     "esa_sensitivity",
+    "gaussian_release",
     "mu_from_eps_delta",
     "mu_gauss",
     "mu_lower",
     "partition",
-    "private_vote",
-    "resample",
     "run_audit",
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "sweep_threshold",
+    "vote_select",
     "voting_noise_scale",
 ]

@@ -1,16 +1,18 @@
 """The audit engine: bootstrap membership-inference trials into GDP estimates.
 
 For each of n_sample trials per hypothesis a clean response is resampled
-with replacement, mechanism noise is added, and a decision rule converts it
-into a membership bit. Black-box rules read only the released output;
-white-box rules threshold a 1-D statistic (vote difference or embedding
-distance difference) at the tau maximizing the mu lower bound. Tau is chosen
-on the same trials it is scored on, which biases that bound upward.
+with replacement, the shipped mechanism perturbs it and releases its output
+(``mechanisms.gaussian_release``, then ``vote_select`` or ``esa_select``),
+and a decision rule converts it into a membership bit. Black-box rules read
+only the released output; white-box rules threshold a 1-D statistic of the
+noisy aggregate (vote difference or embedding distance difference) at the
+tau maximizing the mu lower bound. Tau is chosen on the same trials it is
+scored on, which biases that bound upward.
 
-Trials are streamed in fixed-size blocks: one kernel draws a block's noise
-and reduces it at once to a decision tally or a 1-D statistic, so no arm's
-noisy responses or candidate distances are ever held whole, and ``workers``
-threads run whole blocks, noise and decision together. All randomness is
+Trials are streamed in fixed-size blocks: one kernel resamples a block,
+releases it through the mechanism and reduces it at once to a decision tally
+or a 1-D statistic, so no arm's noisy responses or candidate distances are
+ever held whole, and ``workers`` threads run whole blocks. All randomness is
 derived from (seed, hypothesis, trial block), so a report is a pure function
 of its config and identical across worker counts.
 """
@@ -32,6 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
+from . import mechanisms
 from .gdp import AttackCounts, GdpEstimate, audit_epsilon, eps_emp_dp
 from .mechanisms import (
     MechanismConfig,
@@ -40,7 +43,7 @@ from .mechanisms import (
     esa_noise_scale,
     voting_noise_scale,
 )
-from .oracles import CleanCollection, SignalPair, collect
+from .oracles import CleanCollection, OracleError, SignalPair, collect
 from .stats import binom_upper_bound_array
 
 TASKS = ("classification", "generation")
@@ -49,13 +52,6 @@ THREAT_MODELS = ("black_box", "white_box")
 # Trials are generated in fixed-size blocks, each with its own derived
 # generator; block boundaries are independent of the worker count.
 _TRIAL_BLOCK = 1 << 16
-
-# Byte budget of the rows x pool x d difference tensor of one chunk of the
-# nearest-candidate search (at least one row), where pool counts the distinct
-# candidates. It bounds the search's temporaries whatever the pool size and
-# dimension; at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB
-# ran alike on a 2-core Xeon.
-_NEAREST_CHUNK_BYTES = 1 << 21
 
 # Largest count-grid spacing of each threshold-sweep pass, coarse to exact.
 # Within 2 * _SWEEP_TAIL of either end of the count range, where the bound's
@@ -435,12 +431,12 @@ def _block_sizes(n_sample: int) -> list[int]:
 
 def _block_noise(clean: np.ndarray, sigma: float, seed: int, arm: int, index: int,
                  size: int) -> np.ndarray:
-    """Trial block ``index`` of an arm: resampled clean rows, perturbed coordinate-wise."""
+    """Trial block ``index`` of an arm: resampled clean rows, released by the mechanism."""
     rng = np.random.default_rng([seed, arm, index])
     rows = rng.integers(0, clean.shape[0], size=size)
-    noisy = rng.normal(0.0, sigma, size=(size, clean.shape[1]))
-    noisy += clean[rows]  # the same sums as clean[rows] + noise, one array fewer
-    return noisy
+    # looked up on the module at each call, so the mechanism audited is the
+    # one ``mechanisms`` holds, substitutes included
+    return mechanisms.gaussian_release(clean, rows, sigma, rng)
 
 
 def _map_blocks(fn, blocks: Sequence, workers: int) -> list:
@@ -507,75 +503,6 @@ def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.nda
     return classes
 
 
-def _candidate_pool(signal_pair: Optional[SignalPair],
-                    candidates: Optional[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct candidate embeddings (y1's and y0's by default), stacked,
-    and their classes.
-
-    A zero-shot pool often repeats itself, so bitwise-identical candidates are
-    kept once, at their first occurrence, in pool order. The nearest search
-    over these rows picks the full pool's candidate or an identical copy of
-    it, of the same class: identical rows get identical distances, the full
-    pool's first minimum is a first occurrence, and keeping the pool order
-    keeps the first-index tie-break between distinct candidates.
-    """
-    if signal_pair is None:
-        raise ValueError("generation audits need a signal pair")
-    pool = candidates if candidates is not None else [signal_pair.y1_embedding,
-                                                      signal_pair.y0_embedding]
-    distinct: dict[bytes, np.ndarray] = {}
-    for candidate in pool:
-        row = np.asarray(candidate, dtype=np.float64)
-        distinct.setdefault(row.tobytes(), row)
-    rows = list(distinct.values())
-    return np.stack(rows), _classify_pool(signal_pair, rows)
-
-
-def _nearest(noisy: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """Index of the candidate nearest to each row (the first one on ties).
-
-    ``stacked`` is ``_candidate_pool``'s distinct rows, so repeated candidates
-    cost nothing. Rows go in chunks whose rows x pool x d difference tensor
-    fits _NEAREST_CHUNK_BYTES. Each row's distances are computed from that
-    row alone, so the picks do not depend on the chunking.
-    """
-    rows = max(1, _NEAREST_CHUNK_BYTES // stacked.nbytes)
-    picks = np.empty(noisy.shape[0], dtype=np.intp)
-    for start in range(0, noisy.shape[0], rows):
-        chunk = noisy[start:start + rows]
-        distances = np.linalg.norm(chunk[:, None, :] - stacked[None, :, :], axis=2)
-        picks[start:start + rows] = np.argmin(distances, axis=1)
-    return picks
-
-
-def _blackbox_classes(noisy: np.ndarray, config: AuditConfig,
-                      pool: Optional[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Per trial, the class of the released output: 1 for the canary-present
-    one, 0 otherwise, and -1 for a non-signal candidate (counted as absent).
-    ``pool`` is ``_candidate_pool``'s result; classification ignores it."""
-    if config.task == "classification":
-        return (np.argmax(noisy, axis=1) == config.yes_index).astype(np.int64)
-    stacked, classes = pool
-    return classes[_nearest(noisy, stacked)]
-
-
-def _warn_non_signal(count: int) -> None:
-    # stacklevel 3 names the caller of the function that found the picks
-    warnings.warn(f"{count} trials selected a non-signal candidate; counted as canary-absent",
-                  stacklevel=3)
-
-
-def _blackbox_bits(noisy: np.ndarray, config: AuditConfig,
-                   signal_pair: Optional[SignalPair],
-                   candidates: Optional[Sequence[np.ndarray]]) -> np.ndarray:
-    pool = None if config.task == "classification" else _candidate_pool(signal_pair, candidates)
-    classes = _blackbox_classes(noisy, config, pool)
-    non_signal = int(np.count_nonzero(classes < 0))
-    if non_signal:
-        _warn_non_signal(non_signal)
-    return classes == 1
-
-
 def bootstrap_audit(
     clean_with: Sequence,
     clean_without: Sequence,
@@ -597,7 +524,10 @@ def bootstrap_audit(
     if generation and signal_pair is None:
         raise ValueError("generation audits need a signal pair")
     black_box = config.threat_model == "black_box"
-    pool = _candidate_pool(signal_pair, candidates) if generation and black_box else None
+    if generation and black_box:
+        pool = candidates if candidates is not None else [signal_pair.y1_embedding,
+                                                          signal_pair.y0_embedding]
+        pool_classes = _classify_pool(signal_pair, pool)
     sigma = mechanism_sigma(config)
     arms = (_clean_matrix(clean_with, config.task), _clean_matrix(clean_without, config.task))
     sizes = _block_sizes(config.n_sample)
@@ -607,7 +537,10 @@ def bootstrap_audit(
         noisy = _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index])
         if not black_box:
             return _whitebox_statistic(noisy, config, signal_pair)
-        classes = _blackbox_classes(noisy, config, pool)
+        if not generation:
+            return int(np.count_nonzero(mechanisms.vote_select(noisy) == config.yes_index)), 0
+        # 1 for y1's embedding, 0 for y0's, -1 for a non-signal candidate (counted as absent)
+        classes = pool_classes[mechanisms.esa_select(noisy, pool)]
         return int(np.count_nonzero(classes == 1)), int(np.count_nonzero(classes < 0))
 
     results = _map_blocks(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
@@ -620,7 +553,8 @@ def bootstrap_audit(
         fp = sum(positives for positives, _ in without_blocks)
         non_signal = sum(count for _, count in results)
         if non_signal:
-            _warn_non_signal(non_signal)
+            warnings.warn(f"{non_signal} trials selected a non-signal candidate; "
+                          "counted as canary-absent", stacklevel=2)
         counts = AttackCounts(
             true_positives=tp,
             false_positives=fp,
@@ -636,6 +570,26 @@ def bootstrap_audit(
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,
                        config=config, tau=tau, wall_ms=wall_ms)
+
+
+def _check_collection(collection: CleanCollection, config: AuditConfig,
+                      signal_pair: Optional[SignalPair]) -> None:
+    """Reject clean responses the configured audit cannot read, before any
+    trial is drawn: another task's, votes narrower than the yes/no index, or
+    embeddings of another dimension than the signal pair's."""
+    if collection.task != config.task:
+        raise OracleError(f"oracle produced {collection.task} responses for a {config.task} audit")
+    if config.task == "classification":
+        width = len(collection.clean_with[0].counts)
+        index = max(config.yes_index, config.no_index)
+        if index >= width:
+            raise OracleError(f"class index {index} is outside the {width}-class votes "
+                              "the oracle produced")
+    elif signal_pair is not None:
+        dimension, expected = collection.clean_with[0].size, signal_pair.y1_embedding.size
+        if dimension != expected:
+            raise OracleError(f"oracle produced {dimension}-d embeddings for a "
+                              f"{expected}-d signal pair")
 
 
 def run_audit(
@@ -658,8 +612,7 @@ def run_audit(
         seed=config.seed, records_path=records_path, workers=workers,
         retry_budget=retry_budget, pad=pad,
     )
-    if collection.task != config.task:
-        raise ValueError(f"oracle produced {collection.task} responses for a {config.task} audit")
+    _check_collection(collection, config, signal_pair)
     report = bootstrap_audit(collection.clean_with, collection.clean_without, config,
                              signal_pair=signal_pair, candidates=candidates, workers=workers)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -1,9 +1,15 @@
-"""The two DP-ICL mechanisms under audit.
+"""The two DP-ICL mechanisms under audit, in the batched form the audit runs.
 
 Private voting: partition the exemplar context, collect one class vote per
 partition, add Gaussian noise to the vote histogram, release the noisy
 argmax. Embedding aggregation: average per-partition output embeddings, add
 Gaussian noise to the mean, release the nearest candidate.
+
+Both release through one Gaussian perturbation of a block of clean
+aggregates (`gaussian_release`); voting then takes each row's argmax
+(`vote_select`) and embedding aggregation each row's nearest candidate
+(`esa_select`). The audit's trial kernel calls these and nothing else to
+noise and release, so a fault here moves its reports.
 
 Noise calibration follows sigma = Delta * sqrt(log(1.25/delta)) / eps with a
 natural logarithm. Note the classical Gaussian-mechanism calibration carries
@@ -23,6 +29,13 @@ import numpy as np
 SENSITIVITY_MODES = ("paper_voting", "esa_tight", "esa_legacy")
 
 VOTING_SENSITIVITY = 2.0  # one exemplar can move two histogram coordinates by 1 each
+
+# Byte budget of the rows x pool x d difference tensor of one chunk of the
+# nearest-candidate search (at least one row), where pool counts the distinct
+# candidates. It bounds the search's temporaries whatever the pool size and
+# dimension; at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB
+# ran alike on a 2-core Xeon.
+_NEAREST_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -111,14 +124,6 @@ class VoteVector:
             raise ValueError(
                 f"vote counts must sum to the partition count {self.num_partitions}, got {sum(self.counts)}"
             )
-
-
-@dataclass(frozen=True)
-class NoisyVoteVector:
-    """A vote histogram after per-coordinate Gaussian perturbation."""
-
-    values: tuple[float, ...]
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -215,17 +220,29 @@ def esa_noise_scale(config: MechanismConfig) -> float:
     return gaussian_sigma(sensitivity, config.eps_theory, config.delta, config.classic_calibration)
 
 
-def private_vote(clean: VoteVector, sigma: float, rng: np.random.Generator) -> tuple[NoisyVoteVector, int]:
-    """Perturb each vote count with independent N(0, sigma^2); release the argmax.
+def gaussian_release(clean: np.ndarray, rows: np.ndarray, sigma: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The clean aggregates ``clean[rows]`` (vote histograms or mean
+    embeddings, one per row), each coordinate perturbed with independent
+    N(0, sigma^2) drawn from ``rng`` as one (rows, d) block.
+
+    The result is released as-is, not re-normalized: ``vote_select`` and
+    ``esa_select`` read the raw noisy aggregates.
+    """
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    noisy = rng.normal(0.0, sigma, size=(len(rows), clean.shape[1]))
+    noisy += clean[rows]  # the same sums as clean[rows] + noise, one array fewer
+    return noisy
+
+
+def vote_select(noisy: np.ndarray) -> np.ndarray:
+    """The class private voting releases for each noisy histogram: its argmax.
 
     Ties break toward the lowest class index (measure-zero under continuous
     noise; determinism matters for sigma = 0).
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    values = np.asarray(clean.counts, dtype=np.float64) + rng.normal(0.0, sigma, size=len(clean.counts))
-    winner = int(np.argmax(values))
-    return NoisyVoteVector(values=tuple(float(v) for v in values), sigma=sigma), winner
+    return np.argmax(noisy, axis=1)
 
 
 def clip_to_unit(vector: np.ndarray) -> np.ndarray:
@@ -237,30 +254,40 @@ def clip_to_unit(vector: np.ndarray) -> np.ndarray:
     return v
 
 
-def esa_aggregate(embeddings: Sequence[np.ndarray], sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Coordinate-wise mean plus independent N(0, sigma^2) per coordinate.
+def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
+    """Per noisy mean, the index in ``candidates`` of the nearest (Euclidean)
+    candidate; ties -> lowest.
 
-    The result is released as-is, not re-normalized: candidate selection
-    operates on the raw noisy mean.
+    A zero-shot pool often repeats itself, so the search runs over the
+    distinct candidates only, each kept at its first occurrence and in pool
+    order, and each pick is mapped back to that first occurrence. The result
+    is argmin over the whole pool, index for index: identical rows get
+    identical distances, the whole pool's first minimum is a first
+    occurrence, and keeping the pool order keeps the first-index tie-break
+    between distinct candidates. Rows go in chunks whose rows x distinct x d
+    difference tensor fits _NEAREST_CHUNK_BYTES. Each row's distances come
+    from that row alone, so the picks do not depend on the chunking.
     """
-    if len(embeddings) == 0:
-        raise ValueError("need at least one embedding")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    stacked = np.stack([np.asarray(e, dtype=np.float64) for e in embeddings])
-    if stacked.ndim != 2:
-        raise ValueError("embeddings must share one dimension")
-    mean = stacked.mean(axis=0)
-    return mean + rng.normal(0.0, sigma, size=mean.shape)
-
-
-def esa_select(noisy_mean: np.ndarray, candidates: Sequence[np.ndarray]) -> int:
-    """Index of the candidate nearest (Euclidean) to the noisy mean; ties -> lowest."""
     if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
-    m = np.asarray(noisy_mean, dtype=np.float64)
-    stacked = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
-    if stacked.shape[1:] != m.shape:
-        raise ValueError("candidate dimension does not match the noisy mean")
-    distances = np.linalg.norm(stacked - m, axis=1)
-    return int(np.argmin(distances))
+    first: dict[bytes, int] = {}  # distinct candidate -> its first pool index
+    distinct = []
+    for index, candidate in enumerate(candidates):
+        row = np.asarray(candidate, dtype=np.float64)
+        if first.setdefault(row.tobytes(), index) == index:
+            distinct.append(row)
+    stacked = np.stack(distinct)
+    if stacked.shape[1:] != noisy.shape[1:]:
+        raise ValueError(f"candidate dimension {stacked.shape[1:]} does not match "
+                         f"the noisy mean's {noisy.shape[1:]}")
+    origin = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    rows = max(1, _NEAREST_CHUNK_BYTES // stacked.nbytes)
+    picks = np.empty(noisy.shape[0], dtype=np.intp)
+    nearest = np.empty(min(rows, noisy.shape[0]), dtype=np.intp)  # one chunk's distinct picks
+    for start in range(0, noisy.shape[0], rows):
+        chunk = noisy[start:start + rows]
+        distances = np.linalg.norm(chunk[:, None, :] - stacked[None, :, :], axis=2)
+        found = np.argmin(distances, axis=1, out=nearest[:len(chunk)])
+        # every index is in range, so "clip" only spares the buffered copy of "raise"
+        np.take(origin, found, out=picks[start:start + rows], mode="clip")
+    return picks

@@ -11,7 +11,7 @@ Three oracle families produce the raw material the audit resamples:
 
 `collect` runs the partition-and-query pipeline for both neighboring
 contexts and returns the clean vote vectors (classification) or clean mean
-embeddings plus their per-partition embeddings (generation).
+embeddings (generation), with the per-partition records behind them.
 """
 
 from __future__ import annotations
@@ -250,13 +250,6 @@ def read_records(path: Union[str, Path]) -> list[OracleRecord]:
     return records
 
 
-def resample(records: Sequence, rng: np.random.Generator):
-    """Uniform draw with replacement."""
-    if len(records) == 0:
-        raise ValueError("cannot resample from an empty list")
-    return records[int(rng.integers(0, len(records)))]
-
-
 def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[np.ndarray]:
     """Candidate pool from zero-shot oracle calls (no exemplar context)."""
     if pool_size < 1:
@@ -273,8 +266,6 @@ class CleanCollection:
     task: str  # "classification" | "generation"
     clean_with: list  # VoteVector list, or mean-embedding ndarray list
     clean_without: list
-    partition_with: list = field(default_factory=list)  # generation: per-trial (T, d) arrays
-    partition_without: list = field(default_factory=list)
     records: list[OracleRecord] = field(default_factory=list)
     failures: int = 0
 
@@ -426,10 +417,6 @@ def collect(
                         )
                     )
                 vector = stacked.mean(axis=0)
-                if ctx_label == CTX_WITH:
-                    collection.partition_with.append(stacked)
-                else:
-                    collection.partition_without.append(stacked)
             if ctx_label == CTX_WITH:
                 collection.clean_with.append(vector)
             else:

@@ -7,11 +7,13 @@ lines as they complete.
 import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import yaml
 from scipy.stats import ks_2samp
 
+from dpicl_audit import mechanisms
 from dpicl_audit.audit import AuditConfig, bootstrap_audit, generate_noisy_samples, run_audit, whitebox_statistic
 from dpicl_audit.cli import main
 from dpicl_audit.gaussian_model import VotePattern, eps_emp_analytic, sweep
@@ -225,3 +227,33 @@ def test_a9_deterministic_reports(tmp_path):
 
         assert main(["audit", "--config", str(path), "--set", "audit.workers=8"]) == 0
         assert report_path.read_bytes() == first
+
+
+def shared_draw_release(clean, rows, sigma, rng):
+    """A broken release: one noise draw per row, shared by every coordinate."""
+    return clean[rows] + rng.normal(0.0, sigma, size=(len(rows), 1))
+
+
+def test_a10_broken_mechanisms_are_caught():
+    with criterion("A10", "audits of known-broken mechanisms exceed eps_theory"):
+        pair = make_pair()
+        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.0))
+        mech = MechanismConfig(eps_theory=4.0, delta=1e-5, num_partitions=4)
+
+        def audit(threat):
+            config = AuditConfig(mechanism=mech, task="classification", threat_model=threat,
+                                 n_llm=200, n_sample=20_000, seed=20240810)
+            return run_audit(config, oracle, pair, "CANARY").estimate.eps_emp
+
+        threats = ("white_box", "black_box")
+        # the shipped mechanism stays within its budget
+        assert all(audit(threat) < mech.eps_theory for threat in threats)
+        # voting calibrated with sensitivity 1 instead of 2: sigma halved
+        with mock.patch.object(mechanisms, "VOTING_SENSITIVITY", 1.0):
+            assert all(audit(threat) > mech.eps_theory for threat in threats)
+        # a shared draw leaves the white-box vote difference noise-free; the
+        # release is then the clean argmax, "no" in both worlds, so the
+        # black-box audit rightly certifies nothing
+        with mock.patch.object(mechanisms, "gaussian_release", shared_draw_release):
+            assert audit("white_box") > mech.eps_theory
+            assert audit("black_box") == 0.0

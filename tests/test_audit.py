@@ -14,10 +14,7 @@ from dpicl_audit import audit
 from dpicl_audit.audit import (
     AuditConfig,
     AuditReport,
-    _blackbox_bits,
-    _candidate_pool,
     _classify_pool,
-    _nearest,
     append_report_csv,
     bootstrap_audit,
     generate_noisy_samples,
@@ -31,12 +28,15 @@ from dpicl_audit.mechanisms import (
     MechanismConfig,
     NeighboringPair,
     VoteVector,
+    esa_select,
+    vote_select,
     voting_noise_scale,
 )
 from dpicl_audit.oracles import (
     CanaryDetectorConfig,
     CanaryDetectorEmbeddingOracle,
     CanaryDetectorVoteOracle,
+    OracleError,
     SignalPair,
     collect,
     zero_shot_candidates,
@@ -119,18 +119,23 @@ def audit_cell(task, threat):
     return clean_with, [signal.y0_embedding], config, extra
 
 
+PAIR_POOL = [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding]
+
+
 class TestDecisionRules:
-    """The decision rules as the engine applies them to whole trial arrays."""
+    """The decision rules as the engine applies them to whole trial arrays:
+    black-box rules read the mechanism's release, white-box rules threshold
+    a statistic of the noisy aggregate."""
 
     def test_blackbox_classification(self):
         # the released label is the argmax of the noisy votes; yes_index = 0
-        bits = _blackbox_bits(np.array([[1.0, 0.0], [0.0, 1.0]]), vote_config("black_box"), None, None)
-        assert bits.tolist() == [True, False]
+        winners = vote_select(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert (winners == vote_config("black_box").yes_index).tolist() == [True, False]
 
     def test_blackbox_classification_on_example_votes(self):
         # noisy [5.5, 4] releases "yes"; noisy [4, 11] releases "no"
-        bits = _blackbox_bits(np.array([[5.5, 4.0], [4.0, 11.0]]), vote_config("black_box"), None, None)
-        assert bits.tolist() == [True, False]
+        winners = vote_select(np.array([[5.5, 4.0], [4.0, 11.0]]))
+        assert (winners == vote_config("black_box").yes_index).tolist() == [True, False]
 
     def test_whitebox_classification_examples(self):
         stat = whitebox_statistic(np.array([[5.5, 4.0], [4.0, 11.0]]), vote_config())
@@ -143,41 +148,40 @@ class TestDecisionRules:
         assert (tp.tolist(), fp.tolist()) == ([0], [0])
 
     def test_blackbox_generation(self):
-        noisy = np.stack([ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding])
-        bits = _blackbox_bits(noisy, generation_config("black_box"), ONE_D_PAIR, None)
-        assert bits.tolist() == [True, False]
+        noisy = np.stack(PAIR_POOL)
+        picks = esa_select(noisy, PAIR_POOL)
+        assert (_classify_pool(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True, False]
 
     def test_blackbox_generation_non_signal_warns(self):
-        pool = [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding, np.array([0.25])]
-        with pytest.warns(UserWarning):
-            bits = _blackbox_bits(np.array([[0.25]]), generation_config("black_box"), ONE_D_PAIR, pool)
-        assert bits.tolist() == [False]
+        # noise-free trials at 0.25 all release the non-signal candidate
+        pool = [*PAIR_POOL, np.array([0.25])]
+        assert esa_select(np.array([[0.25]]), pool).tolist() == [2]
+        config = generation_config("black_box", eps_theory=1e9, n_sample=10)
+        with pytest.warns(UserWarning, match="20 trials selected a non-signal candidate"):
+            report = bootstrap_audit([np.array([0.25])], [np.array([0.25])], config,
+                                     signal_pair=ONE_D_PAIR, candidates=pool)
+        assert report.counts.true_positives == 0
 
     def test_blackbox_generation_duplicate_signal_in_pool(self):
         # a duplicate of y1 later in the pool still counts as y1, and the
-        # nearest search keeps it once
-        pool = [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding, ONE_D_PAIR.y1_embedding]
+        # nearest search returns the first occurrence
+        pool = [*PAIR_POOL, ONE_D_PAIR.y1_embedding]
         assert _classify_pool(ONE_D_PAIR, pool).tolist() == [1, 0, 1]
-        stacked, classes = _candidate_pool(ONE_D_PAIR, pool)
-        assert stacked.tolist() == [[-1.0], [1.0]]
-        assert classes.tolist() == [1, 0]
+        assert esa_select(np.array([[-1.0], [1.0], [-0.9]]), pool).tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize("order", ["0101", "110", "010", "101"])
     def test_distinct_pool_keeps_the_tie_order(self, order):
         # trials at 0.0 tie between y1 (-1) and y0 (+1): the full pool's
-        # argmin takes the first in pool order, and so must the distinct pool
+        # argmin takes the first in pool order, and so must the search over
+        # the distinct candidates
         signal = {"1": ONE_D_PAIR.y1_embedding, "0": ONE_D_PAIR.y0_embedding}
         pool = [signal[c] for c in order]
         noisy = np.array([[0.0], [-1.0], [1.0], [0.0], [0.3], [-0.3]])
         full = np.argmin(np.linalg.norm(noisy[:, None, :] - np.stack(pool)[None], axis=2), axis=1)
-        stacked, classes = _candidate_pool(ONE_D_PAIR, pool)
-        assert len(stacked) == 2
-        assert (classes[_nearest(noisy, stacked)].tolist()
-                == _classify_pool(ONE_D_PAIR, pool)[full].tolist())
+        assert esa_select(noisy, pool).tolist() == full.tolist()
 
     def test_whitebox_generation(self):
-        noisy = np.stack([ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding])
-        stat = whitebox_statistic(noisy, generation_config(), ONE_D_PAIR)
+        stat = whitebox_statistic(np.stack(PAIR_POOL), generation_config(), ONE_D_PAIR)
         tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]), "less_equal")
         assert (tp.tolist(), fp.tolist()) == ([1], [0])
 
@@ -189,8 +193,8 @@ class TestDecisionRules:
 
     def test_generation_example_mean(self):
         # DP mean -0.2 against the pool {-1, +1} selects the target string
-        bits = _blackbox_bits(np.array([[-0.2]]), generation_config("black_box"), ONE_D_PAIR, None)
-        assert bits.tolist() == [True]
+        picks = esa_select(np.array([[-0.2]]), PAIR_POOL)
+        assert (_classify_pool(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True]
 
     def test_threshold_must_be_finite(self):
         # tau is a midpoint or sentinel of the statistics, so they must be finite
@@ -486,7 +490,7 @@ class TestBootstrapAudit:
         zero_shot = zero_shot_candidates(CanaryDetectorEmbeddingOracle(signal), "q", 10, seed=4)
         near = generation_pool(signal, near=3)[2:]
         candidates = [*zero_shot, *near, *near[::-1], *near]
-        assert len(_candidate_pool(signal, candidates)[0]) == 5
+        assert len({candidate.tobytes() for candidate in candidates}) == 5
         with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
             expected = full_pool_non_signal(clean_with, clean_without, config, signal, candidates)
             with pytest.warns(UserWarning) as record:
@@ -613,7 +617,7 @@ class TestRunAudit:
     def test_task_mismatch_rejected(self):
         oracle = CanaryDetectorEmbeddingOracle(SignalPair.synthetic(0.5))
         config = vote_config()
-        with pytest.raises(ValueError):
+        with pytest.raises(OracleError, match="generation responses for a classification audit"):
             run_audit(config, oracle, make_pair(), "CANARY")
 
     def test_monotone_in_n_sample_for_perfect_separation(self):

@@ -249,6 +249,53 @@ class TestAudit:
         assert report["confidence"] == 0.95
 
 
+GENERATION = {
+    "task": "generation",
+    "mechanism": {"eps_theory": 8.0, "delta": 1e-5, "num_partitions": 4,
+                  "sensitivity_mode": "esa_tight"},
+    "signal_pair": {"distance": 0.7476, "dimension": 16},
+}
+
+
+class TestReplayMismatch:
+    """A replayed stream that does not fit the config is an oracle failure
+    (exit 3), raised before any trial is drawn."""
+
+    def replay(self, tmp_path, capsys, overrides, **recorded):
+        first = write_config(tmp_path, name="collect.yaml", **recorded)
+        assert main(["collect", "--config", str(first)]) == 0
+        second = write_config(tmp_path, name="replay.yaml", **recorded,
+                              oracle={"kind": "replay",
+                                      "records_path": str(tmp_path / "out" / "records.jsonl")},
+                              output={"directory": str(tmp_path / "out2")})
+        capsys.readouterr()
+        argv = ["audit", "--config", str(second)]
+        for override in overrides:
+            argv += ["--set", override]
+        code = main(argv)
+        assert not (tmp_path / "out2" / "report.json").exists()
+        return code, capsys.readouterr().err
+
+    def test_generation_records_audited_as_classification(self, tmp_path, capsys):
+        code, err = self.replay(tmp_path, capsys, ["task=classification"], **GENERATION)
+        assert code == 3
+        assert "oracle produced generation responses for a classification audit" in err
+
+    @pytest.mark.parametrize("threat", ["white_box", "black_box"])
+    def test_embedding_dimension_differs_from_the_signal_pair(self, tmp_path, capsys, threat):
+        code, err = self.replay(tmp_path, capsys, ["signal_pair.dimension=8"],
+                                threat_model=threat, **GENERATION)
+        assert code == 3
+        assert "oracle produced 16-d embeddings for a 8-d signal pair" in err
+
+    @pytest.mark.parametrize("threat", ["white_box", "black_box"])
+    def test_votes_narrower_than_the_yes_index(self, tmp_path, capsys, threat):
+        code, err = self.replay(tmp_path, capsys, ["oracle.classes=[a, b, c]", "oracle.yes_index=2"],
+                                threat_model=threat)
+        assert code == 3
+        assert "class index 2 is outside the 2-class votes the oracle produced" in err
+
+
 class TestSimulate:
     def test_sweep_csv(self, tmp_path, capsys):
         path = write_config(tmp_path, simulate={"T_values": [2, 4, 6], "k_rule": "all",

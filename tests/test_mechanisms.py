@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpicl_audit import mechanisms
 from dpicl_audit.mechanisms import (
     Exemplar,
     ExemplarContext,
@@ -12,14 +14,15 @@ from dpicl_audit.mechanisms import (
     NeighboringPair,
     VoteVector,
     clip_to_unit,
-    esa_aggregate,
     esa_noise_scale,
     esa_select,
     esa_sensitivity,
+    gaussian_release,
     partition,
-    private_vote,
+    vote_select,
     voting_noise_scale,
 )
+from dpicl_audit.oracles import CanaryDetectorEmbeddingOracle, SignalPair, collect
 from dpicl_audit.stats import std_normal_cdf
 
 
@@ -30,15 +33,27 @@ def make_context(n, canary_index=None):
     )
 
 
+def make_pair(n):
+    base = [Exemplar(f"in {i}") for i in range(n)]
+    return NeighboringPair.insert_canary(base, Exemplar("CANARY"), 0)
+
+
 class FixedNoise:
-    """rng stand-in returning a prescribed noise vector."""
+    """rng stand-in returning a prescribed (rows, d) noise block."""
 
     def __init__(self, offsets):
         self.offsets = np.asarray(offsets, dtype=np.float64)
 
     def normal(self, loc, scale, size):
-        assert size == len(self.offsets)
-        return self.offsets
+        assert size == self.offsets.shape
+        return self.offsets.copy()
+
+
+def release_votes(counts, sigma, rng):
+    """Private voting on one clean histogram: its noisy values and the released class."""
+    noisy = gaussian_release(np.array([counts], dtype=np.float64), np.zeros(1, dtype=np.intp),
+                             sigma, rng)
+    return noisy[0].tolist(), int(vote_select(noisy)[0])
 
 
 class TestPartition:
@@ -132,31 +147,51 @@ class TestNoiseScales:
             esa_noise_scale(config)
 
 
+class TestGaussianRelease:
+    def test_draws_one_block_after_the_callers_draws(self):
+        # the audit's kernel draws its resampled rows first, then the release
+        # draws one (rows, d) block from the same generator
+        clean = np.array([[1.0, 3.0, 0.0], [0.0, 4.0, 0.0]])
+        rng = np.random.default_rng([7, 0, 3])
+        rows = rng.integers(0, 2, size=1000)
+        got = gaussian_release(clean, rows, 1.5, rng)
+        expected = np.random.default_rng([7, 0, 3])
+        expected_rows = expected.integers(0, 2, size=1000)
+        want = clean[expected_rows] + expected.normal(0.0, 1.5, size=(1000, 3))
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            gaussian_release(np.zeros((1, 2)), np.zeros(1, dtype=np.intp), -1.0,
+                             np.random.default_rng(0))
+
+
 class TestPrivateVote:
     def test_zero_noise_returns_clean_argmax(self):
-        _, winner = private_vote(VoteVector((1, 9), 10), 0.0, np.random.default_rng(0))
+        _, winner = release_votes((1, 9), 0.0, np.random.default_rng(0))
         assert winner == 1
 
     def test_prescribed_noise_flips_winner(self):
         # clean [1, 9] perturbed to [5.5, 4]: the minority class wins
-        noisy, winner = private_vote(VoteVector((1, 9), 10), 1.0, FixedNoise([4.5, -5.0]))
-        assert noisy.values == (5.5, 4.0)
+        noisy, winner = release_votes((1, 9), 1.0, FixedNoise([[4.5, -5.0]]))
+        assert noisy == [5.5, 4.0]
         assert winner == 0
 
     def test_prescribed_noise_keeps_winner(self):
-        noisy, winner = private_vote(VoteVector((0, 10), 10), 1.0, FixedNoise([4.0, 1.0]))
-        assert noisy.values == (4.0, 11.0)
+        noisy, winner = release_votes((0, 10), 1.0, FixedNoise([[4.0, 1.0]]))
+        assert noisy == [4.0, 11.0]
         assert winner == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        _, winner = private_vote(VoteVector((5, 5), 10), 0.0, np.random.default_rng(0))
+        _, winner = release_votes((5, 5), 0.0, np.random.default_rng(0))
         assert winner == 0
 
     def test_two_class_winner_distribution(self):
         # analytic two-class law: P(winner = 0) = Phi((c0 - c1) / (sigma sqrt(2)))
-        clean, sigma, draws = VoteVector((1, 3), 4), 1.0, 1_000_000
+        clean, sigma, draws = np.array([[1.0, 3.0]]), 1.0, 1_000_000
         rng = np.random.default_rng(42)
-        wins = sum(1 for _ in range(draws) if private_vote(clean, sigma, rng)[1] == 0)
+        noisy = gaussian_release(clean, np.zeros(draws, dtype=np.intp), sigma, rng)
+        wins = int(np.count_nonzero(vote_select(noisy) == 0))
         expected = std_normal_cdf((1 - 3) / (sigma * math.sqrt(2.0)))
         se = math.sqrt(expected * (1 - expected) / draws)
         assert abs(wins / draws - expected) <= max(3 * se, 0.003)
@@ -216,48 +251,105 @@ class TestEsaSensitivity:
             assert delta <= 2.0 / T + 1e-12
 
 
+ONE_D_PAIR = SignalPair(y1_text="target", y0_text="control",
+                        y1_embedding=np.array([-1.0]), y0_embedding=np.array([1.0]))
+
+_ENTRIES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def pools_and_means(draw):
+    """A pool that repeats its candidates, and noisy means built to tie: on
+    the candidates, at midpoints of candidate pairs, at signed zeros, and at
+    random points; with a chunk budget that splits the rows across chunks."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    entry = st.sampled_from(_ENTRIES)
+    distinct = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    pool = [np.array(distinct[i]) for i in picks]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=200))
+    a, b = rng.integers(0, len(pool), n), rng.integers(0, len(pool), n)
+    stacked = np.stack(pool)
+    kinds = [stacked[a], (stacked[a] + stacked[b]) / 2.0,
+             np.array(_ENTRIES)[rng.integers(0, len(_ENTRIES), (n, d))], rng.normal(0.0, 1.0, (n, d))]
+    noisy = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
+    budget = draw(st.integers(min_value=1, max_value=64 * d * 8))
+    return noisy, pool, budget
+
+
 class TestEsaAggregate:
+    """Embedding aggregation releases the clean mean embedding ``collect``
+    builds, perturbed by ``gaussian_release``."""
+
     def test_identity_on_single_embedding(self):
-        v = np.array([0.6, 0.8])
-        out = esa_aggregate([v], 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out, v)
+        v = np.array([[0.6, 0.8]])
+        out = gaussian_release(v, np.zeros(1, dtype=np.intp), 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, v)
 
     def test_opposite_vectors_cancel(self):
+        # two partitions, the canary's answers u and the other -u
         u = np.array([1.0, 0.0])
-        out = esa_aggregate([u, -u], 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out, np.zeros(2))
+        oracle = CanaryDetectorEmbeddingOracle(SignalPair("u", "-u", u, -u))
+        clean = collect(oracle, make_pair(2), "CANARY", 2, 1, seed=0).clean_with
+        out = gaussian_release(np.stack(clean), np.zeros(1, dtype=np.intp), 0.0,
+                               np.random.default_rng(0))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_one_dimensional_signal_example(self):
-        # one partition answered y1 (-1), one answered y0 (+1): clean mean 0
-        out = esa_aggregate([np.array([-1.0]), np.array([1.0])], 0.0, np.random.default_rng(0))
-        assert out == pytest.approx(0.0)
+        # one partition answered y1 (-1), one answered y0 (+1): clean mean 0,
+        # equidistant from both, and the tie releases y1
+        oracle = CanaryDetectorEmbeddingOracle(ONE_D_PAIR)
+        clean = collect(oracle, make_pair(2), "CANARY", 2, 1, seed=0).clean_with
+        out = gaussian_release(np.stack(clean), np.zeros(1, dtype=np.intp), 0.0,
+                               np.random.default_rng(0))
+        assert out.tolist() == [[0.0]]
+        assert esa_select(out, [ONE_D_PAIR.y1_embedding, ONE_D_PAIR.y0_embedding]).tolist() == [0]
 
     def test_noiseless_mean_is_exact(self):
         rng = np.random.default_rng(3)
-        vectors = rng.normal(size=(7, 5))
-        out = esa_aggregate(list(vectors), 0.0, rng)
-        np.testing.assert_array_equal(out, vectors.mean(axis=0))
+        means = rng.normal(size=(7, 5))
+        rows = rng.integers(0, 7, size=20)
+        out = gaussian_release(means, rows, 0.0, rng)
+        np.testing.assert_array_equal(out, means[rows])
 
     def test_dimension_mismatch(self):
+        class Ragged:
+            def embed(self, subset, query, rng):
+                return np.zeros(3 if subset.contains_canary else 4)
+
         with pytest.raises(ValueError):
-            esa_aggregate([np.zeros(3), np.zeros(4)], 0.0, np.random.default_rng(0))
+            collect(Ragged(), make_pair(2), "CANARY", 2, 1, seed=0)
 
 
 class TestEsaSelect:
     def test_exact_match(self):
         candidates = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
-        assert esa_select(np.array([-1.0, 0.0]), candidates) == 2
+        assert esa_select(np.array([[-1.0, 0.0]]), candidates).tolist() == [2]
 
     def test_one_dimensional_signal_example(self):
         # noisy mean -0.2 against the pool {-1, +1}: the -1 candidate wins
-        assert esa_select(np.array([-0.2]), [np.array([-1.0]), np.array([1.0])]) == 0
+        assert esa_select(np.array([[-0.2]]), [np.array([-1.0]), np.array([1.0])]).tolist() == [0]
 
     def test_equidistant_tie_breaks_low(self):
-        assert esa_select(np.array([0.0]), [np.array([-1.0]), np.array([1.0])]) == 0
+        assert esa_select(np.array([[0.0]]), [np.array([-1.0]), np.array([1.0])]).tolist() == [0]
 
     def test_empty_pool(self):
         with pytest.raises(ValueError):
-            esa_select(np.array([0.0]), [])
+            esa_select(np.array([[0.0]]), [])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            esa_select(np.zeros((3, 2)), [np.zeros(3), np.ones(3)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pools_and_means())
+    def test_matches_argmin_over_the_full_pool(self, case):
+        noisy, pool, budget = case
+        with mock.patch.object(mechanisms, "_NEAREST_CHUNK_BYTES", budget):
+            got = esa_select(noisy, pool)
+        full = np.argmin(np.linalg.norm(noisy[:, None, :] - np.stack(pool)[None], axis=2), axis=1)
+        assert got.tolist() == full.tolist()
 
 
 class TestClipToUnit:

@@ -33,7 +33,6 @@ from dpicl_audit.oracles import (
     load_template,
     read_records,
     render_template,
-    resample,
     write_records,
 )
 
@@ -152,7 +151,9 @@ class TestCollect:
         midpoint = (signal.y1_embedding + signal.y0_embedding) / 2.0
         np.testing.assert_allclose(got.clean_with[0], midpoint)
         np.testing.assert_allclose(got.clean_without[0], signal.y0_embedding)
-        assert got.partition_with[0].shape == (2, 16)
+        # one 16-d record per partition and context behind the two means
+        assert [(r.ctx, r.part, len(r.emb)) for r in got.records] == [
+            ("with", 0, 16), ("with", 1, 16), ("without", 0, 16), ("without", 1, 16)]
 
     def test_deterministic_given_seed(self):
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.2))
@@ -167,30 +168,6 @@ class TestCollect:
         a = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=1)
         b = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=8)
         assert [r.to_json() for r in a.records] == [r.to_json() for r in b.records]
-
-
-class TestResample:
-    def test_singleton(self):
-        rng = np.random.default_rng(0)
-        assert resample([42], rng) == 42
-
-    def test_uniformity(self):
-        rng = np.random.default_rng(1)
-        draws = 100_000
-        first = sum(resample([0, 1], rng) == 0 for _ in range(draws))
-        assert abs(first / draws - 0.5) <= 0.005
-
-    def test_resampled_mean_converges(self):
-        rng = np.random.default_rng(2)
-        values = [0, 1, 1, 3, 5]
-        draws = 100_000
-        mean = np.mean([resample(values, rng) for _ in range(draws)])
-        se = np.std(values) / math.sqrt(draws)
-        assert abs(mean - np.mean(values)) <= 3 * se
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            resample([], np.random.default_rng(0))
 
 
 class TestRecords:
