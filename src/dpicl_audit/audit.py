@@ -26,7 +26,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -44,6 +43,7 @@ from .mechanisms import (
     voting_noise_scale,
 )
 from .oracles import CleanCollection, OracleError, SignalPair, collect
+from .parallel import map_in_order
 from .stats import binom_upper_bound_array
 
 TASKS = ("classification", "generation")
@@ -411,17 +411,13 @@ def sweep_threshold(
 # ---------------------------------------------------------------------------
 
 def _clean_matrix(clean: Sequence, task: str) -> np.ndarray:
+    """The clean aggregates as one float64 row each: a 2-D array as it is
+    (``collect``'s form), or a list of ``VoteVector``s or vectors."""
     if len(clean) == 0:
         raise ValueError("clean response list is empty")
-    if task == "classification":
-        rows = []
-        for vector in clean:
-            if isinstance(vector, VoteVector):
-                rows.append(vector.counts)
-            else:
-                rows.append(tuple(vector))
-        return np.asarray(rows, dtype=np.float64)
-    return np.stack([np.asarray(v, dtype=np.float64) for v in clean])
+    if task == "classification" and not isinstance(clean, np.ndarray):
+        clean = [v.counts if isinstance(v, VoteVector) else tuple(v) for v in clean]
+    return np.asarray(clean, dtype=np.float64)
 
 
 def _block_sizes(n_sample: int) -> list[int]:
@@ -437,14 +433,6 @@ def _block_noise(clean: np.ndarray, sigma: float, seed: int, arm: int, index: in
     # looked up on the module at each call, so the mechanism audited is the
     # one ``mechanisms`` holds, substitutes included
     return mechanisms.gaussian_release(clean, rows, sigma, rng)
-
-
-def _map_blocks(fn, blocks: Sequence, workers: int) -> list:
-    """``fn`` over the blocks, in order; on ``workers`` threads when more than one."""
-    if workers == 1:
-        return [fn(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
 
 
 def mechanism_sigma(config: AuditConfig) -> float:
@@ -467,7 +455,7 @@ def generate_noisy_samples(
     matrix = _clean_matrix(clean, config.task)
     sigma = mechanism_sigma(config)
     sizes = _block_sizes(config.n_sample)
-    return np.concatenate(_map_blocks(
+    return np.concatenate(map_in_order(
         lambda index: _block_noise(matrix, sigma, config.seed, arm, index, sizes[index]),
         range(len(sizes)), workers))
 
@@ -543,8 +531,8 @@ def bootstrap_audit(
         classes = pool_classes[mechanisms.esa_select(noisy, pool)]
         return int(np.count_nonzero(classes == 1)), int(np.count_nonzero(classes < 0))
 
-    results = _map_blocks(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
-                                   for index in range(len(sizes))], workers)
+    results = map_in_order(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
+                                    for index in range(len(sizes))], workers)
     with_blocks, without_blocks = results[:len(sizes)], results[len(sizes):]
 
     tau: Optional[float] = None
@@ -580,13 +568,13 @@ def _check_collection(collection: CleanCollection, config: AuditConfig,
     if collection.task != config.task:
         raise OracleError(f"oracle produced {collection.task} responses for a {config.task} audit")
     if config.task == "classification":
-        width = len(collection.clean_with[0].counts)
+        width = collection.clean_with.shape[1]
         index = max(config.yes_index, config.no_index)
         if index >= width:
             raise OracleError(f"class index {index} is outside the {width}-class votes "
                               "the oracle produced")
     elif signal_pair is not None:
-        dimension, expected = collection.clean_with[0].size, signal_pair.y1_embedding.size
+        dimension, expected = collection.clean_with.shape[1], signal_pair.y1_embedding.size
         if dimension != expected:
             raise OracleError(f"oracle produced {dimension}-d embeddings for a "
                               f"{expected}-d signal pair")

@@ -111,8 +111,9 @@ def cmd_collect(args: argparse.Namespace) -> int:
     )
     n_with = len(collection.clean_with)
     n_without = len(collection.clean_without)
+    records = (n_with + n_without) * audit_cfg.mechanism.num_partitions
     print(f"collected {n_with} clean responses with the canary and {n_without} without "
-          f"({n_with + n_without} rows, {len(collection.records)} partition records, "
+          f"({n_with + n_without} rows, {records} partition records, "
           f"{collection.failures} retried failures) -> {records_path}")
     return EXIT_OK
 

@@ -253,7 +253,7 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair]):
             raise ConfigError("replay oracle needs oracle.records_path")
         if not Path(records_path).exists():
             raise ConfigError(f"records file not found: {records_path}")
-        return ReplayOracle.from_file(records_path)
+        return ReplayOracle.from_file(records_path, num_classes=len(oracle_cfg["classes"]))
 
     decode = DecodeSettings(
         temperature=float(oracle_cfg["decode"]["temperature"]),

@@ -37,6 +37,11 @@ VOTING_SENSITIVITY = 2.0  # one exemplar can move two histogram coordinates by 1
 # ran alike on a 2-core Xeon.
 _NEAREST_CHUNK_BYTES = 1 << 21
 
+# Byte budget of the clean rows ``gaussian_release`` gathers at once (at
+# least one row), so its only temporary beside the released block is one
+# chunk, not a second block.
+_RELEASE_CHUNK_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class Exemplar:
@@ -232,7 +237,10 @@ def gaussian_release(clean: np.ndarray, rows: np.ndarray, sigma: float,
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     noisy = rng.normal(0.0, sigma, size=(len(rows), clean.shape[1]))
-    noisy += clean[rows]  # the same sums as clean[rows] + noise, one array fewer
+    # the same sums as clean[rows] + noise, with the rows gathered a chunk at a time
+    step = max(1, _RELEASE_CHUNK_BYTES // (max(1, clean.shape[1]) * noisy.itemsize))
+    for start in range(0, len(rows), step):
+        noisy[start:start + step] += clean[rows[start:start + step]]
     return noisy
 
 

@@ -4,23 +4,26 @@ Three oracle families produce the raw material the audit resamples:
 
 * canary detectors — idealized responders that answer from canary membership
   alone, with an optional flip probability standing in for decoding noise;
-* replay — re-serves responses previously persisted as JSONL records;
+* replay — re-serves responses previously persisted as JSONL records, parsed
+  in one pass into columns (ctx, trial, partition, vote or embedding);
 * responder adapters — render a prompt template and hand it to an external
   text generator over a line-delimited file batch or a single HTTP POST
   endpoint, then map the returned text onto a class or signal embedding.
 
 `collect` runs the partition-and-query pipeline for both neighboring
-contexts and returns the clean vote vectors (classification) or clean mean
-embeddings (generation), with the per-partition records behind them.
+contexts. It holds each context's per-partition responses as one array, and
+returns them with their per-trial aggregates: the clean vote counts
+(classification) or clean mean embeddings (generation), one row per trial.
+The per-partition records are built from the arrays only when written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
-from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -30,10 +33,10 @@ import numpy as np
 from .mechanisms import (
     ExemplarSubset,
     NeighboringPair,
-    VoteVector,
     clip_to_unit,
     partition,
 )
+from .parallel import map_in_order
 
 CTX_WITH = "with"
 CTX_WITHOUT = "without"
@@ -217,18 +220,6 @@ class OracleRecord:
             payload["emb"] = list(self.emb)
         return json.dumps(payload, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, line: str) -> "OracleRecord":
-        payload = json.loads(line)
-        emb = payload.get("emb")
-        return cls(
-            ctx=payload["ctx"],
-            trial=int(payload["trial"]),
-            part=int(payload["part"]),
-            vote=payload.get("vote"),
-            emb=tuple(float(x) for x in emb) if emb is not None else None,
-        )
-
 
 def write_records(path: Union[str, Path], records: Iterable[OracleRecord]) -> int:
     """Append records as line-delimited JSON; returns the number written."""
@@ -238,16 +229,6 @@ def write_records(path: Union[str, Path], records: Iterable[OracleRecord]) -> in
             handle.write(record.to_json() + "\n")
             count += 1
     return count
-
-
-def read_records(path: Union[str, Path]) -> list[OracleRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(OracleRecord.from_json(line))
-    return records
 
 
 def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[np.ndarray]:
@@ -261,58 +242,183 @@ def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[
 
 @dataclass
 class CleanCollection:
-    """Clean responses for both hypotheses, plus the persisted record stream."""
+    """Clean responses for both hypotheses.
+
+    ``responses`` maps each ctx to its per-partition responses, (n_llm, T)
+    votes or (n_llm, T, d) embeddings; ``clean_with`` and ``clean_without``
+    are their per-trial aggregates, (n_llm, classes) vote counts or (n_llm, d)
+    mean embeddings. The records behind them are built only when read.
+    """
 
     task: str  # "classification" | "generation"
-    clean_with: list  # VoteVector list, or mean-embedding ndarray list
-    clean_without: list
-    records: list[OracleRecord] = field(default_factory=list)
+    clean_with: np.ndarray
+    clean_without: np.ndarray
+    responses: dict[str, np.ndarray]
     failures: int = 0
+
+    @property
+    def records(self) -> list[OracleRecord]:
+        """One record per (ctx, trial, part), in that order."""
+        votes = self.task == "classification"
+        return [OracleRecord(ctx=ctx, trial=trial, part=part, vote=value) if votes
+                else OracleRecord(ctx=ctx, trial=trial, part=part, emb=tuple(value))
+                for ctx, grid in self.responses.items()
+                for trial, row in enumerate(grid.tolist())
+                for part, value in enumerate(row)]
+
+
+# ctx field -> the code a ReplayOracle keeps per record
+_CTX_CODES = {CTX_WITH: 0, CTX_WITHOUT: 1}
+_VOTE_FIELDS = frozenset(("ctx", "trial", "part", "vote"))
+_EMB_FIELDS = frozenset(("ctx", "trial", "part", "emb"))
+
+
+def _integers(values: tuple, field: str) -> np.ndarray:
+    if set(map(type, values)) != {int}:
+        raise ValueError(f"{field} must be an integer")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{field} does not fit in 64 bits") from None
+
+
+def _record_columns(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parsed JSON records as columns: ctx codes, trial ids, partition ids,
+    and the votes (n,) or float64 embeddings (n, d).
+
+    Raises ValueError saying what breaks the wire format: one record's
+    fault, or, when every record is well-formed alone, the stream's (votes
+    mixed with embeddings, or embeddings of different lengths).
+    """
+    if set(map(type, payloads)) != {dict}:
+        raise ValueError("a record is not a JSON object")
+    fields = set(map(frozenset, payloads))
+    if not fields <= {_VOTE_FIELDS, _EMB_FIELDS}:
+        raise ValueError("a record's fields are not ctx, trial, part and one of vote or emb")
+    if len(fields) != 1:
+        raise ValueError("record stream mixes votes and embeddings")
+    kind = "vote" if _VOTE_FIELDS in fields else "emb"
+    ctx, trial, part, responses = zip(*map(operator.itemgetter("ctx", "trial", "part", kind),
+                                           payloads))
+    try:
+        codes = np.fromiter(map(_CTX_CODES.__getitem__, ctx), dtype=np.int8, count=len(ctx))
+    except (KeyError, TypeError):
+        bad = next(c for c in ctx if not (isinstance(c, str) and c in _CTX_CODES))
+        raise ValueError(f"ctx must be '{CTX_WITH}' or '{CTX_WITHOUT}', got {bad!r}") from None
+    trial, part = _integers(trial, "trial"), _integers(part, "part")
+    if kind == "vote":
+        return codes, trial, part, _integers(responses, "vote")
+    try:
+        emb = np.array(responses)
+    except (ValueError, OverflowError):  # lists of different lengths
+        emb = None
+    if emb is None or emb.ndim != 2 or emb.dtype.kind not in "iuf":
+        raise ValueError("emb must be a list of numbers, of one length in every record")
+    return codes, trial, part, emb.astype(np.float64, copy=False)
 
 
 class ReplayOracle:
-    """Serves recorded responses keyed by (ctx, trial, partition)."""
+    """Serves recorded responses keyed by (ctx, trial, partition).
 
-    def __init__(self, records: Iterable[OracleRecord]):
-        self._store: dict[tuple[str, int, int], OracleRecord] = {}
-        kinds = set()
-        trials: dict[str, set[int]] = {CTX_WITH: set(), CTX_WITHOUT: set()}
-        for record in records:
-            self._store[(record.ctx, record.trial, record.part)] = record
-            kinds.add("vote" if record.vote is not None else "emb")
-            trials[record.ctx].add(record.trial)
-        if not self._store:
-            raise OracleError("no records to replay")
-        if len(kinds) != 1:
-            raise OracleError("record stream mixes votes and embeddings")
-        self.kind = kinds.pop()
-        self._num_trials = {ctx: len(ids) for ctx, ids in trials.items()}
+    The records are held as columns in stream order: ctx codes, trial and
+    partition ids, and the votes (n,) or embeddings (n, d). ``collect`` takes
+    each arm's responses from them with one index lookup (``responses``).
+    """
+
+    def __init__(self, ctx: np.ndarray, trial: np.ndarray, part: np.ndarray,
+                 responses: np.ndarray, num_classes: Optional[int] = None):
+        self._ctx, self._trial, self._part = ctx, trial, part
+        self._responses = responses
+        self._num_classes = num_classes
+        self.kind = "vote" if responses.ndim == 1 else "emb"
 
     @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ReplayOracle":
-        return cls(read_records(path))
+    def from_file(cls, path: Union[str, Path], num_classes: Optional[int] = None) -> "ReplayOracle":
+        """Parse a records file with one ``json.loads`` over its non-blank
+        lines, joined as one JSON array.
 
-    def num_trials(self, ctx: str) -> int:
-        return self._num_trials.get(ctx, 0)
+        Only when that parse or the columns fail are the lines parsed one by
+        one, to name the first malformed line; a fault of the stream as a
+        whole names the file. ``num_classes`` is the configured label set's
+        size and bounds the votes; without it the vote width is the largest
+        recorded vote plus one, which is narrower whenever the last classes
+        never occur.
+        """
+        try:
+            with open(path, encoding="utf-8") as handle:
+                lines = [line.strip() for line in handle.read().split("\n")]
+        except UnicodeDecodeError as exc:
+            raise OracleError(f"records file {path} is not UTF-8 text: {exc}") from None
+        body = [line for line in lines if line]
+        if not body:
+            raise OracleError("no records to replay")
+        try:
+            payloads = json.loads("[" + ",".join(body) + "]")
+            # each line one object: else a line holding two could stand in for
+            # one object split over two lines
+            if len(payloads) != len(body) or not all(line[0] == "{" and line[-1] == "}"
+                                                     for line in body):
+                raise ValueError("not one JSON object per line")
+            columns = _record_columns(payloads)
+        except ValueError as exc:
+            for number, line in enumerate(lines, 1):
+                if line:
+                    try:
+                        _record_columns([json.loads(line)])
+                    except ValueError as fault:
+                        raise OracleError(f"malformed record at {path}:{number}: {fault}") from None
+            raise OracleError(f"{exc} ({path})") from None
+        return cls(*columns, num_classes=num_classes)
 
     @property
     def num_classes(self) -> int:
         if self.kind != "vote":
             raise OracleError("replay stream holds embeddings, not votes")
-        return max(r.vote for r in self._store.values()) + 1
+        if self._num_classes is not None:
+            return self._num_classes
+        return int(self._responses.max()) + 1
 
-    def replay(self, ctx: str, trial: int, part: int):
-        try:
-            record = self._store[(ctx, trial, part)]
-        except KeyError:
-            raise OracleError(f"no recorded response for ({ctx}, trial={trial}, part={part})") from None
-        return record.vote if record.vote is not None else np.asarray(record.emb, dtype=np.float64)
+    def responses(self, ctx: str, n_llm: int, num_partitions: int) -> np.ndarray:
+        """Trials 0..n_llm-1 of ``ctx`` as recorded, (n_llm, T) votes or
+        (n_llm, T, d) embeddings, gathered with one index lookup.
+
+        A key recorded more than once serves its last record. Records of
+        other trials or partitions are ignored; the first key missing, in
+        (trial, part) order, raises.
+        """
+        mine = self._ctx == _CTX_CODES[ctx]
+        have = np.unique(self._trial[mine]).size
+        if have < n_llm:
+            raise OracleError(f"replay stream has {have} trials for '{ctx}', need {n_llm}")
+        wanted = np.flatnonzero(mine & (self._trial >= 0) & (self._trial < n_llm)
+                                & (self._part >= 0) & (self._part < num_partitions))
+        latest = np.full(n_llm * num_partitions, -1, dtype=np.intp)  # record per (trial, part)
+        np.maximum.at(latest, self._trial[wanted] * num_partitions + self._part[wanted], wanted)
+        missing = np.flatnonzero(latest < 0)
+        if missing.size:
+            trial, part = divmod(int(missing[0]), num_partitions)
+            raise OracleError(f"no recorded response for ({ctx}, trial={trial}, part={part})")
+        return self._responses[latest].reshape(n_llm, num_partitions, *self._responses.shape[1:])
 
 
 def _trial_rng(seed: int, ctx: str, trial: int, attempt: int) -> np.random.Generator:
     # Counter-style derivation: the stream depends only on these coordinates,
     # never on scheduling, so parallel collection stays reproducible.
     return np.random.default_rng([seed, _ARM_CODES[ctx], trial, attempt])
+
+
+def _aggregate(responses: np.ndarray, num_classes: Optional[int]) -> np.ndarray:
+    """Each trial's clean aggregate: from (n_llm, T) votes the (n_llm,
+    num_classes) vote counts, from (n_llm, T, d) embeddings the (n_llm, d) mean."""
+    if responses.ndim == 3:
+        return responses.mean(axis=1)
+    outside = (responses < 0) | (responses >= num_classes)
+    if outside.any():
+        raise OracleError(f"vote {responses.flat[np.argmax(outside)]} outside the "
+                          f"{num_classes}-class label set")
+    trials = responses.shape[0]
+    slots = responses + num_classes * np.arange(trials)[:, None]
+    return np.bincount(slots.ravel(), minlength=trials * num_classes).reshape(trials, num_classes)
 
 
 def collect(
@@ -331,10 +437,13 @@ def collect(
 ) -> CleanCollection:
     """Run the partition-and-query pipeline n_llm times per hypothesis, no DP noise.
 
-    Oracle failures are retried at the same trial index with a fresh derived
-    stream, each retry consuming the shared budget; an exhausted budget
-    aborts the arm. Records are canonicalized by (hypothesis, trial,
-    partition) so output files are deterministic regardless of worker count.
+    Each arm's responses form one array, aggregated at once; a replay serves
+    it from its records with one lookup, a live oracle is called once per
+    partition and trial. Oracle failures are retried at the same trial index
+    with a fresh derived stream, each retry consuming the shared budget; an
+    exhausted budget aborts the arm. Records are canonicalized by
+    (hypothesis, trial, partition) so output files are deterministic
+    regardless of worker count.
     """
     if n_llm < 1:
         raise ValueError(f"n_llm must be positive, got {n_llm}")
@@ -357,71 +466,41 @@ def collect(
         if num_classes is None:
             raise ValueError("num_classes is required for vote oracles that do not declare it")
 
-    collection = CleanCollection(task=task, clean_with=[], clean_without=[])
-    budget = {"left": retry_budget}
+    responses: dict[str, np.ndarray] = {}
+    clean: dict[str, np.ndarray] = {}
+    budget = {"left": retry_budget, "failures": 0}
     budget_lock = threading.Lock()
 
     for ctx_label, context in ((CTX_WITH, pair.with_canary), (CTX_WITHOUT, pair.without_canary)):
         subsets = partition(context, num_partitions, pad=pad)
-        if is_replay and oracle.num_trials(ctx_label) < n_llm:
-            raise OracleError(
-                f"replay stream has {oracle.num_trials(ctx_label)} trials for '{ctx_label}', need {n_llm}"
-            )
 
         def run_trial(trial: int):
             attempt = 0
             while True:
                 rng = _trial_rng(seed, ctx_label, trial, attempt)
                 try:
-                    responses = []
-                    for part_index, subset in enumerate(subsets):
-                        if is_replay:
-                            responses.append(oracle.replay(ctx_label, trial, part_index))
-                        elif task == "classification":
-                            responses.append(oracle.vote(subset, query, rng))
-                        else:
-                            responses.append(oracle.embed(subset, query, rng))
-                    return responses
+                    if task == "classification":
+                        return [oracle.vote(subset, query, rng) for subset in subsets]
+                    return [oracle.embed(subset, query, rng) for subset in subsets]
                 except OracleError:
                     with budget_lock:
                         if budget["left"] <= 0:
                             raise
                         budget["left"] -= 1
-                        collection.failures += 1
+                        budget["failures"] += 1
                     attempt += 1
 
-        if workers == 1 or is_replay:
-            per_trial = [run_trial(t) for t in range(n_llm)]
+        if is_replay:
+            grid = oracle.responses(ctx_label, n_llm, len(subsets))
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_trial = list(pool.map(run_trial, range(n_llm)))
+            per_trial = map_in_order(run_trial, range(n_llm), workers)
+            grid = np.array(per_trial, dtype=np.int64 if task == "classification" else np.float64)
+        responses[ctx_label] = grid
+        clean[ctx_label] = _aggregate(grid, num_classes)
 
-        for trial, responses in enumerate(per_trial):
-            if task == "classification":
-                counts = [0] * num_classes
-                for part_index, vote in enumerate(responses):
-                    if not (0 <= vote < num_classes):
-                        raise OracleError(f"vote {vote} outside the {num_classes}-class label set")
-                    counts[vote] += 1
-                    collection.records.append(
-                        OracleRecord(ctx=ctx_label, trial=trial, part=part_index, vote=int(vote))
-                    )
-                vector = VoteVector(counts=tuple(counts), num_partitions=num_partitions)
-            else:
-                stacked = np.stack([np.asarray(e, dtype=np.float64) for e in responses])
-                for part_index in range(stacked.shape[0]):
-                    collection.records.append(
-                        OracleRecord(
-                            ctx=ctx_label, trial=trial, part=part_index,
-                            emb=tuple(stacked[part_index].tolist()),
-                        )
-                    )
-                vector = stacked.mean(axis=0)
-            if ctx_label == CTX_WITH:
-                collection.clean_with.append(vector)
-            else:
-                collection.clean_without.append(vector)
-
+    collection = CleanCollection(task=task, clean_with=clean[CTX_WITH],
+                                 clean_without=clean[CTX_WITHOUT], responses=responses,
+                                 failures=budget["failures"])
     if records_path is not None:
         write_records(records_path, collection.records)
     return collection

@@ -5,17 +5,21 @@ quantity it checks: quadrature instead of erfc, bisection on the CDF instead
 of a rational approximation, exact combinatorial tail sums instead of beta
 inversion, grid scans instead of bisection, a threshold sweep that counts
 each arm by binary search and evaluates the bound at every candidate instead
-of merging the arms and pruning, and a bootstrap audit that holds each arm's
-noisy trials and candidate distances whole instead of streaming trial blocks.
+of merging the arms and pruning, a bootstrap audit that holds each arm's
+noisy trials and candidate distances whole instead of streaming trial blocks,
+and a replay that parses one record per line into a dict store and looks up
+each (ctx, trial, partition) key in turn instead of gathering arrays.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import integrate, special
@@ -30,7 +34,14 @@ from dpicl_audit.audit import (
     sweep_threshold,
 )
 from dpicl_audit.gdp import AttackCounts, audit_epsilon, eps_emp_dp
-from dpicl_audit.oracles import SignalPair
+from dpicl_audit.mechanisms import VoteVector
+from dpicl_audit.oracles import (
+    CTX_WITH,
+    CTX_WITHOUT,
+    OracleError,
+    OracleRecord,
+    SignalPair,
+)
 from dpicl_audit.stats import binom_upper_bound_array
 
 
@@ -260,3 +271,106 @@ def bootstrap_audit_full_matrix(
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,
                        config=config, tau=tau, wall_ms=wall_ms)
+
+
+def record_from_json(line: str) -> OracleRecord:
+    """One record from one JSON line: the per-record parse."""
+    payload = json.loads(line)
+    emb = payload.get("emb")
+    return OracleRecord(
+        ctx=payload["ctx"],
+        trial=int(payload["trial"]),
+        part=int(payload["part"]),
+        vote=payload.get("vote"),
+        emb=tuple(float(x) for x in emb) if emb is not None else None,
+    )
+
+
+def read_records(path: Union[str, Path]) -> list[OracleRecord]:
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                records.append(record_from_json(line))
+    return records
+
+
+class DictReplayOracle:
+    """Serves recorded responses keyed by (ctx, trial, partition)."""
+
+    def __init__(self, records: Iterable[OracleRecord]):
+        self._store: dict[tuple[str, int, int], OracleRecord] = {}
+        kinds = set()
+        trials: dict[str, set[int]] = {CTX_WITH: set(), CTX_WITHOUT: set()}
+        for record in records:
+            self._store[(record.ctx, record.trial, record.part)] = record
+            kinds.add("vote" if record.vote is not None else "emb")
+            trials[record.ctx].add(record.trial)
+        if not self._store:
+            raise OracleError("no records to replay")
+        if len(kinds) != 1:
+            raise OracleError("record stream mixes votes and embeddings")
+        self.kind = kinds.pop()
+        self._num_trials = {ctx: len(ids) for ctx, ids in trials.items()}
+
+    @classmethod
+    def from_file(cls, path: Union[str, Path]) -> "DictReplayOracle":
+        return cls(read_records(path))
+
+    def num_trials(self, ctx: str) -> int:
+        return self._num_trials.get(ctx, 0)
+
+    @property
+    def num_classes(self) -> int:
+        if self.kind != "vote":
+            raise OracleError("replay stream holds embeddings, not votes")
+        return max(r.vote for r in self._store.values()) + 1
+
+    def replay(self, ctx: str, trial: int, part: int):
+        try:
+            record = self._store[(ctx, trial, part)]
+        except KeyError:
+            raise OracleError(f"no recorded response for ({ctx}, trial={trial}, part={part})") from None
+        return record.vote if record.vote is not None else np.asarray(record.emb, dtype=np.float64)
+
+
+def collect_replay(oracle: DictReplayOracle, num_partitions: int, n_llm: int,
+                   num_classes: Optional[int] = None) -> tuple[list, list, list[OracleRecord]]:
+    """The replay branch of ``collect``, one key at a time: each arm's clean
+    ``VoteVector``s or mean embeddings, then the records behind them."""
+    task = "classification" if oracle.kind == "vote" else "generation"
+    if task == "classification" and num_classes is None:
+        num_classes = oracle.num_classes
+    clean: dict[str, list] = {CTX_WITH: [], CTX_WITHOUT: []}
+    records: list[OracleRecord] = []
+    for ctx_label in (CTX_WITH, CTX_WITHOUT):
+        if oracle.num_trials(ctx_label) < n_llm:
+            raise OracleError(
+                f"replay stream has {oracle.num_trials(ctx_label)} trials for '{ctx_label}', need {n_llm}"
+            )
+        per_trial = [[oracle.replay(ctx_label, trial, part) for part in range(num_partitions)]
+                     for trial in range(n_llm)]
+        for trial, responses in enumerate(per_trial):
+            if task == "classification":
+                counts = [0] * num_classes
+                for part_index, vote in enumerate(responses):
+                    if not (0 <= vote < num_classes):
+                        raise OracleError(f"vote {vote} outside the {num_classes}-class label set")
+                    counts[vote] += 1
+                    records.append(
+                        OracleRecord(ctx=ctx_label, trial=trial, part=part_index, vote=int(vote))
+                    )
+                vector = VoteVector(counts=tuple(counts), num_partitions=num_partitions)
+            else:
+                stacked = np.stack([np.asarray(e, dtype=np.float64) for e in responses])
+                for part_index in range(stacked.shape[0]):
+                    records.append(
+                        OracleRecord(
+                            ctx=ctx_label, trial=trial, part=part_index,
+                            emb=tuple(stacked[part_index].tolist()),
+                        )
+                    )
+                vector = stacked.mean(axis=0)
+            clean[ctx_label].append(vector)
+    return clean[CTX_WITH], clean[CTX_WITHOUT], records

@@ -620,6 +620,15 @@ class TestRunAudit:
         with pytest.raises(OracleError, match="generation responses for a classification audit"):
             run_audit(config, oracle, make_pair(), "CANARY")
 
+    def test_votes_narrower_than_the_yes_index_rejected(self):
+        oracle = CanaryDetectorVoteOracle()  # two classes
+        mech = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=4)
+        config = AuditConfig(mechanism=mech, task="classification", threat_model="black_box",
+                             n_llm=1, n_sample=100, yes_index=2)
+        with pytest.raises(OracleError,
+                           match="class index 2 is outside the 2-class votes the oracle produced"):
+            run_audit(config, oracle, make_pair(), "CANARY")
+
     def test_monotone_in_n_sample_for_perfect_separation(self):
         oracle = CanaryDetectorVoteOracle()
         values = []

@@ -289,11 +289,81 @@ class TestReplayMismatch:
         assert "oracle produced 16-d embeddings for a 8-d signal pair" in err
 
     @pytest.mark.parametrize("threat", ["white_box", "black_box"])
-    def test_votes_narrower_than_the_yes_index(self, tmp_path, capsys, threat):
-        code, err = self.replay(tmp_path, capsys, ["oracle.classes=[a, b, c]", "oracle.yes_index=2"],
-                                threat_model=threat)
+    def test_recorded_vote_outside_the_label_set(self, tmp_path, capsys, threat):
+        # the replayed votes take the configured label set's width, so a
+        # stream recorded over three classes does not fit two
+        first = write_config(tmp_path, name="collect.yaml",
+                             oracle={"classes": ["a", "b", "c"], "yes_index": 2})
+        assert main(["collect", "--config", str(first)]) == 0
+        second = write_config(tmp_path, name="replay.yaml", threat_model=threat,
+                              oracle={"kind": "replay",
+                                      "records_path": str(tmp_path / "out" / "records.jsonl")},
+                              output={"directory": str(tmp_path / "out2")})
+        capsys.readouterr()
+        assert main(["audit", "--config", str(second)]) == 3
+        assert not (tmp_path / "out2" / "report.json").exists()
+        assert "vote 2 outside the 2-class label set" in capsys.readouterr().err
+
+    def test_replay_keeps_the_configured_vote_width(self, tmp_path):
+        # class c never receives a vote, and its noisy coordinate still
+        # competes for the argmax: the replay must audit 3-wide votes too
+        oracle = {"classes": ["a", "b", "c"]}
+        settings = {"threat_model": "black_box",
+                    "audit": {"n_llm": 20, "n_sample": 20_000, "seed": 11}}
+        live = write_config(tmp_path, name="live.yaml", oracle=oracle, **settings)
+        assert main(["collect", "--config", str(live)]) == 0
+        assert main(["audit", "--config", str(live)]) == 0
+        replay = write_config(tmp_path, name="replay.yaml",
+                              oracle={**oracle, "kind": "replay",
+                                      "records_path": str(tmp_path / "out" / "records.jsonl")},
+                              output={"directory": str(tmp_path / "out2")}, **settings)
+        assert main(["audit", "--config", str(replay)]) == 0
+        assert ((tmp_path / "out2" / "report.json").read_bytes()
+                == (tmp_path / "out" / "report.json").read_bytes())
+
+
+class TestMalformedRecords:
+    """A records file that breaks the wire format is an oracle failure (exit
+    3) that names the file and the line, raised before any trial is drawn."""
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"ctx":"with","trial":0,"part":0', "Expecting ',' delimiter"),
+        ('{"trial":0,"part":0,"vote":1}',
+         "a record's fields are not ctx, trial, part and one of vote or emb"),
+        ('{"ctx":"maybe","trial":0,"part":0,"vote":1}',
+         "ctx must be 'with' or 'without', got 'maybe'"),
+    ], ids=["truncated", "missing-ctx", "unknown-ctx"])
+    def test_bad_line_is_named(self, tmp_path, capsys, line, message):
+        code, err, records = self.replay_with(tmp_path, capsys, line)
         assert code == 3
-        assert "class index 2 is outside the 2-class votes the oracle produced" in err
+        # 20 trials x 4 partitions x 2 contexts are recorded before it
+        assert f"malformed record at {records}:161: {message}" in err
+
+    def test_votes_mixed_with_embeddings(self, tmp_path, capsys):
+        code, err, records = self.replay_with(
+            tmp_path, capsys, '{"ctx":"with","trial":0,"part":0,"emb":[1.0,0.0]}')
+        assert code == 3
+        assert f"record stream mixes votes and embeddings ({records})" in err
+
+    def test_vote_outside_the_configured_classes(self, tmp_path, capsys):
+        # the appended record is the last for its key, so it is the one replayed
+        code, err, _ = self.replay_with(tmp_path, capsys, '{"ctx":"with","trial":0,"part":0,"vote":7}')
+        assert code == 3
+        assert "vote 7 outside the 2-class label set" in err
+
+    def replay_with(self, tmp_path, capsys, line):
+        first = write_config(tmp_path, name="collect.yaml")
+        assert main(["collect", "--config", str(first)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        with open(records, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        second = write_config(tmp_path, name="replay.yaml",
+                              oracle={"kind": "replay", "records_path": str(records)},
+                              output={"directory": str(tmp_path / "out2")})
+        capsys.readouterr()
+        code = main(["audit", "--config", str(second)])
+        assert not (tmp_path / "out2" / "report.json").exists()
+        return code, capsys.readouterr().err, records
 
 
 class TestSimulate:

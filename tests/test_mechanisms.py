@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -164,6 +165,23 @@ class TestGaussianRelease:
         with pytest.raises(ValueError):
             gaussian_release(np.zeros((1, 2)), np.zeros(1, dtype=np.intp), -1.0,
                              np.random.default_rng(0))
+
+    def test_one_block_holds_its_output_plus_one_chunk(self):
+        # a full (65536, 16) trial block: the clean rows are added a chunk at
+        # a time, with the sums of clean[rows] + noise
+        clean = np.random.default_rng(1).normal(size=(200, 16))
+        rows = np.random.default_rng(2).integers(0, 200, size=65536)
+        want = clean[rows] + np.random.default_rng(3).normal(0.0, 0.7, size=(65536, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = gaussian_release(clean, rows, 0.7, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # a few KiB of interpreter bookkeeping on top
+        assert peak <= got.nbytes + mechanisms._RELEASE_CHUNK_BYTES + (1 << 14)
 
 
 class TestPrivateVote:

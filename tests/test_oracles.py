@@ -5,7 +5,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpicl_audit.audit import _clean_matrix
 from dpicl_audit.mechanisms import Exemplar, NeighboringPair, partition
 from dpicl_audit.oracles import (
     CTX_WITH,
@@ -31,10 +34,10 @@ from dpicl_audit.oracles import (
     format_exemplars,
     load_signal_catalog,
     load_template,
-    read_records,
     render_template,
     write_records,
 )
+from reference import DictReplayOracle, collect_replay, read_records
 
 
 def make_pair(n=10, canary_index=0):
@@ -125,8 +128,8 @@ class TestCollect:
     def test_deterministic_vote_vectors(self):
         oracle = CanaryDetectorVoteOracle()
         got = collect(oracle, PAIR, "CANARY", 10, 3, seed=0)
-        assert [v.counts for v in got.clean_with] == [(1, 9)] * 3
-        assert [v.counts for v in got.clean_without] == [(0, 10)] * 3
+        assert got.clean_with.tolist() == [[1, 9]] * 3
+        assert got.clean_without.tolist() == [[0, 10]] * 3
         assert len(got.records) == 2 * 3 * 10
 
     def test_zero_trials_rejected(self):
@@ -137,7 +140,7 @@ class TestCollect:
         pair = make_pair(8)
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.1))
         got = collect(oracle, pair, "CANARY", 4, 500, seed=3)
-        yes_counts = [v.counts[0] for v in got.clean_with]
+        yes_counts = got.clean_with[:, 0]
         # 1 * 0.9 + 3 * 0.1 yes votes expected per trial
         se = math.sqrt(0.36 / 500)
         assert abs(np.mean(yes_counts) - 1.2) <= 3 * se
@@ -160,8 +163,8 @@ class TestCollect:
         a = collect(oracle, PAIR, "CANARY", 5, 20, seed=77)
         b = collect(oracle, PAIR, "CANARY", 5, 20, seed=77)
         c = collect(oracle, PAIR, "CANARY", 5, 20, seed=78)
-        assert [v.counts for v in a.clean_with] == [v.counts for v in b.clean_with]
-        assert [v.counts for v in a.clean_with] != [v.counts for v in c.clean_with]
+        assert a.clean_with.tolist() == b.clean_with.tolist()
+        assert a.clean_with.tolist() != c.clean_with.tolist()
 
     def test_worker_count_does_not_change_results(self):
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.2))
@@ -185,10 +188,12 @@ class TestRecords:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        records = [OracleRecord(ctx="with", trial=t, part=p, vote=t % 2)
-                   for t in range(3) for p in range(2)]
-        assert write_records(path, records) == 6
+        records = [OracleRecord(ctx=ctx, trial=t, part=p, vote=t % 2)
+                   for ctx in (CTX_WITH, CTX_WITHOUT) for t in range(3) for p in range(2)]
+        assert write_records(path, records) == 12
         assert read_records(path) == records
+        replayed = collect(ReplayOracle.from_file(path), make_pair(2), "CANARY", 2, 3)
+        assert replayed.records == records
 
     def test_append_only(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -206,15 +211,15 @@ class TestReplay:
         replayed = collect(ReplayOracle.from_file(first), PAIR, "CANARY", 4, 25,
                            seed=999, records_path=second)
         assert first.read_bytes() == second.read_bytes()
-        assert [v.counts for v in original.clean_with] == [v.counts for v in replayed.clean_with]
+        assert original.clean_with.tolist() == replayed.clean_with.tolist()
 
     def test_replay_reproduces_empirical_distribution(self, tmp_path):
         path = tmp_path / "records.jsonl"
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.3))
         original = collect(oracle, PAIR, "CANARY", 4, 50, seed=2, records_path=path)
         replayed = collect(ReplayOracle.from_file(path), PAIR, "CANARY", 4, 50, seed=3)
-        original_counts = sorted(v.counts for v in original.clean_with)
-        replayed_counts = sorted(v.counts for v in replayed.clean_with)
+        original_counts = sorted(original.clean_with.tolist())
+        replayed_counts = sorted(replayed.clean_with.tolist())
         assert original_counts == replayed_counts
 
     def test_embedding_replay(self, tmp_path):
@@ -231,6 +236,66 @@ class TestReplay:
         collect(CanaryDetectorVoteOracle(), PAIR, "CANARY", 4, 5, seed=0, records_path=path)
         with pytest.raises(OracleError):
             collect(ReplayOracle.from_file(path), PAIR, "CANARY", 4, 6)
+
+
+@st.composite
+def recorded_streams(draw):
+    """A records file's lines as a replay may meet them: shuffled, with keys
+    recorded twice, trial ids past n_llm or missing, stray partitions, and
+    integer-valued embeddings."""
+    task = draw(st.sampled_from(["classification", "generation"]))
+    T, d, n_llm = draw(st.integers(2, 40)), draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer_valued = draw(st.booleans())
+
+    def value():
+        if task == "classification":
+            return int(rng.integers(0, 3))
+        emb = rng.normal(0.0, 10.0, d)
+        return [int(x) for x in np.round(emb)] if integer_valued else emb.tolist()
+
+    # most streams replay; the rest lack a trial or one (trial, part) key
+    fault = draw(st.sampled_from([None, None, None, "trial", "key"]))
+    keys = []
+    for ctx in (CTX_WITH, CTX_WITHOUT):
+        dropped = {draw(st.integers(0, n_llm - 1))} if fault == "trial" else set()
+        extra = draw(st.sets(st.integers(-2, n_llm + 5), max_size=2))
+        for trial in sorted((set(range(n_llm)) - dropped) | extra):
+            keys += [(ctx, trial, part) for part in range(T + draw(st.integers(0, 1)))]
+    if fault == "key":
+        del keys[draw(st.integers(0, len(keys) - 1))]
+    if keys:  # keys recorded twice
+        keys += [keys[i] for i in rng.integers(0, len(keys), draw(st.integers(0, 5)))]
+    field = "vote" if task == "classification" else "emb"
+    lines = [json.dumps({"ctx": ctx, "trial": trial, "part": part, field: value()},
+                        separators=(",", ":"))
+             for ctx, trial, part in (keys[i] for i in rng.permutation(len(keys)))]
+    return task, T, n_llm, lines
+
+
+class TestReplayMatchesReference:
+    """The columnar replay against the per-record parse and dict store it
+    replaced: the same clean aggregates, byte for byte, the same records, or
+    the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(recorded_streams())
+    def test_clean_aggregates_and_errors(self, tmp_path_factory, stream):
+        task, T, n_llm, lines = stream
+        path = tmp_path_factory.mktemp("replay") / "records.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            want = collect_replay(DictReplayOracle.from_file(path), T, n_llm)
+        except OracleError as exc:
+            with pytest.raises(OracleError) as info:
+                collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm)
+            assert str(info.value) == str(exc)
+            return
+        got = collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm)
+        assert got.task == task
+        for clean, reference in ((got.clean_with, want[0]), (got.clean_without, want[1])):
+            assert _clean_matrix(clean, task).tobytes() == _clean_matrix(reference, task).tobytes()
+        assert [r.to_json() for r in got.records] == [r.to_json() for r in want[2]]
 
 
 class TestTemplates:
@@ -322,8 +387,8 @@ class TestFileTransport:
         oracle = ResponderVoteOracle(transport, "audit_classification", ("Yes", "No"), "CANARY")
         recorded = tmp_path / "records.jsonl"
         got = collect(oracle, pair, "CANARY", 2, 2, seed=0, records_path=recorded)
-        assert [v.counts for v in got.clean_with] == [(1, 1), (1, 1)]
-        assert [v.counts for v in got.clean_without] == [(0, 2), (0, 2)]
+        assert got.clean_with.tolist() == [[1, 1], [1, 1]]
+        assert got.clean_without.tolist() == [[0, 2], [0, 2]]
         # the request log matches the original batch
         logged = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
         assert logged == requests
@@ -373,7 +438,7 @@ class TestHttpTransport:
             )
             oracle = ResponderVoteOracle(transport, "audit_classification", ("Yes", "No"), "CANARY")
             got = collect(oracle, make_pair(4), "CANARY", 2, 2, seed=0)
-            assert [v.counts for v in got.clean_with] == [(1, 1), (1, 1)]
+            assert got.clean_with.tolist() == [[1, 1], [1, 1]]
         finally:
             server.shutdown()
 
