@@ -474,9 +474,12 @@ def _whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
         return noisy[:, config.yes_index] - noisy[:, config.no_index]
     if signal_pair is None:
         raise ValueError("generation audits need a signal pair")
-    d1 = np.linalg.norm(noisy - signal_pair.y1_embedding, axis=1)
-    d0 = np.linalg.norm(noisy - signal_pair.y0_embedding, axis=1)
-    return d1 - d0
+    statistic = np.empty(noisy.shape[0])
+    targets = np.stack([signal_pair.y1_embedding, signal_pair.y0_embedding])
+    for start, distances in mechanisms._distance_chunks(noisy, targets):
+        # the distance to y1's embedding minus the distance to y0's
+        np.subtract(distances[:, 0], distances[:, 1], out=statistic[start:start + len(distances)])
+    return statistic
 
 
 def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.ndarray:

@@ -32,6 +32,11 @@ from .oracles import (
 )
 
 
+# libyaml's loader where PyYAML was built with it: the same documents as
+# SafeLoader (the constructors and resolvers are shared), parsed in C.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(Exception):
     """The run configuration is unusable; nothing was computed."""
 
@@ -111,8 +116,10 @@ def apply_override(config: dict, assignment: str) -> None:
     dotted, raw = assignment.split("=", 1)
     keys = dotted.strip().split(".")
     try:
-        value = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
+        value = yaml.load(raw, Loader=_YAML_LOADER)
+    # libyaml takes UTF-8 only: an undecodable command-line byte, which Python
+    # passes on as a lone surrogate, fails to encode rather than to parse
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
         raise ConfigError(f"cannot parse override value {raw!r}: {exc}") from exc
     node = config
     for key in keys[:-1]:
@@ -128,8 +135,8 @@ def load_run_config(path: str | Path, overrides: Optional[list[str]] = None) -> 
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        document = yaml.safe_load(path.read_text("utf-8"))
-    except yaml.YAMLError as exc:
+        document = yaml.load(path.read_text("utf-8"), Loader=_YAML_LOADER)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from exc
     if document is None:
         document = {}

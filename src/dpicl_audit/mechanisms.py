@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,11 +30,12 @@ SENSITIVITY_MODES = ("paper_voting", "esa_tight", "esa_legacy")
 
 VOTING_SENSITIVITY = 2.0  # one exemplar can move two histogram coordinates by 1 each
 
-# Byte budget of the rows x pool x d difference tensor of one chunk of the
-# nearest-candidate search (at least one row), where pool counts the distinct
-# candidates. It bounds the search's temporaries whatever the pool size and
-# dimension; at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB
-# ran alike on a 2-core Xeon.
+# Byte budget of the rows x k x d difference tensor of one chunk of a
+# distance search (at least one row): k counts the distinct candidates of the
+# nearest-candidate search, or the two signal embeddings of the white-box
+# statistic. It bounds the temporaries whatever the pool size and dimension;
+# at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB ran alike on
+# a 2-core Xeon.
 _NEAREST_CHUNK_BYTES = 1 << 21
 
 # Byte budget of the clean rows ``gaussian_release`` gathers at once (at
@@ -272,9 +273,8 @@ def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarra
     is argmin over the whole pool, index for index: identical rows get
     identical distances, the whole pool's first minimum is a first
     occurrence, and keeping the pool order keeps the first-index tie-break
-    between distinct candidates. Rows go in chunks whose rows x distinct x d
-    difference tensor fits _NEAREST_CHUNK_BYTES. Each row's distances come
-    from that row alone, so the picks do not depend on the chunking.
+    between distinct candidates. The distances come a chunk of rows at a
+    time from ``_distance_chunks``.
     """
     if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
@@ -289,13 +289,36 @@ def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarra
         raise ValueError(f"candidate dimension {stacked.shape[1:]} does not match "
                          f"the noisy mean's {noisy.shape[1:]}")
     origin = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    rows = max(1, _NEAREST_CHUNK_BYTES // stacked.nbytes)
     picks = np.empty(noisy.shape[0], dtype=np.intp)
-    nearest = np.empty(min(rows, noisy.shape[0]), dtype=np.intp)  # one chunk's distinct picks
-    for start in range(0, noisy.shape[0], rows):
-        chunk = noisy[start:start + rows]
-        distances = np.linalg.norm(chunk[:, None, :] - stacked[None, :, :], axis=2)
-        found = np.argmin(distances, axis=1, out=nearest[:len(chunk)])
+    for start, distances in _distance_chunks(noisy, stacked):
         # every index is in range, so "clip" only spares the buffered copy of "raise"
-        np.take(origin, found, out=picks[start:start + rows], mode="clip")
+        np.take(origin, np.argmin(distances, axis=1), out=picks[start:start + len(distances)],
+                mode="clip")
     return picks
+
+
+def _distance_chunks(points: np.ndarray,
+                     targets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The Euclidean distances of each of n points to each of k targets, as
+    (start, distances) per chunk of rows, ``distances`` being the
+    (rows, k) block of rows start, start + 1, ...
+
+    Bit for bit ``np.linalg.norm(points[:, None] - targets[None], axis=2)``:
+    the same subtraction, squares and ``np.add.reduce`` over the same
+    contiguous last axis, then ``sqrt``, without its conjugate copy and
+    temporaries. The squares are taken in place in one buffer of
+    rows x k x d that fits _NEAREST_CHUNK_BYTES (at least one row), reused
+    by every chunk, as is ``distances``: read each chunk before the next.
+    Each row's distances come from that row alone, so they do not depend on
+    the chunking.
+    """
+    rows = max(1, _NEAREST_CHUNK_BYTES // max(1, targets.nbytes))
+    squares = np.empty((min(rows, points.shape[0]), *targets.shape))
+    sums = np.empty(squares.shape[:2])
+    for start in range(0, points.shape[0], rows):
+        chunk = points[start:start + rows]
+        diff, distances = squares[:len(chunk)], sums[:len(chunk)]
+        np.subtract(chunk[:, None, :], targets[None, :, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=2, out=distances)
+        yield start, np.sqrt(distances, out=distances)

@@ -14,7 +14,7 @@ Three oracle families produce the raw material the audit resamples:
 contexts. It holds each context's per-partition responses as one array, and
 returns them with their per-trial aggregates: the clean vote counts
 (classification) or clean mean embeddings (generation), one row per trial.
-The per-partition records are built from the arrays only when written.
+The per-partition records are written straight from the arrays.
 """
 
 from __future__ import annotations
@@ -213,12 +213,24 @@ class OracleRecord:
             raise ValueError("record must carry exactly one of vote or emb")
 
     def to_json(self) -> str:
-        payload: dict = {"ctx": self.ctx, "trial": self.trial, "part": self.part}
         if self.vote is not None:
-            payload["vote"] = self.vote
-        else:
-            payload["emb"] = list(self.emb)
-        return json.dumps(payload, separators=(",", ":"))
+            return _record_line(self.ctx, self.trial, self.part, "vote", self.vote)
+        return _record_line(self.ctx, self.trial, self.part, "emb", list(self.emb))
+
+
+# The one encoder of record values: what json.dumps(..., separators=(",", ":"))
+# writes, so floats keep their repr and NaN/Infinity their JSON-extension names.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _record_line(ctx: str, trial: int, part: int, kind: str, value) -> str:
+    """One record's wire line, without its newline: the JSON object
+    {"ctx", "trial", "part", then "vote" or "emb" as ``kind`` says}, compact.
+
+    ``ctx`` is one of the two context labels and ``trial`` and ``part`` are
+    ints, so they are written as they are; only ``value`` is encoded.
+    """
+    return f'{{"ctx":"{ctx}","trial":{trial},"part":{part},"{kind}":{_encode(value)}}}'
 
 
 def write_records(path: Union[str, Path], records: Iterable[OracleRecord]) -> int:
@@ -229,6 +241,18 @@ def write_records(path: Union[str, Path], records: Iterable[OracleRecord]) -> in
             handle.write(record.to_json() + "\n")
             count += 1
     return count
+
+
+def _write_responses(path: Union[str, Path], responses: dict[str, np.ndarray]) -> None:
+    """Append the records of ``collect``'s per-partition responses, in
+    (ctx, trial, part) order, each line formatted straight from the arrays:
+    the lines ``write_records`` writes for ``CleanCollection.records``."""
+    with open(path, "a", encoding="utf-8") as handle:
+        for ctx, grid in responses.items():
+            kind = "vote" if grid.ndim == 2 else "emb"
+            handle.writelines(_record_line(ctx, trial, part, kind, value) + "\n"
+                              for trial, row in enumerate(grid.tolist())
+                              for part, value in enumerate(row))
 
 
 def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[np.ndarray]:
@@ -502,7 +526,7 @@ def collect(
                                  clean_without=clean[CTX_WITHOUT], responses=responses,
                                  failures=budget["failures"])
     if records_path is not None:
-        write_records(records_path, collection.records)
+        _write_responses(records_path, responses)
     return collection
 
 

@@ -191,6 +191,24 @@ class TestDecisionRules:
         tp, _ = _counts_for_rule(stat, stat, np.array([0.0]), "less_equal")
         assert tp.tolist() == [1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=20), st.sampled_from([0.1022, 0.7476, 2.0]),
+           st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_whitebox_generation_matches_linalg_norm(self, d, distance, n, seed):
+        # trials on either signal embedding, at the midpoint (a tie), at
+        # signed zeros and at random points: the statistic is bit for bit the
+        # difference of the two np.linalg.norm distances
+        pair = SignalPair.synthetic(distance, d)
+        rng = np.random.default_rng(seed)
+        kinds = [np.broadcast_to(pair.y1_embedding, (n, d)),
+                 np.broadcast_to((pair.y1_embedding + pair.y0_embedding) / 2.0, (n, d)),
+                 np.array([0.0, -0.0])[rng.integers(0, 2, (n, d))],
+                 rng.normal(0.0, 1.0, (n, d))]
+        noisy = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
+        want = (np.linalg.norm(noisy - pair.y1_embedding, axis=1)
+                - np.linalg.norm(noisy - pair.y0_embedding, axis=1))
+        assert whitebox_statistic(noisy, generation_config(), pair).tobytes() == want.tobytes()
+
     def test_generation_example_mean(self):
         # DP mean -0.2 against the pool {-1, +1} selects the target string
         picks = esa_select(np.array([[-0.2]]), PAIR_POOL)

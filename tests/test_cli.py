@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 import yaml
 
+from dpicl_audit import cli
 from dpicl_audit import config as config_module
 from dpicl_audit.cli import main
 
@@ -94,6 +95,32 @@ class TestConfigHandling:
         path.write_text(yaml.safe_dump(doc))
         assert main(["audit", "--config", str(path)]) == 2
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loads_the_config(self):
+        assert config_module._YAML_LOADER is yaml.CSafeLoader
+
+    def test_loaders_agree_on_the_packaged_defaults(self):
+        # every config the tests write is checked alike, after each test (conftest.py)
+        text = yaml.safe_dump(config_module.DEFAULTS)
+        loaded = yaml.load(text, Loader=config_module._YAML_LOADER)
+        assert loaded == yaml.load(text, Loader=yaml.SafeLoader) == config_module.DEFAULTS
+
+    @pytest.mark.parametrize("text", [b"audit: [1, 2", b"{audit: 1", b"audit:\n\tseed: 1",
+                                      b"audit: seed: 1", b"audit: \x07", b"audit: \xff"])
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        assert main(["audit", "--config", str(path)]) == 2
+        assert "config error: config file is not valid YAML/JSON" in capsys.readouterr().err
+
+    # "\udcff" is how Python passes on an undecodable command-line byte
+    @pytest.mark.parametrize("value", ["[1", "{a", "\x07", "\udcff"])
+    def test_malformed_override_exits_2(self, tmp_path, capsys, value):
+        path = write_config(tmp_path)
+        assert main(["audit", "--config", str(path), "--set", f"audit.seed={value}"]) == 2
+        assert "config error: cannot parse override value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_packaged_schema_passes_its_metaschema(self):
         schema = config_module.load_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
@@ -127,6 +154,45 @@ class TestConfigHandling:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_start_up_heap_is_frozen_once(self, tmp_path):
+        # importing the CLI freezes what start-up left for the collector, and
+        # no command freezes more (frozen objects freed by refcount leave the
+        # count), so each command's own garbage stays collectable
+        path = write_config(tmp_path)
+        script = ("import gc\n"
+                  "from dpicl_audit import cli\n"
+                  "frozen, tracked = gc.get_freeze_count(), len(gc.get_objects())\n"
+                  f"assert cli.main(['audit', '--config', {str(path)!r}]) == 0\n"
+                  "assert cli.main(['convert', '--mu', '1']) == 0\n"
+                  "print(frozen, tracked, gc.get_freeze_count())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        frozen, tracked, after = map(int, result.stdout.splitlines()[-1].split())
+        assert frozen > 10_000
+        assert tracked < frozen / 100
+        assert after <= frozen
+
+    def test_calls_share_no_arguments(self, tmp_path, capsys):
+        # the parser is built once per process; each call parses only its own argv
+        path = write_config(tmp_path)
+
+        def audited():
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            return report["n_sample"], report["seed"]
+
+        assert main(["audit", "--config", str(path), "--set", "audit.n_sample=400",
+                     "--set", "audit.seed=3"]) == 0
+        assert audited() == (400, 3)
+        assert main(["audit", "--config", str(path)]) == 0
+        assert audited() == (2000, 11)
+        with pytest.raises(SystemExit) as exc:  # no subcommand: the last one is not reused
+            main(["--config", str(path)])
+        assert exc.value.code == 2
+        args = cli._PARSER.parse_args(["collect", "--config", str(path)])
+        assert (args.command, args.overrides) == ("collect", None)
+        assert not hasattr(cli._PARSER.parse_args(["convert", "--mu", "1"]), "config")
 
     def test_set_override(self, tmp_path, capsys):
         path = write_config(tmp_path)

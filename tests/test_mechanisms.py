@@ -370,6 +370,59 @@ class TestEsaSelect:
         assert got.tolist() == full.tolist()
 
 
+@st.composite
+def points_and_targets(draw):
+    """Points and targets from signed zeros, repeated entries and random
+    floats, with repeated target rows (tied distances) and a chunk budget
+    from one row per chunk up to all rows in one."""
+    d = draw(st.integers(min_value=1, max_value=20))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    entry = st.sampled_from(_ENTRIES)
+    distinct = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=3))
+    targets = np.array(distinct)[rng.integers(0, len(distinct), draw(st.integers(1, 6)))]
+    n = draw(st.integers(min_value=1, max_value=150))
+    kinds = [targets[rng.integers(0, len(targets), n)],
+             np.array(_ENTRIES)[rng.integers(0, len(_ENTRIES), (n, d))],
+             rng.normal(0.0, 1.0, (n, d))]
+    points = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
+    budget = draw(st.integers(min_value=1, max_value=2 * n * targets.nbytes))
+    return points, targets, budget
+
+
+class TestDistanceChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_targets())
+    def test_bit_identical_to_linalg_norm(self, case):
+        points, targets, budget = case
+        with mock.patch.object(mechanisms, "_NEAREST_CHUNK_BYTES", budget):
+            # each chunk's distances live in a reused buffer: copy before the next
+            chunks = [(start, distances.copy())
+                      for start, distances in mechanisms._distance_chunks(points, targets)]
+        assert [start for start, _ in chunks] == list(
+            range(0, len(points), max(1, budget // targets.nbytes)))
+        got = np.concatenate([distances for _, distances in chunks])
+        want = np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_buffers_stay_chunk_sized(self):
+        # a full (65536, 16) trial block against two targets
+        points = np.random.default_rng(4).normal(size=(65536, 16))
+        targets = np.random.default_rng(5).normal(size=(2, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in mechanisms._distance_chunks(points, targets):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        rows = mechanisms._NEAREST_CHUNK_BYTES // targets.nbytes
+        # the squares and their sums, plus the reduction's iteration buffers
+        # (a few 8192-element blocks) and interpreter bookkeeping; the
+        # block's (65536, 2, 16) differences alone would take 16 MiB
+        assert peak <= mechanisms._NEAREST_CHUNK_BYTES + rows * 2 * 8 + (1 << 18)
+
+
 class TestClipToUnit:
     def test_inside_ball_untouched(self):
         v = np.array([0.3, 0.4])

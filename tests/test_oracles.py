@@ -1,7 +1,9 @@
 import json
 import math
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from dpicl_audit.oracles import (
     load_signal_catalog,
     load_template,
     render_template,
+    _write_responses,
     write_records,
 )
 from reference import DictReplayOracle, collect_replay, read_records
@@ -200,6 +203,55 @@ class TestRecords:
         write_records(path, [OracleRecord(ctx="with", trial=0, part=0, vote=1)])
         write_records(path, [OracleRecord(ctx="with", trial=1, part=0, vote=0)])
         assert len(read_records(path)) == 2
+
+
+_VOTES = st.integers(min_value=-2**63, max_value=2**63 - 1)
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.nan, math.inf,
+                                          -math.inf, 5e-324, 1.7976931348623157e308]),
+                         st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def collected_responses(draw):
+    """``collect``'s per-partition responses for both contexts: int64 votes
+    (n_llm, T) over the whole 64-bit range, or float64 embeddings (n_llm, T, d)."""
+    n_llm, T = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        shape, values, dtype = (n_llm, T), _VOTES, np.int64
+    else:
+        shape, values, dtype = (n_llm, T, draw(st.integers(1, 4))), _COORDINATES, np.float64
+    size = math.prod(shape)
+    return {ctx: np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                          dtype=dtype).reshape(shape)
+            for ctx in (CTX_WITH, CTX_WITHOUT)}
+
+
+class TestRecordsWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(collected_responses())
+    def test_bytes_equal_the_record_lines(self, responses):
+        kind = "vote" if next(iter(responses.values())).ndim == 2 else "emb"
+        records = [OracleRecord(ctx=ctx, trial=trial, part=part, **{kind: value})
+                   for ctx, grid in responses.items()
+                   for trial, row in enumerate(grid.tolist())
+                   for part, value in enumerate(row if kind == "vote" else map(tuple, row))]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "records.jsonl"
+            _write_responses(path, responses)
+            got = path.read_bytes()
+        assert got == "".join(record.to_json() + "\n" for record in records).encode()
+        # and the wire format as json.dumps writes one dict per record
+        assert got == "".join(
+            json.dumps({"ctx": r.ctx, "trial": r.trial, "part": r.part,
+                        kind: r.vote if kind == "vote" else list(r.emb)},
+                       separators=(",", ":")) + "\n" for r in records).encode()
+
+    def test_collect_writes_what_its_records_read(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        signal = SignalPair.synthetic(0.7476)
+        got = collect(CanaryDetectorEmbeddingOracle(signal), PAIR, "CANARY", 4, 5, seed=3,
+                      records_path=path)
+        assert path.read_text() == "".join(r.to_json() + "\n" for r in got.records)
 
 
 class TestReplay:
