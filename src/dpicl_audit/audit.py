@@ -6,8 +6,9 @@ with replacement, the shipped mechanism perturbs it and releases its output
 and a decision rule converts it into a membership bit. Black-box rules read
 only the released output; white-box rules threshold a 1-D statistic of the
 noisy aggregate (vote difference or embedding distance difference) at the
-tau maximizing the mu lower bound. Tau is chosen on the same trials it is
-scored on, which biases that bound upward.
+tau maximizing the mu lower bound. That bound comes from a confidence band
+that holds at every tau at once, so choosing tau on the trials it is scored
+on leaves it valid.
 
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
 releases it through the mechanism and reduces it at once to a decision tally
@@ -31,10 +32,17 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from . import mechanisms
-from .gdp import AttackCounts, GdpEstimate, audit_epsilon, eps_emp_dp
+from .gdp import (
+    AttackCounts,
+    ErrorBounds,
+    GdpEstimate,
+    audit_epsilon,
+    eps_emp_dp,
+    estimate_from_bounds,
+    mu_from_bounds,
+)
 from .mechanisms import (
     MechanismConfig,
     NeighboringPair,
@@ -44,7 +52,7 @@ from .mechanisms import (
 )
 from .oracles import CleanCollection, OracleError, SignalPair, collect
 from .parallel import map_in_order
-from .stats import binom_upper_bound_array
+from .stats import band_upper_bound_array
 
 TASKS = ("classification", "generation")
 THREAT_MODELS = ("black_box", "white_box")
@@ -52,15 +60,6 @@ THREAT_MODELS = ("black_box", "white_box")
 # Trials are generated in fixed-size blocks, each with its own derived
 # generator; block boundaries are independent of the worker count.
 _TRIAL_BLOCK = 1 << 16
-
-# Largest count-grid spacing of each threshold-sweep pass, coarse to exact.
-# Within 2 * _SWEEP_TAIL of either end of the count range, where the bound's
-# terms are steep, every grid holds every count; farther in, the spacing
-# doubles with the distance to the nearer end. The slack absorbs ULP-level
-# non-monotonicity of the beta inversion.
-_SWEEP_SPACINGS = (64, 16, 4, 1)
-_SWEEP_TAIL = 64
-_SWEEP_SLACK = 1e-9
 
 _ARM_WITH = 0
 _ARM_WITHOUT = 1
@@ -248,117 +247,24 @@ def _candidate_counts(w: np.ndarray, wo: np.ndarray,
     return thresholds, np.subtract(w.size, fn, out=fn), fp
 
 
-def _count_grid(trials: int, spacing: int) -> np.ndarray:
-    """A pass's sorted grid of counts in [0, trials], both ends included.
-
-    It is symmetric about trials / 2 and holds trials // 2. Counts x up to
-    trials // 2 from the nearer end are spaced by the largest power of two not
-    above x // _SWEEP_TAIL, capped to [1, spacing] (a power of two).
-    """
-    half = trials // 2
-    parts, step, start = [], 1, 0
-    while start <= half:
-        stop = half + 1 if step == spacing else min(2 * step * _SWEEP_TAIL, half + 1)
-        parts.append(np.arange(start, stop, step))
-        start, step = stop, 2 * step
-    left = np.concatenate(parts)
-    if left[-1] != half:
-        left = np.append(left, half)
-    right = trials - left[::-1]
-    return np.concatenate([left, right[1:] if right[0] == half else right])
-
-
-def _term_tables(errors: np.ndarray, survivors: Optional[np.ndarray], trials: int,
-                 spacing: int, bound, term) -> tuple[np.ndarray, np.ndarray]:
-    """``term`` of the Clopper-Pearson bound at the grid counts below and
-    above each survivor's count, as two tables indexed by the count.
-
-    The bound increases in the count, so the pair brackets the term's value
-    at the count itself; at spacing 1 both equal it. ``survivors`` None means
-    every candidate: the tables then span every count, from the whole grid.
-    Otherwise the bound is needed only at the grid counts that bracket some
-    survivor's count, and the tables are unset at the counts no survivor has.
-    """
-    if survivors is None:
-        grid = _count_grid(trials, spacing)
-        value = term(bound(grid, trials))
-        return (np.repeat(value, np.diff(grid, append=trials + 1)),
-                np.repeat(value, np.diff(grid, prepend=-1)))
-    seen = np.zeros(trials + 1, dtype=bool)
-    for start in range(0, survivors.size, _TRIAL_BLOCK):
-        seen[errors[survivors[start:start + _TRIAL_BLOCK]]] = True
-    counts = np.flatnonzero(seen)
-    if spacing == 1:
-        value = term(bound(counts, trials))
-        below = above = np.arange(counts.size)
-    else:
-        grid = _count_grid(trials, spacing)
-        index = np.arange(grid.size)
-        # the grid index at or below, and at or above, each count
-        below = np.repeat(index, np.diff(np.searchsorted(counts, grid), append=counts.size))
-        above = np.repeat(index, np.diff(np.searchsorted(counts, grid, side="right"), prepend=0))
-        used = np.zeros(grid.size, dtype=bool)
-        used[below] = used[above] = True
-        value = np.empty(grid.size)
-        value[used] = term(bound(grid[used], trials))
-    at_below, at_above = np.empty(trials + 1), np.empty(trials + 1)
-    at_below[counts], at_above[counts] = value[below], value[above]
-    return at_below, at_above
-
-
-# mu = Phi^-1(1 - beta_bar) - Phi^-1(alpha_bar) is the sum of these terms;
-# a saturated bound (1) makes its term -inf
-def _fn_term(beta_bar: np.ndarray) -> np.ndarray:
-    return special.ndtri(1.0 - beta_bar)
-
-
-def _fp_term(alpha_bar: np.ndarray) -> np.ndarray:
-    return -special.ndtri(alpha_bar)
-
-
-def _mu(fn_term: np.ndarray, fp_term: np.ndarray) -> np.ndarray:
-    # rank on the unclamped bound so an informative threshold always beats
-    # the degenerate accept-all/reject-all sentinels; saturated bounds rank
-    # at -inf (the reported estimate still clamps at zero), also where the
-    # other term is +inf and the sum is NaN
-    with np.errstate(invalid="ignore"):
-        mu = fn_term + fp_term
-    mu[np.isnan(mu)] = -np.inf
-    return mu
-
-
 def sweep_threshold(
     stats_with: Sequence[float],
     stats_without: Sequence[float],
     confidence: float,
     rule: str = "greater",
-) -> tuple[float, AttackCounts]:
+) -> tuple[float, AttackCounts, ErrorBounds]:
     """Pick the tau maximizing the mu lower bound over pooled-midpoint candidates.
 
     Candidates are every midpoint between adjacent pooled sorted statistics
-    plus finite sentinels outside the data range (accept-all / reject-all).
-    Ties break toward the smallest tau. Returns tau and the attack's counts
-    at tau.
-
-    The result is that of evaluating the bound at every candidate, without
-    doing so. The counts at every candidate come from one merge of the two
-    sorted arms (``_candidate_counts``), with no search per candidate. The
-    Clopper-Pearson bound increases in the error count, and mu decreases in
-    both bounds, so the bounds at the neighbouring counts of a grid below
-    and above a candidate's FP and FN counts give an upper and a lower
-    bracket on its mu. Each pass keeps the candidates whose upper bracket
-    reaches the largest lower bracket less a slack of 1e-9. The grids'
-    spacing is at most 64, 16, 4 and 1 in turn, and finer near the ends of
-    the count range, where the bound's terms are steep; on the last grid,
-    every count, the brackets are the exact values. The maximizer and every
-    earlier candidate tied with it always survive, so the first maximum
-    among the survivors is the brute-force answer. The first pass takes
-    every candidate: its tables span the whole count range, filled from the
-    whole grid, and it reads the candidates by slices. A later pass inverts
-    the bound only at the grid counts some survivor's bracket needs. One
-    memo per trial total holds every bound inverted, so no count is inverted
-    twice, and arms of equal size share it. Candidates are read in blocks,
-    so memory stays at the count arrays.
+    plus finite sentinels outside the data range (accept-all / reject-all),
+    and their counts come from one merge of the two sorted arms
+    (``_candidate_counts``). Each error rate is bounded by a one-sided DKW
+    band, min(rate + e, 1) (``stats.band_upper_bound_array``), which holds
+    at every candidate at once with probability ``confidence``; mu is
+    ranked unclamped by ``gdp.mu_from_bounds``, so a saturated bound ranks at
+    -inf. Ties break toward the smallest tau, and a band saturated at every
+    candidate picks the accept-all sentinel. Returns tau, the attack's counts
+    at tau and the band's bounds there.
     """
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
@@ -368,42 +274,22 @@ def sweep_threshold(
         raise ValueError("statistics must be finite")
 
     thresholds, fn, fp = _candidate_counts(w, wo, rule)
-    # the bound per trial total, indexed by count; one table when the arms' sizes are equal
-    tables = {trials: np.full(trials + 1, np.nan) for trials in {w.size, wo.size}}
-
-    def bound(counts: np.ndarray, trials: int) -> np.ndarray:
-        table = tables[trials]
-        missing = counts[np.isnan(table[counts])]
-        table[missing] = binom_upper_bound_array(missing, trials, confidence)
-        return table[counts]
-
-    survivors = None  # every candidate, read by slices
-    for spacing in _SWEEP_SPACINGS:
-        fp_below, fp_above = _term_tables(fp, survivors, wo.size, spacing, bound, _fp_term)
-        fn_below, fn_above = _term_tables(fn, survivors, w.size, spacing, bound, _fn_term)
-        size = thresholds.size if survivors is None else survivors.size
-        upper = np.empty(size)
-        best_lower = -np.inf
-        for start in range(0, size, _TRIAL_BLOCK):
-            chunk = (slice(start, start + _TRIAL_BLOCK) if survivors is None
-                     else survivors[start:start + _TRIAL_BLOCK])
-            fp_chunk, fn_chunk = fp[chunk], fn[chunk]
-            upper[start:start + fp_chunk.size] = _mu(fn_below[fn_chunk], fp_below[fp_chunk])
-            best_lower = max(best_lower, _mu(fn_above[fn_chunk], fp_above[fp_chunk]).max())
-        if spacing == 1:
-            break
-        keep = upper >= best_lower - _SWEEP_SLACK
-        del upper  # before the next pass's tables are built
-        survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
-
-    best = int(survivors[np.argmax(upper)])  # first maximum = smallest tau
+    mu = mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
+                        band_upper_bound_array(fn, w.size, confidence))
+    best = int(np.argmax(mu))  # first maximum = smallest tau
+    at_best = slice(best, best + 1)
+    bounds = ErrorBounds(
+        alpha_bar=float(band_upper_bound_array(fp[at_best], wo.size, confidence)[0]),
+        beta_bar=float(band_upper_bound_array(fn[at_best], w.size, confidence)[0]),
+        confidence=confidence,
+    )
     counts = AttackCounts(
         true_positives=int(w.size - fn[best]),
         false_positives=int(fp[best]),
         false_negatives=int(fn[best]),
         true_negatives=int(wo.size - fp[best]),
     )
-    return float(thresholds[best]), counts
+    return float(thresholds[best]), counts, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +438,13 @@ def bootstrap_audit(
             false_negatives=config.n_sample - tp,
             true_negatives=config.n_sample - fp,
         )
+        estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     else:
         rule = "greater" if config.task == "classification" else "less_equal"
-        tau, counts = sweep_threshold(np.concatenate(with_blocks), np.concatenate(without_blocks),
-                                      config.confidence, rule)
-    estimate = audit_epsilon(counts, config.confidence, config.delta_target)
+        tau, counts, bounds = sweep_threshold(np.concatenate(with_blocks),
+                                              np.concatenate(without_blocks),
+                                              config.confidence, rule)
+        estimate = estimate_from_bounds(bounds, config.delta_target)
     eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,

@@ -21,6 +21,7 @@ from .config import (
     build_audit_config,
     build_neighboring_pair,
     build_oracle,
+    build_responder,
     build_signal_pair,
     load_run_config,
     output_path,
@@ -34,13 +35,7 @@ from .gdp import (
     eps_from_mu_delta,
     mu_from_eps_delta,
 )
-from .oracles import (
-    DecodeSettings,
-    OracleError,
-    collect,
-    emit_requests,
-    zero_shot_candidates,
-)
+from .oracles import OracleError, collect, emit_requests, zero_shot_candidates
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,12 +85,11 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
     if oracle_cfg.get("emit_requests_only"):
         requests_path = output_path(config, "records").with_suffix(".requests.jsonl")
-        decode = DecodeSettings(temperature=float(oracle_cfg["decode"]["temperature"]),
-                                max_tokens=int(oracle_cfg["decode"]["max_tokens"]))
-        template_id = oracle_cfg.get("template_id", "audit_classification")
-        count = emit_requests(requests_path, pair, config["context"]["canary_text"],
+        # the responder renders the requests; no transport is called
+        responder = build_responder(config, signal_pair, transport=None)
+        count = emit_requests(requests_path, responder, pair, config["context"]["canary_text"],
                               audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,
-                              template_id, decode, pad=config["context"]["pad_to_partitions"])
+                              pad=config["context"]["pad_to_partitions"])
         print(f"wrote {count} responder requests to {requests_path}")
         return EXIT_OK
 

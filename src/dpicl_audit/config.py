@@ -262,10 +262,6 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair]):
             raise ConfigError(f"records file not found: {records_path}")
         return ReplayOracle.from_file(records_path, num_classes=len(oracle_cfg["classes"]))
 
-    decode = DecodeSettings(
-        temperature=float(oracle_cfg["decode"]["temperature"]),
-        max_tokens=int(oracle_cfg["decode"]["max_tokens"]),
-    )
     if kind == "responder_file":
         responses = oracle_cfg.get("responses_path")
         if not responses:
@@ -286,9 +282,19 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair]):
         transport = HttpTransport(endpoint, oracle_cfg.get("auth_header"), token)
     else:
         raise ConfigError(f"unknown oracle kind {kind!r}")
+    return build_responder(config, signal_pair, transport)
 
+
+def build_responder(config: dict, signal_pair: Optional[SignalPair], transport):
+    """The configured task's responder oracle over ``transport``: its prompt
+    template (one default per task) and decode settings."""
+    oracle_cfg = config["oracle"]
+    decode = DecodeSettings(
+        temperature=float(oracle_cfg["decode"]["temperature"]),
+        max_tokens=int(oracle_cfg["decode"]["max_tokens"]),
+    )
     canary_text = config["context"]["canary_text"]
-    if task == "classification":
+    if config["task"] == "classification":
         template_id = oracle_cfg.get("template_id", "audit_classification")
         return ResponderVoteOracle(transport, template_id, oracle_cfg["classes"],
                                    canary_text, decode)

@@ -1,7 +1,9 @@
 """Gaussian-DP accounting: attack error rates -> mu lower bound -> (eps, delta).
 
-The pipeline is: Clopper-Pearson upper bounds on the attack's false positive
-and false negative rates, then
+The pipeline is: upper confidence bounds on the attack's false positive and
+false negative rates that hold together with probability gamma (for a fixed
+decision rule, Clopper-Pearson at (1 + gamma) / 2 each; for a threshold
+chosen on the trials, the sweep's band over every threshold), then
 
     mu = Phi^-1(1 - beta_bar) - Phi^-1(alpha_bar)
 
@@ -19,12 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .stats import (
-    binom_upper_bound,
-    log_std_normal_cdf,
-    std_normal_cdf,
-    std_normal_inv_cdf,
-)
+import numpy as np
+from scipy import special
+
+from .stats import binom_upper_bound, log_std_normal_cdf, std_normal_cdf
 
 # epsilon values beyond this are reported as unbounded (math.inf) rather than
 # as a number; they carry no practical meaning and the bracket keeps the
@@ -102,17 +102,29 @@ class GdpEstimate:
         return math.isinf(self.eps_emp)
 
 
+def mu_from_bounds(alpha_bar: np.ndarray, beta_bar: np.ndarray) -> np.ndarray:
+    """Phi^-1(1 - beta_bar) - Phi^-1(alpha_bar) elementwise and unclamped, in place.
+
+    The one expression for mu: the threshold sweep ranks its candidates with
+    it and every estimate reports it, so a reported mu is bit for bit the
+    value it was chosen by. Both arrays are overwritten; ``beta_bar``'s holds
+    the result. A bound of 1 makes its term infinite and mu -inf, so a
+    saturated bound ranks below every informative one.
+    """
+    np.subtract(1.0, beta_bar, out=beta_bar)
+    special.ndtri(beta_bar, out=beta_bar)
+    special.ndtri(alpha_bar, out=alpha_bar)
+    return np.subtract(beta_bar, alpha_bar, out=beta_bar)
+
+
 def mu_lower(bounds: ErrorBounds) -> float:
     """Lower bound on the Gaussian privacy parameter from error-rate bounds.
 
-    Clamped at zero: a worse-than-chance attack certifies nothing. Bounds
-    equal to 1 (saturated error counts) also clamp to zero, which keeps the
-    inverse CDF inside its open domain.
+    Clamped at zero: a worse-than-chance attack certifies nothing, and
+    neither do bounds equal to 1 (saturated error counts).
     """
-    if bounds.alpha_bar >= 1.0 or bounds.beta_bar >= 1.0:
-        return 0.0
-    value = std_normal_inv_cdf(1.0 - bounds.beta_bar) - std_normal_inv_cdf(bounds.alpha_bar)
-    return max(0.0, value)
+    mu = float(mu_from_bounds(np.array([bounds.alpha_bar]), np.array([bounds.beta_bar]))[0])
+    return mu if mu > 0.0 else 0.0
 
 
 def delta_from_eps_mu(eps: float, mu: float) -> float:
@@ -198,17 +210,30 @@ def eps_emp_dp(tpr: float, fpr: float) -> float:
     return math.log(tpr / fpr)
 
 
-def audit_epsilon(counts: AttackCounts, confidence: float, delta_target: float = DEFAULT_DELTA_TARGET) -> GdpEstimate:
-    """Full count-to-epsilon pipeline with all intermediates."""
-    alpha_bar = binom_upper_bound(counts.false_positives, counts.trials_without, confidence)
-    beta_bar = binom_upper_bound(counts.false_negatives, counts.trials_with, confidence)
-    mu = mu_lower(ErrorBounds(alpha_bar=alpha_bar, beta_bar=beta_bar, confidence=confidence))
-    eps = eps_from_mu_delta(mu, delta_target)
+def estimate_from_bounds(bounds: ErrorBounds,
+                         delta_target: float = DEFAULT_DELTA_TARGET) -> GdpEstimate:
+    """mu and eps from error-rate bounds, with the bounds as intermediates."""
+    mu = mu_lower(bounds)
     return GdpEstimate(
         mu_lower=mu,
-        eps_emp=eps,
+        eps_emp=eps_from_mu_delta(mu, delta_target),
         delta_target=delta_target,
-        confidence=confidence,
-        alpha_bar=alpha_bar,
-        beta_bar=beta_bar,
+        confidence=bounds.confidence,
+        alpha_bar=bounds.alpha_bar,
+        beta_bar=bounds.beta_bar,
     )
+
+
+def audit_epsilon(counts: AttackCounts, confidence: float, delta_target: float = DEFAULT_DELTA_TARGET) -> GdpEstimate:
+    """Full count-to-epsilon pipeline for a fixed decision rule, with all intermediates.
+
+    Each Clopper-Pearson bound is taken at (1 + confidence) / 2, so that by
+    the union bound both hold together with probability ``confidence``.
+    """
+    each = (1.0 + confidence) / 2.0
+    bounds = ErrorBounds(
+        alpha_bar=binom_upper_bound(counts.false_positives, counts.trials_without, each),
+        beta_bar=binom_upper_bound(counts.false_negatives, counts.trials_with, each),
+        confidence=confidence,
+    )
+    return estimate_from_bounds(bounds, delta_target)

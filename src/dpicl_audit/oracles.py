@@ -646,31 +646,25 @@ class FileTransport:
 
 def emit_requests(
     path: Union[str, Path],
+    oracle,
     pair: NeighboringPair,
     query: str,
     num_partitions: int,
     n_llm: int,
-    template_id: str,
-    decode: DecodeSettings = DecodeSettings(),
     pad: bool = False,
 ) -> int:
-    """Write the full request batch for an offline responder run."""
-    template = load_template(template_id)
+    """Write the full request batch for an offline responder run.
+
+    Each request is the responder ``oracle``'s own, in the order a collection
+    issues them, so the batch is the request log of a file-responder run.
+    """
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for _, context in ((CTX_WITH, pair.with_canary), (CTX_WITHOUT, pair.without_canary)):
             subsets = partition(context, num_partitions, pad=pad)
             for _trial in range(n_llm):
                 for subset in subsets:
-                    prompt = render_template(
-                        template,
-                        formatted_context=format_exemplars(subset),
-                        exemplar_context=format_exemplars(subset),
-                        query_article=query,
-                        canary=query,
-                    )
-                    request = ResponderRequest(template_id=template_id,
-                                               rendered_prompt=prompt, decode=decode)
+                    request = oracle.request(subset, query)
                     handle.write(json.dumps(request.to_wire(), separators=(",", ":")) + "\n")
                     count += 1
     return count
@@ -693,13 +687,16 @@ class ResponderVoteOracle:
     def num_classes(self) -> int:
         return len(self.labels)
 
-    def vote(self, subset: ExemplarSubset, query: str, rng: np.random.Generator) -> int:
+    def request(self, subset: ExemplarSubset, query: str) -> ResponderRequest:
         prompt = render_template(
             self.template,
             formatted_context=format_exemplars(subset),
             query_article=query or self.canary_text,
         )
-        response = self.transport(ResponderRequest(self.template_id, prompt, self.decode))
+        return ResponderRequest(self.template_id, prompt, self.decode)
+
+    def vote(self, subset: ExemplarSubset, query: str, rng: np.random.Generator) -> int:
+        response = self.transport(self.request(subset, query))
         text = str(response.get("text", "")).strip()
         for index, label in enumerate(self.labels):
             if text == label:
@@ -720,7 +717,7 @@ class ResponderEmbeddingOracle:
         self.canary_text = canary_text
         self.decode = decode
 
-    def embed(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator) -> np.ndarray:
+    def request(self, subset: Optional[ExemplarSubset], query: str) -> ResponderRequest:
         prompt = render_template(
             self.template,
             exemplar_context=format_exemplars(subset),
@@ -728,7 +725,10 @@ class ResponderEmbeddingOracle:
             Y1_TARGET=self.pair.y1_text,
             Y2_CONTROL=self.pair.y0_text,
         )
-        response = self.transport(ResponderRequest(self.template_id, prompt, self.decode))
+        return ResponderRequest(self.template_id, prompt, self.decode)
+
+    def embed(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator) -> np.ndarray:
+        response = self.transport(self.request(subset, query))
         if "emb" in response:
             return clip_to_unit(np.asarray(response["emb"], dtype=np.float64))
         text = str(response.get("text", "")).strip()

@@ -1,10 +1,10 @@
-"""Normal-distribution special functions and exact binomial confidence bounds.
+"""Normal-distribution special functions and confidence bounds on error rates.
 
 Everything here is a pure function of its arguments. The normal CDF is
 computed from the complementary error function, its logarithm by
-``scipy.special.log_ndtr``, the inverse CDF from a rational approximation
-refined by one Newton step, and the one-sided Clopper-Pearson upper bound by
-regularized-incomplete-beta inversion.
+``scipy.special.log_ndtr``, the inverse CDF by ``scipy.special.ndtri``, the
+one-sided Clopper-Pearson upper bound by regularized-incomplete-beta
+inversion, and the bounds of a DKW confidence band in closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -41,53 +40,31 @@ def log_std_normal_cdf(x: float) -> float:
     return float(special.log_ndtr(x))
 
 
-# Coefficients of Acklam's rational approximation to the normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((( _C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((( _C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return ((((( _A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
 def std_normal_inv_cdf(p: float) -> float:
-    """Inverse standard normal CDF.
+    """Inverse standard normal CDF, by ``scipy.special.ndtri``.
 
     The endpoints p in {0, 1} are out of domain; callers that can produce
-    degenerate probabilities must clamp before calling (the gdp module does).
+    degenerate probabilities must clamp before calling.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if p > 0.5:
-        # mirror the upper half: 1 - p is exact here (Sterbenz), and the
-        # Newton step below stays in the small-probability regime where
-        # Phi(x) - p carries no near-1 cancellation
-        return -std_normal_inv_cdf(1.0 - p)
-    x = _acklam(p)
-    # One Newton step against the erfc-based CDF pushes the rational
-    # approximation from ~1e-9 to full double precision.
-    pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-    if pdf > 0.0:
-        x -= (std_normal_cdf(x) - p) / pdf
-    return x
+    return float(special.ndtri(p))
+
+
+def band_upper_bound_array(errors: np.ndarray, trials: int, confidence: float) -> np.ndarray:
+    """The DKW band's upper bounds min(errors / trials + e, 1) on error rates.
+
+    By the one-sided Dvoretzky-Kiefer-Wolfowitz inequality with Massart's
+    constant, an empirical CDF of n draws exceeds the true one by more than
+    e somewhere with probability at most exp(-2 n e^2), and likewise falls
+    below it. With e = sqrt(ln(2 / (1 - confidence)) / (2 n)) that is
+    (1 - confidence) / 2, so the bounds of two arms hold together, at every
+    threshold at once, with probability ``confidence``. Returns a new
+    float64 array, which callers may overwrite.
+    """
+    bound = np.divide(errors, trials)
+    bound += math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+    return np.minimum(bound, 1.0, out=bound)
 
 
 def binom_upper_bound(successes: int, trials: int, confidence: float) -> float:
@@ -110,8 +87,7 @@ def binom_upper_bound(successes: int, trials: int, confidence: float) -> float:
 def binom_upper_bound_array(successes: np.ndarray, trials: int, confidence: float) -> np.ndarray:
     """Vectorized Clopper-Pearson upper bound via beta-quantile inversion.
 
-    Unchecked; :func:`binom_upper_bound` validates and calls it, and the
-    threshold sweep calls it once per error count it needs.
+    Unchecked; :func:`binom_upper_bound` validates and calls it.
     """
     s = np.asarray(successes, dtype=np.float64)
     out = np.ones_like(s)

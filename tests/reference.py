@@ -2,13 +2,13 @@
 
 Each function here deliberately avoids the package's own code path for the
 quantity it checks: quadrature instead of erfc, bisection on the CDF instead
-of a rational approximation, exact combinatorial tail sums instead of beta
-inversion, grid scans instead of bisection, a threshold sweep that counts
-each arm by binary search and evaluates the bound at every candidate instead
-of merging the arms and pruning, a bootstrap audit that holds each arm's
-noisy trials and candidate distances whole instead of streaming trial blocks,
-and a replay that parses one record per line into a dict store and looks up
-each (ctx, trial, partition) key in turn instead of gathering arrays.
+of ndtri, exact combinatorial tail sums instead of beta inversion, grid scans
+instead of bisection, a threshold sweep that counts each arm by binary search
+at every candidate instead of merging the arms, a bootstrap audit that holds
+each arm's noisy trials and candidate distances whole instead of streaming
+trial blocks, and a replay that parses one record per line into a dict store
+and looks up each (ctx, trial, partition) key in turn instead of gathering
+arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +33,13 @@ from dpicl_audit.audit import (
     mechanism_sigma,
     sweep_threshold,
 )
-from dpicl_audit.gdp import AttackCounts, audit_epsilon, eps_emp_dp
+from dpicl_audit.gdp import (
+    AttackCounts,
+    ErrorBounds,
+    audit_epsilon,
+    eps_emp_dp,
+    estimate_from_bounds,
+)
 from dpicl_audit.mechanisms import VoteVector
 from dpicl_audit.oracles import (
     CTX_WITH,
@@ -42,7 +48,6 @@ from dpicl_audit.oracles import (
     OracleRecord,
     SignalPair,
 )
-from dpicl_audit.stats import binom_upper_bound_array
 
 
 def normal_cdf_quad(x: float) -> float:
@@ -66,6 +71,14 @@ def normal_log_cdf_mp(x: float) -> float:
 
     with mpmath.workdps(60):
         return float(mpmath.log(mpmath.ncdf(x)))
+
+
+def normal_quantile_mp(p: float) -> float:
+    """Phi^-1(p) at 60-digit precision, as sqrt(2) erfinv(2p - 1)."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
 
 
 def inv_cdf_bisect(p: float, cdf) -> float:
@@ -145,25 +158,16 @@ def candidate_thresholds_bruteforce(w: np.ndarray, wo: np.ndarray) -> np.ndarray
     return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
 
 
-def sweep_threshold_bruteforce(
-    stats_with: Sequence[float],
-    stats_without: Sequence[float],
-    confidence: float,
-    rule: str = "greater",
-) -> tuple[float, AttackCounts]:
-    """The threshold sweep evaluating the mu lower bound at every candidate."""
-    w = np.asarray(stats_with, dtype=np.float64)
-    wo = np.asarray(stats_without, dtype=np.float64)
-    if w.size == 0 or wo.size == 0:
-        raise ValueError("both statistic lists must be non-empty")
-    if not (np.isfinite(w).all() and np.isfinite(wo).all()):
-        raise ValueError("statistics must be finite")
-
+def band_mu_bruteforce(w: np.ndarray, wo: np.ndarray, confidence: float, rule: str):
+    """Every candidate threshold, its TP, FP and FN counts, the band's bounds
+    on its error rates and the unclamped mu they give."""
     thresholds = candidate_thresholds_bruteforce(w, wo)
     tp, fp = _counts_for_rule(w, wo, thresholds, rule)
     fn = w.size - tp
-    alpha_bar = binom_upper_bound_array(fp, wo.size, confidence)
-    beta_bar = binom_upper_bound_array(fn, w.size, confidence)
+    # the one-sided DKW band with Massart's constant, (1 - confidence) / 2 per arm
+    log_term = math.log(2.0 / (1.0 - confidence))
+    alpha_bar = np.minimum(fp / wo.size + math.sqrt(log_term / (2.0 * wo.size)), 1.0)
+    beta_bar = np.minimum(fn / w.size + math.sqrt(log_term / (2.0 * w.size)), 1.0)
 
     # rank on the unclamped bound so an informative threshold always beats
     # the degenerate accept-all/reject-all sentinels; saturated bounds rank
@@ -171,7 +175,24 @@ def sweep_threshold_bruteforce(
     mu = np.full_like(alpha_bar, -np.inf)
     open_mask = (alpha_bar < 1.0) & (beta_bar < 1.0)
     mu[open_mask] = special.ndtri(1.0 - beta_bar[open_mask]) - special.ndtri(alpha_bar[open_mask])
+    return thresholds, tp, fp, fn, alpha_bar, beta_bar, mu
 
+
+def sweep_threshold_bruteforce(
+    stats_with: Sequence[float],
+    stats_without: Sequence[float],
+    confidence: float,
+    rule: str = "greater",
+) -> tuple[float, AttackCounts, ErrorBounds]:
+    """The threshold sweep evaluating the band's mu at every candidate."""
+    w = np.asarray(stats_with, dtype=np.float64)
+    wo = np.asarray(stats_without, dtype=np.float64)
+    if w.size == 0 or wo.size == 0:
+        raise ValueError("both statistic lists must be non-empty")
+    if not (np.isfinite(w).all() and np.isfinite(wo).all()):
+        raise ValueError("statistics must be finite")
+
+    thresholds, tp, fp, fn, alpha_bar, beta_bar, mu = band_mu_bruteforce(w, wo, confidence, rule)
     best = int(np.argmax(mu))  # first maximum = smallest tau
     counts = AttackCounts(
         true_positives=int(tp[best]),
@@ -179,7 +200,9 @@ def sweep_threshold_bruteforce(
         false_negatives=int(fn[best]),
         true_negatives=int(wo.size - fp[best]),
     )
-    return float(thresholds[best]), counts
+    bounds = ErrorBounds(alpha_bar=float(alpha_bar[best]), beta_bar=float(beta_bar[best]),
+                         confidence=confidence)
+    return float(thresholds[best]), counts, bounds
 
 
 def _noisy_matrix(clean: np.ndarray, sigma: float, n_sample: int, seed: int,
@@ -261,12 +284,14 @@ def bootstrap_audit_full_matrix(
             false_negatives=config.n_sample - tp,
             true_negatives=config.n_sample - fp,
         )
+        estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     else:
         rule = "greater" if config.task == "classification" else "less_equal"
-        tau, counts = sweep_threshold(_whitebox_statistic_full(noisy_with, config, signal_pair),
-                                      _whitebox_statistic_full(noisy_without, config, signal_pair),
-                                      config.confidence, rule)
-    estimate = audit_epsilon(counts, config.confidence, config.delta_target)
+        tau, counts, bounds = sweep_threshold(
+            _whitebox_statistic_full(noisy_with, config, signal_pair),
+            _whitebox_statistic_full(noisy_without, config, signal_pair),
+            config.confidence, rule)
+        estimate = estimate_from_bounds(bounds, config.delta_target)
     eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,

@@ -155,6 +155,22 @@ class TestConfigHandling:
                                 env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_audits_do_not_import_scipy_optimize(self, tmp_path):
+        # importing scipy.optimize costs about 0.2 s, several times a small
+        # audit; the eps conversion bisects instead, and only convert --eps
+        # imports it
+        path = write_config(tmp_path)
+        script = ("import sys\n"
+                  "from dpicl_audit import cli\n"
+                  "for threat in ('white_box', 'black_box'):\n"
+                  f"    assert cli.main(['audit', '--config', {str(path)!r},\n"
+                  "                     '--set', 'threat_model=' + threat]) == 0\n"
+                  "print('scipy.optimize' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert result.stdout.strip().splitlines()[-1] == "False"
+
     def test_start_up_heap_is_frozen_once(self, tmp_path):
         # importing the CLI freezes what start-up left for the collector, and
         # no command freezes more (frozen objects freed by refcount leave the
@@ -239,6 +255,30 @@ class TestCollect:
         lines = requests_file.read_text().splitlines()
         assert len(lines) == 5 * 4 * 2
         assert set(json.loads(lines[0])) == {"template_id", "rendered_prompt", "decode"}
+
+    @pytest.mark.parametrize("task", ["classification", "generation"])
+    def test_emitted_batch_is_the_request_log(self, tmp_path, capsys, task):
+        # the batch holds exactly the requests a file-responder run of the
+        # same config issues, generation's prompt and template included
+        responses = tmp_path / "responses.jsonl"
+        answer = {"text": "yes"} if task == "classification" else {"emb": [1.0] + [0.0] * 15}
+        responses.write_text((json.dumps(answer) + "\n") * (3 * 4 * 2))
+        log = tmp_path / "requests.log.jsonl"
+        extra = {} if task == "classification" else {
+            "mechanism": {"eps_theory": 8.0, "delta": 1e-5, "num_partitions": 4,
+                          "sensitivity_mode": "esa_tight"},
+            "signal_pair": {"distance": 0.7476, "dimension": 16}}
+        oracle = {"kind": "responder_file", "responses_path": str(responses),
+                  "requests_log_path": str(log)}
+        path = write_config(tmp_path, task=task, audit={"n_llm": 3, "n_sample": 100},
+                            oracle=oracle, **extra)
+        assert main(["collect", "--config", str(path)]) == 0
+        assert main(["collect", "--config", str(path),
+                     "--set", "oracle.emit_requests_only=true"]) == 0
+        emitted = (tmp_path / "out" / "records.requests.jsonl").read_text()
+        assert emitted == log.read_text()
+        template = "audit_classification" if task == "classification" else "audit_generation_blackbox"
+        assert {json.loads(line)["template_id"] for line in emitted.splitlines()} == {template}
 
 
 class TestAudit:

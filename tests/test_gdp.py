@@ -16,7 +16,7 @@ from dpicl_audit.gdp import (
     mu_from_eps_delta,
     mu_lower,
 )
-from dpicl_audit.stats import std_normal_cdf, std_normal_inv_cdf
+from dpicl_audit.stats import binom_upper_bound, std_normal_cdf, std_normal_inv_cdf
 
 from reference import eps_grid_scan
 
@@ -147,8 +147,6 @@ class TestEpsEmpDp:
         assert eps_emp_dp(0.9, 0.1) == pytest.approx(math.log(9.0), abs=1e-12)
 
     def test_composed_with_cp_bound(self):
-        from dpicl_audit.stats import binom_upper_bound
-
         fpr = binom_upper_bound(0, 100, 0.95)
         assert eps_emp_dp(1.0, fpr) == pytest.approx(3.523, abs=1e-3)
 
@@ -181,10 +179,12 @@ class TestAuditEpsilon:
         assert estimate.eps_emp == 0.0
 
     def test_perfect_attack_regression(self):
-        # frozen by composing the CP, inverse-CDF and grid-scan oracles
+        # frozen by composing the CP (at (1 + 0.95) / 2 = 0.975 per bound),
+        # inverse-CDF and grid-scan oracles; with each bound at 0.95 they gave
+        # mu 8.347584445 and eps 69.636366
         estimate = audit_epsilon(AttackCounts(200_000, 0, 0, 200_000), 0.95, 1e-5)
-        assert estimate.mu_lower == pytest.approx(8.347584445, abs=1e-6)
-        assert estimate.eps_emp == pytest.approx(69.636366, abs=1e-4)
+        assert estimate.mu_lower == pytest.approx(8.252302708, abs=1e-6)
+        assert estimate.eps_emp == pytest.approx(68.440866, abs=1e-4)
         assert not estimate.eps_unbounded
 
     def test_more_samples_tighten_perfect_attack(self):
@@ -199,6 +199,8 @@ class TestAuditEpsilon:
         assert isinstance(estimate, GdpEstimate)
         assert 0.2 < estimate.alpha_bar < 0.35
         assert 0.2 < estimate.beta_bar < 0.35
+        # each bound at (1 + gamma) / 2, so that both hold together at gamma
+        assert estimate.alpha_bar == binom_upper_bound(20, 100, 0.975)
         assert estimate.confidence == 0.95
         assert estimate.delta_target == 1e-5
 

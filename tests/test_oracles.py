@@ -421,7 +421,8 @@ class TestFileTransport:
     def test_batch_round_trip(self, tmp_path):
         pair = make_pair(4)
         requests_path = tmp_path / "requests.jsonl"
-        count = emit_requests(requests_path, pair, "CANARY", 2, 2, "audit_classification")
+        renderer = ResponderVoteOracle(None, "audit_classification", ("Yes", "No"), "CANARY")
+        count = emit_requests(requests_path, renderer, pair, "CANARY", 2, 2)
         assert count == 2 * 2 * 2  # hypotheses x trials x partitions
         requests = [json.loads(line) for line in requests_path.read_text().splitlines()]
         assert set(requests[0]) == {"template_id", "rendered_prompt", "decode"}

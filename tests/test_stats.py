@@ -19,6 +19,7 @@ from reference import (
     inv_cdf_bisect,
     normal_cdf_quad,
     normal_log_cdf_mp,
+    normal_quantile_mp,
     normal_tail_asymptotic,
 )
 
@@ -66,6 +67,13 @@ class TestStdNormalInvCdf:
         oracle = inv_cdf_bisect(0.975, std_normal_cdf)
         assert abs(std_normal_inv_cdf(0.975) - oracle) <= 1e-5
         assert abs(std_normal_inv_cdf(0.975) - 1.959964) <= 1e-5
+
+    def test_relative_error_against_mpmath(self):
+        # a few ulps across the body of the distribution
+        for p in np.linspace(0.01, 0.99, 197):
+            want = normal_quantile_mp(float(p))
+            if want != 0.0:
+                assert abs(std_normal_inv_cdf(float(p)) - want) <= 2e-15 * abs(want), p
 
     @given(st.floats(min_value=1e-9, max_value=0.5))
     def test_antisymmetry(self, p):
@@ -119,8 +127,7 @@ class TestBinomUpperBound:
 
     @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999999])
     def test_array_strictly_increasing_to_one(self, confidence):
-        # the threshold sweep brackets each candidate's bound between the
-        # bounds at neighbouring counts, which relies on this order
+        # a bound on a rate must grow with the count it bounds
         for trials in [*range(1, 65), 1000, 20000]:
             bounds = binom_upper_bound_array(np.arange(trials + 1), trials, confidence)
             assert np.all(np.diff(bounds) > 0), trials
