@@ -29,7 +29,6 @@ from .mechanisms import (
     ExemplarContext,
     MechanismConfig,
     NeighboringPair,
-    VoteVector,
     esa_noise_scale,
     esa_select,
     esa_sensitivity,
@@ -42,7 +41,6 @@ from .oracles import (
     CanaryDetectorConfig,
     CanaryDetectorEmbeddingOracle,
     CanaryDetectorVoteOracle,
-    OracleRecord,
     ReplayOracle,
     SignalPair,
     collect,
@@ -64,11 +62,9 @@ __all__ = [
     "GdpEstimate",
     "MechanismConfig",
     "NeighboringPair",
-    "OracleRecord",
     "ReplayOracle",
     "SignalPair",
     "VotePattern",
-    "VoteVector",
     "analytic_rates",
     "audit_epsilon",
     "binom_upper_bound",

@@ -27,7 +27,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -46,7 +46,6 @@ from .gdp import (
 from .mechanisms import (
     MechanismConfig,
     NeighboringPair,
-    VoteVector,
     esa_noise_scale,
     voting_noise_scale,
 )
@@ -296,13 +295,11 @@ def sweep_threshold(
 # Bootstrap audit
 # ---------------------------------------------------------------------------
 
-def _clean_matrix(clean: Sequence, task: str) -> np.ndarray:
+def _clean_matrix(clean: Sequence) -> np.ndarray:
     """The clean aggregates as one float64 row each: a 2-D array as it is
-    (``collect``'s form), or a list of ``VoteVector``s or vectors."""
+    (``collect``'s form), or a sequence of vote counts or mean embeddings."""
     if len(clean) == 0:
         raise ValueError("clean response list is empty")
-    if task == "classification" and not isinstance(clean, np.ndarray):
-        clean = [v.counts if isinstance(v, VoteVector) else tuple(v) for v in clean]
     return np.asarray(clean, dtype=np.float64)
 
 
@@ -338,7 +335,7 @@ def generate_noisy_samples(
 
     These are the trial blocks that ``bootstrap_audit`` streams, stacked.
     """
-    matrix = _clean_matrix(clean, config.task)
+    matrix = _clean_matrix(clean)
     sigma = mechanism_sigma(config)
     sizes = _block_sizes(config.n_sample)
     return np.concatenate(map_in_order(
@@ -406,7 +403,7 @@ def bootstrap_audit(
                                                           signal_pair.y0_embedding]
         pool_classes = _classify_pool(signal_pair, pool)
     sigma = mechanism_sigma(config)
-    arms = (_clean_matrix(clean_with, config.task), _clean_matrix(clean_without, config.task))
+    arms = (_clean_matrix(clean_with), _clean_matrix(clean_without))
     sizes = _block_sizes(config.n_sample)
 
     def kernel(block: tuple[int, int]):
@@ -494,7 +491,4 @@ def run_audit(
     _check_collection(collection, config, signal_pair)
     report = bootstrap_audit(collection.clean_with, collection.clean_without, config,
                              signal_pair=signal_pair, candidates=candidates, workers=workers)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return AuditReport(counts=report.counts, estimate=report.estimate,
-                       eps_emp_point=report.eps_emp_point, config=config,
-                       tau=report.tau, wall_ms=wall_ms)
+    return replace(report, wall_ms=(time.perf_counter() - start) * 1000.0)

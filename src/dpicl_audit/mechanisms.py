@@ -2,14 +2,18 @@
 
 Private voting: partition the exemplar context, collect one class vote per
 partition, add Gaussian noise to the vote histogram, release the noisy
-argmax. Embedding aggregation: average per-partition output embeddings, add
-Gaussian noise to the mean, release the nearest candidate.
+argmax. Embedding aggregation: average the per-partition output embeddings,
+each clipped to the unit ball, add Gaussian noise to the mean, release the
+nearest candidate.
 
-Both release through one Gaussian perturbation of a block of clean
-aggregates (`gaussian_release`); voting then takes each row's argmax
-(`vote_select`) and embedding aggregation each row's nearest candidate
-(`esa_select`). The audit's trial kernel calls these and nothing else to
-noise and release, so a fault here moves its reports.
+Both release in three stages: aggregate, noise, select. `aggregate` turns
+each trial's per-partition responses into its clean aggregate (vote counts,
+or the mean of the clipped embeddings); `gaussian_release` perturbs a block
+of clean aggregates; voting then takes each row's argmax (`vote_select`) and
+embedding aggregation each row's nearest candidate (`esa_select`).
+`oracles.collect` aggregates with the first, and the audit's trial kernel
+calls the others and nothing else to noise and release, so a fault here
+moves its reports.
 
 Noise calibration follows sigma = Delta * sqrt(log(1.25/delta)) / eps with a
 natural logarithm. Note the classical Gaussian-mechanism calibration carries
@@ -117,22 +121,6 @@ class ExemplarSubset:
 
 
 @dataclass(frozen=True)
-class VoteVector:
-    """Per-class vote counts aggregated over the partitions."""
-
-    counts: tuple[int, ...]
-    num_partitions: int
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError("vote counts must be non-negative")
-        if sum(self.counts) != self.num_partitions:
-            raise ValueError(
-                f"vote counts must sum to the partition count {self.num_partitions}, got {sum(self.counts)}"
-            )
-
-
-@dataclass(frozen=True)
 class MechanismConfig:
     eps_theory: float
     delta: float
@@ -226,6 +214,28 @@ def esa_noise_scale(config: MechanismConfig) -> float:
     return gaussian_sigma(sensitivity, config.eps_theory, config.delta, config.classic_calibration)
 
 
+def clip_to_unit(vectors: np.ndarray) -> np.ndarray:
+    """Scale each vector along the last axis down to the unit ball; vectors
+    already inside are divided by exactly 1.0, so they pass through bit for bit."""
+    v = np.asarray(vectors, dtype=np.float64)
+    return v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1.0)
+
+
+def aggregate(responses: np.ndarray, num_classes: Optional[int]) -> np.ndarray:
+    """Each trial's clean aggregate, the release's first stage: from (n_llm, T)
+    votes the (n_llm, num_classes) vote counts, from (n_llm, T, d) partition
+    embeddings the (n_llm, d) mean of the embeddings clipped to the unit ball.
+
+    The clip is what bounds the mean's sensitivity by 2/T (``esa_sensitivity``),
+    whatever norm the model returned. Votes must lie in [0, num_classes).
+    """
+    if responses.ndim == 3:
+        return clip_to_unit(responses).mean(axis=1)
+    trials = responses.shape[0]
+    slots = responses + num_classes * np.arange(trials)[:, None]
+    return np.bincount(slots.ravel(), minlength=trials * num_classes).reshape(trials, num_classes)
+
+
 def gaussian_release(clean: np.ndarray, rows: np.ndarray, sigma: float,
                      rng: np.random.Generator) -> np.ndarray:
     """The clean aggregates ``clean[rows]`` (vote histograms or mean
@@ -252,15 +262,6 @@ def vote_select(noisy: np.ndarray) -> np.ndarray:
     noise; determinism matters for sigma = 0).
     """
     return np.argmax(noisy, axis=1)
-
-
-def clip_to_unit(vector: np.ndarray) -> np.ndarray:
-    """Scale a vector down to the unit ball; vectors already inside pass through."""
-    v = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm > 1.0:
-        return v / norm
-    return v
 
 
 def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:

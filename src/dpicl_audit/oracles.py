@@ -11,10 +11,12 @@ Three oracle families produce the raw material the audit resamples:
   endpoint, then map the returned text onto a class or signal embedding.
 
 `collect` runs the partition-and-query pipeline for both neighboring
-contexts. It holds each context's per-partition responses as one array, and
-returns them with their per-trial aggregates: the clean vote counts
-(classification) or clean mean embeddings (generation), one row per trial.
-The per-partition records are written straight from the arrays.
+contexts. It holds each context's per-partition responses as one array, as
+the oracle returned them, and returns them with their per-trial aggregates
+from ``mechanisms.aggregate``, the first stage of the release (aggregate ->
+noise -> select): the clean vote counts (classification) or the mean of the
+unit-clipped embeddings (generation), one row per trial. The per-partition
+records are written straight from the arrays, unclipped.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import mechanisms
 from .mechanisms import (
     ExemplarSubset,
     NeighboringPair,
@@ -74,19 +77,6 @@ class CanaryDetectorConfig:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-
-def canary_detector_vote(
-    subset: ExemplarSubset,
-    query: str,
-    config: CanaryDetectorConfig,
-    rng: np.random.Generator,
-) -> int:
-    """Vote "yes" iff the canary is in the subset, then flip with p_flip."""
-    saw_canary = subset.contains_canary
-    if config.flip_probability > 0.0 and rng.random() < config.flip_probability:
-        saw_canary = not saw_canary
-    return config.yes_index if saw_canary else config.no_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,25 +140,8 @@ def catalog_distances() -> tuple[float, ...]:
     return tuple(entry["l2_distance"] for entry in load_signal_catalog())
 
 
-def canary_detector_embedding(
-    subset: Optional[ExemplarSubset],
-    query: str,
-    pair: SignalPair,
-    zero_shot: bool,
-    config: CanaryDetectorConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Emit y1's embedding on canary sightings, y0's otherwise; coin-flip zero-shot."""
-    if zero_shot or subset is None:
-        return pair.y1_embedding if rng.random() < 0.5 else pair.y0_embedding
-    saw_canary = subset.contains_canary
-    if config.flip_probability > 0.0 and rng.random() < config.flip_probability:
-        saw_canary = not saw_canary
-    return pair.y1_embedding if saw_canary else pair.y0_embedding
-
-
 class CanaryDetectorVoteOracle:
-    """VoteOracle wrapper around :func:`canary_detector_vote`."""
+    """Votes "yes" iff the canary is in the subset, then flips with p_flip."""
 
     def __init__(self, config: CanaryDetectorConfig | None = None):
         self.config = config or CanaryDetectorConfig()
@@ -178,44 +151,27 @@ class CanaryDetectorVoteOracle:
         return self.config.num_classes
 
     def vote(self, subset: ExemplarSubset, query: str, rng: np.random.Generator) -> int:
-        return canary_detector_vote(subset, query, self.config, rng)
+        saw_canary = subset.contains_canary
+        if self.config.flip_probability > 0.0 and rng.random() < self.config.flip_probability:
+            saw_canary = not saw_canary
+        return self.config.yes_index if saw_canary else self.config.no_index
 
 
 class CanaryDetectorEmbeddingOracle:
-    """EmbeddingOracle wrapper; zero-shot calls pass subset=None."""
+    """Emits y1's embedding on canary sightings, y0's otherwise, then flips
+    with p_flip; a zero-shot call (subset=None) flips a fair coin."""
 
     def __init__(self, pair: SignalPair, config: CanaryDetectorConfig | None = None):
         self.pair = pair
         self.config = config or CanaryDetectorConfig()
 
     def embed(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator) -> np.ndarray:
-        return canary_detector_embedding(subset, query, self.pair, subset is None, self.config, rng)
-
-
-@dataclass(frozen=True)
-class OracleRecord:
-    """One recorded clean response, the bootstrap resampling atom.
-
-    Wire format is one JSON object per line with exactly the fields
-    {ctx, trial, part, vote} or {ctx, trial, part, emb}.
-    """
-
-    ctx: str
-    trial: int
-    part: int
-    vote: Optional[int] = None
-    emb: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.ctx not in (CTX_WITH, CTX_WITHOUT):
-            raise ValueError(f"ctx must be '{CTX_WITH}' or '{CTX_WITHOUT}', got {self.ctx!r}")
-        if (self.vote is None) == (self.emb is None):
-            raise ValueError("record must carry exactly one of vote or emb")
-
-    def to_json(self) -> str:
-        if self.vote is not None:
-            return _record_line(self.ctx, self.trial, self.part, "vote", self.vote)
-        return _record_line(self.ctx, self.trial, self.part, "emb", list(self.emb))
+        if subset is None:
+            return self.pair.y1_embedding if rng.random() < 0.5 else self.pair.y0_embedding
+        saw_canary = subset.contains_canary
+        if self.config.flip_probability > 0.0 and rng.random() < self.config.flip_probability:
+            saw_canary = not saw_canary
+        return self.pair.y1_embedding if saw_canary else self.pair.y0_embedding
 
 
 # The one encoder of record values: what json.dumps(..., separators=(",", ":"))
@@ -233,20 +189,10 @@ def _record_line(ctx: str, trial: int, part: int, kind: str, value) -> str:
     return f'{{"ctx":"{ctx}","trial":{trial},"part":{part},"{kind}":{_encode(value)}}}'
 
 
-def write_records(path: Union[str, Path], records: Iterable[OracleRecord]) -> int:
-    """Append records as line-delimited JSON; returns the number written."""
-    count = 0
-    with open(path, "a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_json() + "\n")
-            count += 1
-    return count
-
-
 def _write_responses(path: Union[str, Path], responses: dict[str, np.ndarray]) -> None:
-    """Append the records of ``collect``'s per-partition responses, in
-    (ctx, trial, part) order, each line formatted straight from the arrays:
-    the lines ``write_records`` writes for ``CleanCollection.records``."""
+    """Append the records of ``collect``'s per-partition responses, one
+    ``_record_line`` per (ctx, trial, part) in that order, formatted straight
+    from the arrays."""
     with open(path, "a", encoding="utf-8") as handle:
         for ctx, grid in responses.items():
             kind = "vote" if grid.ndim == 2 else "emb"
@@ -256,12 +202,12 @@ def _write_responses(path: Union[str, Path], responses: dict[str, np.ndarray]) -
 
 
 def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[np.ndarray]:
-    """Candidate pool from zero-shot oracle calls (no exemplar context)."""
+    """Candidate pool from zero-shot oracle calls (no exemplar context), each
+    clipped to the unit ball as the mechanism clips the partition embeddings."""
     if pool_size < 1:
         raise ValueError("pool_size must be positive")
     rng = np.random.default_rng([seed, 201])
-    return [np.asarray(oracle.embed(None, query, rng), dtype=np.float64)
-            for _ in range(pool_size)]
+    return [clip_to_unit(oracle.embed(None, query, rng)) for _ in range(pool_size)]
 
 
 @dataclass
@@ -271,7 +217,7 @@ class CleanCollection:
     ``responses`` maps each ctx to its per-partition responses, (n_llm, T)
     votes or (n_llm, T, d) embeddings; ``clean_with`` and ``clean_without``
     are their per-trial aggregates, (n_llm, classes) vote counts or (n_llm, d)
-    mean embeddings. The records behind them are built only when read.
+    mean embeddings.
     """
 
     task: str  # "classification" | "generation"
@@ -279,17 +225,6 @@ class CleanCollection:
     clean_without: np.ndarray
     responses: dict[str, np.ndarray]
     failures: int = 0
-
-    @property
-    def records(self) -> list[OracleRecord]:
-        """One record per (ctx, trial, part), in that order."""
-        votes = self.task == "classification"
-        return [OracleRecord(ctx=ctx, trial=trial, part=part, vote=value) if votes
-                else OracleRecord(ctx=ctx, trial=trial, part=part, emb=tuple(value))
-                for ctx, grid in self.responses.items()
-                for trial, row in enumerate(grid.tolist())
-                for part, value in enumerate(row)]
-
 
 # ctx field -> the code a ReplayOracle keeps per record
 _CTX_CODES = {CTX_WITH: 0, CTX_WITHOUT: 1}
@@ -431,20 +366,6 @@ def _trial_rng(seed: int, ctx: str, trial: int, attempt: int) -> np.random.Gener
     return np.random.default_rng([seed, _ARM_CODES[ctx], trial, attempt])
 
 
-def _aggregate(responses: np.ndarray, num_classes: Optional[int]) -> np.ndarray:
-    """Each trial's clean aggregate: from (n_llm, T) votes the (n_llm,
-    num_classes) vote counts, from (n_llm, T, d) embeddings the (n_llm, d) mean."""
-    if responses.ndim == 3:
-        return responses.mean(axis=1)
-    outside = (responses < 0) | (responses >= num_classes)
-    if outside.any():
-        raise OracleError(f"vote {responses.flat[np.argmax(outside)]} outside the "
-                          f"{num_classes}-class label set")
-    trials = responses.shape[0]
-    slots = responses + num_classes * np.arange(trials)[:, None]
-    return np.bincount(slots.ravel(), minlength=trials * num_classes).reshape(trials, num_classes)
-
-
 def collect(
     oracle,
     pair: NeighboringPair,
@@ -453,7 +374,6 @@ def collect(
     n_llm: int,
     *,
     seed: int = 0,
-    num_classes: Optional[int] = None,
     records_path: Optional[Union[str, Path]] = None,
     workers: int = 1,
     retry_budget: int = 0,
@@ -461,9 +381,10 @@ def collect(
 ) -> CleanCollection:
     """Run the partition-and-query pipeline n_llm times per hypothesis, no DP noise.
 
-    Each arm's responses form one array, aggregated at once; a replay serves
-    it from its records with one lookup, a live oracle is called once per
-    partition and trial. Oracle failures are retried at the same trial index
+    Each arm's responses form one array, aggregated at once by
+    ``mechanisms.aggregate``; a replay serves it from its records with one
+    lookup, a live oracle is called once per partition and trial. A vote
+    outside the oracle's label set raises OracleError. Oracle failures are retried at the same trial index
     with a fresh derived stream, each retry consuming the shared budget; an
     exhausted budget aborts the arm. Records are canonicalized by
     (hypothesis, trial, partition) so output files are deterministic
@@ -484,11 +405,7 @@ def collect(
     else:
         raise TypeError("oracle must expose vote(), embed(), or be a ReplayOracle")
 
-    if task == "classification":
-        if num_classes is None:
-            num_classes = getattr(oracle, "num_classes", None)
-        if num_classes is None:
-            raise ValueError("num_classes is required for vote oracles that do not declare it")
+    num_classes = oracle.num_classes if task == "classification" else None
 
     responses: dict[str, np.ndarray] = {}
     clean: dict[str, np.ndarray] = {}
@@ -519,8 +436,15 @@ def collect(
         else:
             per_trial = map_in_order(run_trial, range(n_llm), workers)
             grid = np.array(per_trial, dtype=np.int64 if task == "classification" else np.float64)
+        if task == "classification":
+            outside = (grid < 0) | (grid >= num_classes)
+            if outside.any():
+                raise OracleError(f"vote {grid.flat[np.argmax(outside)]} outside the "
+                                  f"{num_classes}-class label set")
         responses[ctx_label] = grid
-        clean[ctx_label] = _aggregate(grid, num_classes)
+        # looked up on the module at each call, so the aggregate is the one
+        # ``mechanisms`` holds, substitutes included
+        clean[ctx_label] = mechanisms.aggregate(grid, num_classes)
 
     collection = CleanCollection(task=task, clean_with=clean[CTX_WITH],
                                  clean_without=clean[CTX_WITHOUT], responses=responses,
@@ -730,7 +654,7 @@ class ResponderEmbeddingOracle:
     def embed(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator) -> np.ndarray:
         response = self.transport(self.request(subset, query))
         if "emb" in response:
-            return clip_to_unit(np.asarray(response["emb"], dtype=np.float64))
+            return np.asarray(response["emb"], dtype=np.float64)
         text = str(response.get("text", "")).strip()
         if text == self.pair.y1_text:
             return self.pair.y1_embedding

@@ -6,9 +6,9 @@ of ndtri, exact combinatorial tail sums instead of beta inversion, grid scans
 instead of bisection, a threshold sweep that counts each arm by binary search
 at every candidate instead of merging the arms, a bootstrap audit that holds
 each arm's noisy trials and candidate distances whole instead of streaming
-trial blocks, and a replay that parses one record per line into a dict store
-and looks up each (ctx, trial, partition) key in turn instead of gathering
-arrays.
+trial blocks, and a replay that parses one record per line into a dict store,
+looks up each (ctx, trial, partition) key in turn and clips each embedding
+alone instead of gathering and clipping arrays.
 """
 
 from __future__ import annotations
@@ -40,12 +40,10 @@ from dpicl_audit.gdp import (
     eps_emp_dp,
     estimate_from_bounds,
 )
-from dpicl_audit.mechanisms import VoteVector
 from dpicl_audit.oracles import (
     CTX_WITH,
     CTX_WITHOUT,
     OracleError,
-    OracleRecord,
     SignalPair,
 )
 
@@ -269,9 +267,9 @@ def bootstrap_audit_full_matrix(
     """The audit on whole arms: every noisy trial, then every decision."""
     start = time.perf_counter()
     sigma = mechanism_sigma(config)
-    noisy_with = _noisy_matrix(_clean_matrix(clean_with, config.task), sigma, config.n_sample,
+    noisy_with = _noisy_matrix(_clean_matrix(clean_with), sigma, config.n_sample,
                                config.seed, 0, workers)
-    noisy_without = _noisy_matrix(_clean_matrix(clean_without, config.task), sigma,
+    noisy_without = _noisy_matrix(_clean_matrix(clean_without), sigma,
                                   config.n_sample, config.seed, 1, workers)
 
     tau: Optional[float] = None
@@ -298,40 +296,47 @@ def bootstrap_audit_full_matrix(
                        config=config, tau=tau, wall_ms=wall_ms)
 
 
-def record_from_json(line: str) -> OracleRecord:
-    """One record from one JSON line: the per-record parse."""
-    payload = json.loads(line)
-    emb = payload.get("emb")
-    return OracleRecord(
-        ctx=payload["ctx"],
-        trial=int(payload["trial"]),
-        part=int(payload["part"]),
-        vote=payload.get("vote"),
-        emb=tuple(float(x) for x in emb) if emb is not None else None,
-    )
-
-
-def read_records(path: Union[str, Path]) -> list[OracleRecord]:
-    records = []
+def read_records(path: Union[str, Path]) -> list[dict]:
+    """The records of a records file, one ``json.loads`` per non-blank line."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(record_from_json(line))
-    return records
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+def record_lines(records: Iterable[dict]) -> str:
+    """Records as a records file holds them: one compact JSON object per line."""
+    return "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
+
+
+def scale_canary_partition(source: Union[str, Path], target: Union[str, Path],
+                           scale: float, part: int = 0) -> None:
+    """Copy a records file of embeddings, with every embedding that partition
+    ``part`` of the canary context returned multiplied by ``scale``: a model
+    that answers over-norm where it sees the canary."""
+    records = read_records(source)
+    for record in records:
+        if record["ctx"] == CTX_WITH and record["part"] == part:
+            record["emb"] = [scale * x for x in record["emb"]]
+    Path(target).write_text(record_lines(records), encoding="utf-8")
+
+
+def clip_one(vector: np.ndarray) -> np.ndarray:
+    """One embedding scaled onto the unit sphere if its norm exceeds 1, else
+    itself; the norm is the square root of the summed squares."""
+    norm = np.sqrt(np.add.reduce(vector * vector))
+    return vector / norm if norm > 1.0 else vector
 
 
 class DictReplayOracle:
     """Serves recorded responses keyed by (ctx, trial, partition)."""
 
-    def __init__(self, records: Iterable[OracleRecord]):
-        self._store: dict[tuple[str, int, int], OracleRecord] = {}
+    def __init__(self, records: Iterable[dict]):
+        self._store: dict[tuple[str, int, int], dict] = {}
         kinds = set()
         trials: dict[str, set[int]] = {CTX_WITH: set(), CTX_WITHOUT: set()}
         for record in records:
-            self._store[(record.ctx, record.trial, record.part)] = record
-            kinds.add("vote" if record.vote is not None else "emb")
-            trials[record.ctx].add(record.trial)
+            self._store[(record["ctx"], record["trial"], record["part"])] = record
+            kinds.add("vote" if "vote" in record else "emb")
+            trials[record["ctx"]].add(record["trial"])
         if not self._store:
             raise OracleError("no records to replay")
         if len(kinds) != 1:
@@ -350,25 +355,26 @@ class DictReplayOracle:
     def num_classes(self) -> int:
         if self.kind != "vote":
             raise OracleError("replay stream holds embeddings, not votes")
-        return max(r.vote for r in self._store.values()) + 1
+        return max(r["vote"] for r in self._store.values()) + 1
 
     def replay(self, ctx: str, trial: int, part: int):
         try:
             record = self._store[(ctx, trial, part)]
         except KeyError:
             raise OracleError(f"no recorded response for ({ctx}, trial={trial}, part={part})") from None
-        return record.vote if record.vote is not None else np.asarray(record.emb, dtype=np.float64)
+        return record["vote"] if "vote" in record else np.asarray(record["emb"], dtype=np.float64)
 
 
 def collect_replay(oracle: DictReplayOracle, num_partitions: int, n_llm: int,
-                   num_classes: Optional[int] = None) -> tuple[list, list, list[OracleRecord]]:
+                   num_classes: Optional[int] = None) -> tuple[list, list, list[dict]]:
     """The replay branch of ``collect``, one key at a time: each arm's clean
-    ``VoteVector``s or mean embeddings, then the records behind them."""
+    vote counts or means of the unit-clipped embeddings, then the records
+    behind them, as replayed."""
     task = "classification" if oracle.kind == "vote" else "generation"
     if task == "classification" and num_classes is None:
         num_classes = oracle.num_classes
     clean: dict[str, list] = {CTX_WITH: [], CTX_WITHOUT: []}
-    records: list[OracleRecord] = []
+    records: list[dict] = []
     for ctx_label in (CTX_WITH, CTX_WITHOUT):
         if oracle.num_trials(ctx_label) < n_llm:
             raise OracleError(
@@ -383,19 +389,13 @@ def collect_replay(oracle: DictReplayOracle, num_partitions: int, n_llm: int,
                     if not (0 <= vote < num_classes):
                         raise OracleError(f"vote {vote} outside the {num_classes}-class label set")
                     counts[vote] += 1
-                    records.append(
-                        OracleRecord(ctx=ctx_label, trial=trial, part=part_index, vote=int(vote))
-                    )
-                vector = VoteVector(counts=tuple(counts), num_partitions=num_partitions)
+                    records.append({"ctx": ctx_label, "trial": trial, "part": part_index,
+                                    "vote": int(vote)})
+                vector = counts
             else:
-                stacked = np.stack([np.asarray(e, dtype=np.float64) for e in responses])
-                for part_index in range(stacked.shape[0]):
-                    records.append(
-                        OracleRecord(
-                            ctx=ctx_label, trial=trial, part=part_index,
-                            emb=tuple(stacked[part_index].tolist()),
-                        )
-                    )
-                vector = stacked.mean(axis=0)
+                for part_index, emb in enumerate(responses):
+                    records.append({"ctx": ctx_label, "trial": trial, "part": part_index,
+                                    "emb": emb.tolist()})
+                vector = np.stack([clip_one(emb) for emb in responses]).mean(axis=0)
             clean[ctx_label].append(vector)
     return clean[CTX_WITH], clean[CTX_WITHOUT], records

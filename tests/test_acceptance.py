@@ -22,18 +22,19 @@ from dpicl_audit.mechanisms import (
     Exemplar,
     MechanismConfig,
     NeighboringPair,
-    VoteVector,
     voting_noise_scale,
 )
 from dpicl_audit.oracles import (
     CanaryDetectorConfig,
     CanaryDetectorEmbeddingOracle,
     CanaryDetectorVoteOracle,
+    ReplayOracle,
     SignalPair,
+    collect,
 )
 from dpicl_audit.stats import binom_upper_bound, std_normal_cdf, std_normal_inv_cdf
 
-from reference import binom_tail_exact, cp_upper_bisect
+from reference import binom_tail_exact, cp_upper_bisect, scale_canary_partition
 
 
 @contextlib.contextmanager
@@ -179,7 +180,7 @@ def test_a7_bootstrap_fidelity():
         sigma = voting_noise_scale(2.0, 1e-5)
         direct_rng = np.random.default_rng(987654321)
         for arm, counts in ((0, (1, 3)), (1, (0, 4))):
-            noisy = generate_noisy_samples([VoteVector(counts, 4)], config, arm=arm)
+            noisy = generate_noisy_samples([counts], config, arm=arm)
             stat = whitebox_statistic(noisy, config)
             direct = (counts[0] - counts[1]) + direct_rng.normal(
                 0.0, sigma * math.sqrt(2.0), size=config.n_sample
@@ -192,8 +193,8 @@ def test_a8_convergence_shape():
     with criterion("A8", "epsilon non-decreasing in the trial count for perfect separation"):
         # noise scale ~1e-9: the white-box statistics separate perfectly and
         # the estimate is governed by the CP bounds alone
-        clean_with = [VoteVector((1, 3), 4)]
-        clean_without = [VoteVector((0, 4), 4)]
+        clean_with = [(1, 3)]
+        clean_without = [(0, 4)]
         values = []
         for n_sample in (100, 1_000, 10_000, 100_000, 400_000):
             mech = MechanismConfig(eps_theory=1e9, delta=1e-5, num_partitions=4)
@@ -234,7 +235,13 @@ def shared_draw_release(clean, rows, sigma, rng):
     return clean[rows] + rng.normal(0.0, sigma, size=(len(rows), 1))
 
 
-def test_a10_broken_mechanisms_are_caught():
+def unclipped_aggregate(responses, num_classes):
+    """A broken first stage: the mean of the partition embeddings as the model
+    returned them, unclipped."""
+    return responses.mean(axis=1)
+
+
+def test_a10_broken_mechanisms_are_caught(tmp_path):
     with criterion("A10", "audits of known-broken mechanisms exceed eps_theory"):
         pair = make_pair()
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.0))
@@ -257,3 +264,24 @@ def test_a10_broken_mechanisms_are_caught():
         with mock.patch.object(mechanisms, "gaussian_release", shared_draw_release):
             assert audit("white_box") > mech.eps_theory
             assert audit("black_box") == 0.0
+
+        # a replay whose canary partition answers y1's embedding x50: the
+        # unclipped mean moves 50 times further than the 2/T the noise is
+        # calibrated for, the shipped aggregate clips it back to the unit ball
+        signal = SignalPair.from_catalog(0.7476, 16)
+        esa = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=8,
+                              sensitivity_mode="esa_tight")
+        recorded, scaled = tmp_path / "records.jsonl", tmp_path / "scaled.jsonl"
+        collect(CanaryDetectorEmbeddingOracle(signal), pair, "CANARY", 8, 50, seed=3,
+                records_path=recorded)
+        scale_canary_partition(recorded, scaled, 50.0)
+        replay = ReplayOracle.from_file(scaled)
+
+        def replayed(threat):
+            config = AuditConfig(mechanism=esa, task="generation", threat_model=threat,
+                                 n_llm=50, n_sample=20_000, seed=3)
+            return run_audit(config, replay, pair, "CANARY", signal_pair=signal).estimate.eps_emp
+
+        assert all(replayed(threat) < esa.eps_theory for threat in threats)
+        with mock.patch.object(mechanisms, "aggregate", unclipped_aggregate):
+            assert all(replayed(threat) > esa.eps_theory for threat in threats)

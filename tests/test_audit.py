@@ -27,7 +27,6 @@ from dpicl_audit.mechanisms import (
     Exemplar,
     MechanismConfig,
     NeighboringPair,
-    VoteVector,
     esa_select,
     vote_select,
     voting_noise_scale,
@@ -110,7 +109,7 @@ def audit_cell(task, threat):
     """Clean lists, config and keyword arguments for one {task} x {threat} audit."""
     if task == "classification":
         config = vote_config(threat, n_sample=SPANNING_N, seed=9)
-        return [VoteVector((1, 3), 4), VoteVector((2, 2), 4)], [VoteVector((0, 4), 4)], config, {}
+        return [(1, 3), (2, 2)], [(0, 4)], config, {}
     signal = SignalPair.synthetic(0.7476, 16)
     clean_with = [(signal.y1_embedding + k * signal.y0_embedding) / (k + 1) for k in (3, 7)]
     config = generation_config(threat, n_sample=SPANNING_N, seed=9)
@@ -326,14 +325,6 @@ class TestSweepMatchesBruteForce:
         best = band_mu_bruteforce(*case)[-1].max()
         assert estimate_from_bounds(got[2]).mu_lower == max(best, 0.0)
 
-    @settings(max_examples=100, deadline=None)
-    @given(sweep_inputs(max_trials=300))
-    def test_random_inputs_across_small_blocks(self, case):
-        # the result does not depend on the trial block size
-        with mock.patch.object(audit, "_TRIAL_BLOCK", 7):
-            got = sweep_threshold(*case)
-        assert repr(got) == repr(sweep_threshold_bruteforce(*case))
-
     @settings(max_examples=150, deadline=None)
     @given(sweep_inputs(max_trials=3000))
     def test_candidate_counts_match_the_reference(self, case):
@@ -461,7 +452,7 @@ class TestBootstrapAudit:
         # the white-box threshold separates perfectly and epsilon is
         # governed purely by the band's width at zero error counts
         config = vote_config(threat="white_box", eps_theory=1e9, n_sample=5_000)
-        report = bootstrap_audit([VoteVector((1, 3), 4)], [VoteVector((0, 4), 4)], config)
+        report = bootstrap_audit([(1, 3)], [(0, 4)], config)
         assert report.counts.true_positives == 5_000
         assert report.counts.false_positives == 0
         margin = math.sqrt(math.log(2.0 / 0.05) / (2.0 * 5_000))
@@ -474,7 +465,7 @@ class TestBootstrapAudit:
         # with a yes-minority vote pattern and no noise, the released label
         # is "no" under both hypotheses: the black-box signal vanishes
         config = vote_config(threat="black_box", eps_theory=1e9, n_sample=5_000)
-        report = bootstrap_audit([VoteVector((1, 3), 4)], [VoteVector((0, 4), 4)], config)
+        report = bootstrap_audit([(1, 3)], [(0, 4)], config)
         assert report.counts.true_positives == 0
         assert report.counts.false_positives == 0
         assert report.estimate.eps_emp == 0.0
@@ -485,7 +476,7 @@ class TestBootstrapAudit:
 
         config = vote_config(n_sample=20_000, seed=4)
         sigma = voting_noise_scale(2.0, 1e-5)
-        noisy = generate_noisy_samples([VoteVector((1, 3), 4)], config, arm=0)
+        noisy = generate_noisy_samples([(1, 3)], config, arm=0)
         stat = whitebox_statistic(noisy, config)
         rng = np.random.default_rng(999)
         direct = (1 - 3) + rng.normal(0.0, sigma * math.sqrt(2.0), size=20_000)
@@ -586,8 +577,8 @@ class TestBootstrapAudit:
         # the band holds at the chosen tau, so no seed may overshoot mu*
         sigma = voting_noise_scale(2.0, 1e-5)
         mu_star = math.sqrt(2.0) / sigma
-        clean_with = [VoteVector((1, 3), 4)]
-        clean_without = [VoteVector((0, 4), 4)]
+        clean_with = [(1, 3)]
+        clean_without = [(0, 4)]
         excesses = []
         for seed in range(10):
             config = vote_config("white_box", n_sample=100_000, seed=seed)
@@ -664,7 +655,7 @@ class TestRunAudit:
 class TestReporting:
     def make_report(self):
         config = vote_config(n_sample=2_000, seed=5)
-        return bootstrap_audit([VoteVector((1, 3), 4)], [VoteVector((0, 4), 4)], config)
+        return bootstrap_audit([(1, 3)], [(0, 4)], config)
 
     def test_json_is_deterministic_and_excludes_wall_time(self):
         report = self.make_report()
@@ -675,7 +666,7 @@ class TestReporting:
 
     def test_infinite_point_estimate_serializes_as_flag(self):
         config = vote_config("black_box", eps_theory=1e9, n_sample=500)
-        report = bootstrap_audit([VoteVector((1, 3), 4)], [VoteVector((0, 4), 4)], config)
+        report = bootstrap_audit([(1, 3)], [(0, 4)], config)
         payload = json.loads(report.to_json())
         assert payload["eps_emp_point"] == "inf"
 

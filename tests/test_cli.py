@@ -13,6 +13,8 @@ from dpicl_audit import cli
 from dpicl_audit import config as config_module
 from dpicl_audit.cli import main
 
+from reference import scale_canary_partition
+
 
 def write_config(tmp_path, name="run.yaml", **overrides):
     config = {
@@ -426,6 +428,26 @@ class TestReplayMismatch:
         assert main(["audit", "--config", str(replay)]) == 0
         assert ((tmp_path / "out2" / "report.json").read_bytes()
                 == (tmp_path / "out" / "report.json").read_bytes())
+
+
+class TestOverNormReplay:
+    @pytest.mark.parametrize("threat", ["white_box", "black_box"])
+    def test_scaled_canary_partition_audits_as_recorded(self, tmp_path, threat):
+        # the mechanism clips each partition embedding to the unit ball, so a
+        # canary partition that answered y1's embedding x50 releases as if it
+        # had answered y1's embedding
+        first = write_config(tmp_path, name="collect.yaml", threat_model=threat, **GENERATION)
+        assert main(["collect", "--config", str(first)]) == 0
+        recorded, scaled = tmp_path / "out" / "records.jsonl", tmp_path / "scaled.jsonl"
+        scale_canary_partition(recorded, scaled, 50.0)
+        reports = []
+        for name, records in (("records", recorded), ("scaled", scaled)):
+            path = write_config(tmp_path, name=f"{name}.yaml", threat_model=threat, **GENERATION,
+                                oracle={"kind": "replay", "records_path": str(records)},
+                                output={"directory": str(tmp_path / name)})
+            assert main(["audit", "--config", str(path)]) == 0
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[1] == reports[0]
 
 
 class TestMalformedRecords:

@@ -13,7 +13,7 @@ from dpicl_audit.mechanisms import (
     ExemplarContext,
     MechanismConfig,
     NeighboringPair,
-    VoteVector,
+    aggregate,
     clip_to_unit,
     esa_noise_scale,
     esa_select,
@@ -25,6 +25,8 @@ from dpicl_audit.mechanisms import (
 )
 from dpicl_audit.oracles import CanaryDetectorEmbeddingOracle, SignalPair, collect
 from dpicl_audit.stats import std_normal_cdf
+
+from reference import clip_one
 
 
 def make_context(n, canary_index=None):
@@ -216,9 +218,20 @@ class TestPrivateVote:
 
 
 class TestVoteVectorInvariants:
-    def test_counts_must_sum_to_partitions(self):
-        with pytest.raises(ValueError):
-            VoteVector((1, 2), 4)
+    """The vote counts ``aggregate`` makes of each trial's partition votes."""
+
+    @given(st.integers(1, 5), st.integers(1, 14), st.integers(1, 4), st.data())
+    @settings(max_examples=50)
+    def test_counts_must_sum_to_partitions(self, n_llm, T, num_classes, data):
+        votes = np.array(data.draw(st.lists(st.integers(0, num_classes - 1),
+                                            min_size=n_llm * T, max_size=n_llm * T)),
+                         dtype=np.int64).reshape(n_llm, T)
+        counts = aggregate(votes, num_classes)
+        assert counts.shape == (n_llm, num_classes)
+        assert (counts >= 0).all()
+        assert counts.sum(axis=1).tolist() == [T] * n_llm
+        assert counts.tolist() == [[row.count(c) for c in range(num_classes)]
+                                   for row in votes.tolist()]
 
     @given(st.integers(min_value=2, max_value=14), st.data())
     @settings(max_examples=50)
@@ -229,11 +242,8 @@ class TestVoteVectorInvariants:
         votes_without = [1] * T  # every partition votes "no"
         votes_with = list(votes_without)
         votes_with[canary_subset] = 0  # the canary partition flips to "yes"
-        with_counts = (votes_with.count(0), votes_with.count(1))
-        without_counts = (votes_without.count(0), votes_without.count(1))
-        v1 = VoteVector(with_counts, T)
-        v0 = VoteVector(without_counts, T)
-        diffs = [a - b for a, b in zip(v1.counts, v0.counts)]
+        v1, v0 = aggregate(np.array([votes_with, votes_without]), 2)
+        diffs = (v1 - v0).tolist()
         assert max(abs(d) for d in diffs) <= 2
         assert sorted(diffs) == [-1, 1]
 
@@ -431,3 +441,32 @@ class TestClipToUnit:
     def test_outside_ball_scaled(self):
         v = np.array([3.0, 4.0])
         assert np.linalg.norm(clip_to_unit(v)) == pytest.approx(1.0)
+
+    def test_batched_over_the_last_axis(self):
+        v = np.array([[[0.3, 0.4], [3.0, 4.0], [0.0, 0.0]],
+                      [[-6.0, 8.0], [0.6, -0.8], [1e-300, 0.0]]])
+        clipped = clip_to_unit(v)
+        assert clipped.shape == v.shape
+        inside = np.linalg.norm(v, axis=-1) <= 1.0
+        np.testing.assert_array_equal(clipped[inside], v[inside])
+        np.testing.assert_allclose(clipped[~inside], [[0.6, 0.8], [-0.6, 0.8]], rtol=1e-15)
+
+
+_EMBEDDING_COORDINATES = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+class TestAggregate:
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mean_of_clipped_embeddings(self, n_llm, T, d, data):
+        # every mean lies in the unit ball, whatever norm the model returned,
+        # and equals the mean of the embeddings clipped one at a time
+        size = n_llm * T * d
+        responses = np.array(data.draw(st.lists(_EMBEDDING_COORDINATES, min_size=size,
+                                                max_size=size))).reshape(n_llm, T, d)
+        means = aggregate(responses, None)
+        assert means.shape == (n_llm, d)
+        assert (np.linalg.norm(means, axis=1) <= 1.0 + 1e-15).all()
+        reference = np.stack([np.stack([clip_one(e) for e in trial]).mean(axis=0)
+                              for trial in responses])
+        assert means.tobytes() == reference.tobytes()

@@ -22,14 +22,12 @@ from dpicl_audit.oracles import (
     FileTransport,
     HttpTransport,
     OracleError,
-    OracleRecord,
     ReplayOracle,
+    ResponderEmbeddingOracle,
     ResponderRequest,
     ResponderVoteOracle,
     ResponseParseError,
     SignalPair,
-    canary_detector_embedding,
-    canary_detector_vote,
     catalog_distances,
     collect,
     emit_requests,
@@ -37,10 +35,12 @@ from dpicl_audit.oracles import (
     load_signal_catalog,
     load_template,
     render_template,
+    zero_shot_candidates,
+    _record_columns,
+    _record_line,
     _write_responses,
-    write_records,
 )
-from reference import DictReplayOracle, collect_replay, read_records
+from reference import DictReplayOracle, collect_replay, read_records, record_lines
 
 
 def make_pair(n=10, canary_index=0):
@@ -56,18 +56,17 @@ SUBSET_WITHOUT = partition(PAIR.without_canary, 10)[0]
 class TestCanaryDetectorVote:
     def test_deterministic_answers(self):
         config = CanaryDetectorConfig()
+        oracle = CanaryDetectorVoteOracle(config)
         rng = np.random.default_rng(0)
-        assert canary_detector_vote(SUBSET_WITH, "CANARY", config, rng) == config.yes_index
-        assert canary_detector_vote(SUBSET_WITHOUT, "CANARY", config, rng) == config.no_index
+        assert oracle.vote(SUBSET_WITH, "CANARY", rng) == config.yes_index
+        assert oracle.vote(SUBSET_WITHOUT, "CANARY", rng) == config.no_index
 
     def test_flip_rate(self):
         config = CanaryDetectorConfig(flip_probability=0.1)
+        oracle = CanaryDetectorVoteOracle(config)
         rng = np.random.default_rng(5)
         draws = 100_000
-        yes = sum(
-            canary_detector_vote(SUBSET_WITH, "CANARY", config, rng) == config.yes_index
-            for _ in range(draws)
-        )
+        yes = sum(oracle.vote(SUBSET_WITH, "CANARY", rng) == config.yes_index for _ in range(draws))
         assert abs(yes / draws - 0.9) <= 0.005
 
     def test_config_validation(self):
@@ -108,22 +107,18 @@ class TestSignalPair:
 class TestCanaryDetectorEmbedding:
     def test_deterministic_answers(self):
         pair = SignalPair.synthetic(0.7476)
-        config = CanaryDetectorConfig()
+        oracle = CanaryDetectorEmbeddingOracle(pair, CanaryDetectorConfig())
         rng = np.random.default_rng(0)
-        out = canary_detector_embedding(SUBSET_WITH, "q", pair, False, config, rng)
-        np.testing.assert_array_equal(out, pair.y1_embedding)
-        out = canary_detector_embedding(SUBSET_WITHOUT, "q", pair, False, config, rng)
-        np.testing.assert_array_equal(out, pair.y0_embedding)
+        np.testing.assert_array_equal(oracle.embed(SUBSET_WITH, "q", rng), pair.y1_embedding)
+        np.testing.assert_array_equal(oracle.embed(SUBSET_WITHOUT, "q", rng), pair.y0_embedding)
 
     def test_zero_shot_is_fair(self):
         pair = SignalPair.synthetic(0.7476)
-        config = CanaryDetectorConfig()
+        oracle = CanaryDetectorEmbeddingOracle(pair, CanaryDetectorConfig())
         rng = np.random.default_rng(9)
         draws = 100_000
-        y1 = sum(
-            np.array_equal(canary_detector_embedding(None, "q", pair, True, config, rng), pair.y1_embedding)
-            for _ in range(draws)
-        )
+        y1 = sum(np.array_equal(oracle.embed(None, "q", rng), pair.y1_embedding)
+                 for _ in range(draws))
         assert abs(y1 / draws - 0.5) <= 0.005
 
 
@@ -133,7 +128,8 @@ class TestCollect:
         got = collect(oracle, PAIR, "CANARY", 10, 3, seed=0)
         assert got.clean_with.tolist() == [[1, 9]] * 3
         assert got.clean_without.tolist() == [[0, 10]] * 3
-        assert len(got.records) == 2 * 3 * 10
+        assert {ctx: grid.shape for ctx, grid in got.responses.items()} == {
+            CTX_WITH: (3, 10), CTX_WITHOUT: (3, 10)}
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -157,9 +153,9 @@ class TestCollect:
         midpoint = (signal.y1_embedding + signal.y0_embedding) / 2.0
         np.testing.assert_allclose(got.clean_with[0], midpoint)
         np.testing.assert_allclose(got.clean_without[0], signal.y0_embedding)
-        # one 16-d record per partition and context behind the two means
-        assert [(r.ctx, r.part, len(r.emb)) for r in got.records] == [
-            ("with", 0, 16), ("with", 1, 16), ("without", 0, 16), ("without", 1, 16)]
+        # one 16-d response per partition and context behind the two means
+        assert {ctx: grid.shape for ctx, grid in got.responses.items()} == {
+            CTX_WITH: (1, 2, 16), CTX_WITHOUT: (1, 2, 16)}
 
     def test_deterministic_given_seed(self):
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.2))
@@ -169,39 +165,44 @@ class TestCollect:
         assert a.clean_with.tolist() == b.clean_with.tolist()
         assert a.clean_with.tolist() != c.clean_with.tolist()
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, tmp_path):
         oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.2))
-        a = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=1)
-        b = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=8)
-        assert [r.to_json() for r in a.records] == [r.to_json() for r in b.records]
+        a = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=1,
+                    records_path=tmp_path / "a.jsonl")
+        b = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=8,
+                    records_path=tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert a.clean_with.tobytes() == b.clean_with.tobytes()
 
 
 class TestRecords:
     def test_wire_format_fields(self):
-        vote_line = OracleRecord(ctx="with", trial=3, part=1, vote=0).to_json()
+        vote_line = _record_line("with", 3, 1, "vote", 0)
         assert json.loads(vote_line) == {"ctx": "with", "trial": 3, "part": 1, "vote": 0}
-        emb_line = OracleRecord(ctx="without", trial=0, part=2, emb=(0.5, -0.5)).to_json()
+        emb_line = _record_line("without", 0, 2, "emb", [0.5, -0.5])
         assert json.loads(emb_line) == {"ctx": "without", "trial": 0, "part": 2, "emb": [0.5, -0.5]}
 
     def test_exactly_one_payload(self):
-        with pytest.raises(ValueError):
-            OracleRecord(ctx="with", trial=0, part=0)
-        with pytest.raises(ValueError):
-            OracleRecord(ctx="with", trial=0, part=0, vote=1, emb=(1.0,))
+        with pytest.raises(ValueError, match="fields are not"):
+            _record_columns([{"ctx": "with", "trial": 0, "part": 0}])
+        with pytest.raises(ValueError, match="fields are not"):
+            _record_columns([{"ctx": "with", "trial": 0, "part": 0, "vote": 1, "emb": [1.0]}])
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        records = [OracleRecord(ctx=ctx, trial=t, part=p, vote=t % 2)
-                   for ctx in (CTX_WITH, CTX_WITHOUT) for t in range(3) for p in range(2)]
-        assert write_records(path, records) == 12
-        assert read_records(path) == records
+        votes = {ctx: np.array([[t % 2] * 2 for t in range(3)]) for ctx in (CTX_WITH, CTX_WITHOUT)}
+        _write_responses(path, votes)
+        assert read_records(path) == [{"ctx": ctx, "trial": t, "part": p, "vote": t % 2}
+                                      for ctx in (CTX_WITH, CTX_WITHOUT)
+                                      for t in range(3) for p in range(2)]
         replayed = collect(ReplayOracle.from_file(path), make_pair(2), "CANARY", 2, 3)
-        assert replayed.records == records
+        assert {ctx: grid.tolist() for ctx, grid in replayed.responses.items()} == {
+            ctx: grid.tolist() for ctx, grid in votes.items()}
 
     def test_append_only(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        write_records(path, [OracleRecord(ctx="with", trial=0, part=0, vote=1)])
-        write_records(path, [OracleRecord(ctx="with", trial=1, part=0, vote=0)])
+        _write_responses(path, {CTX_WITH: np.array([[1]])})
+        _write_responses(path, {CTX_WITH: np.array([[0]])})
         assert len(read_records(path)) == 2
 
 
@@ -231,27 +232,27 @@ class TestRecordsWriter:
     @given(collected_responses())
     def test_bytes_equal_the_record_lines(self, responses):
         kind = "vote" if next(iter(responses.values())).ndim == 2 else "emb"
-        records = [OracleRecord(ctx=ctx, trial=trial, part=part, **{kind: value})
+        records = [{"ctx": ctx, "trial": trial, "part": part, kind: value}
                    for ctx, grid in responses.items()
                    for trial, row in enumerate(grid.tolist())
-                   for part, value in enumerate(row if kind == "vote" else map(tuple, row))]
+                   for part, value in enumerate(row)]
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "records.jsonl"
             _write_responses(path, responses)
             got = path.read_bytes()
-        assert got == "".join(record.to_json() + "\n" for record in records).encode()
-        # and the wire format as json.dumps writes one dict per record
-        assert got == "".join(
-            json.dumps({"ctx": r.ctx, "trial": r.trial, "part": r.part,
-                        kind: r.vote if kind == "vote" else list(r.emb)},
-                       separators=(",", ":")) + "\n" for r in records).encode()
+        # the wire format as json.dumps writes one dict per record
+        assert got == record_lines(records).encode()
 
     def test_collect_writes_what_its_records_read(self, tmp_path):
         path = tmp_path / "records.jsonl"
         signal = SignalPair.synthetic(0.7476)
         got = collect(CanaryDetectorEmbeddingOracle(signal), PAIR, "CANARY", 4, 5, seed=3,
                       records_path=path)
-        assert path.read_text() == "".join(r.to_json() + "\n" for r in got.records)
+        assert path.read_text() == record_lines(
+            {"ctx": ctx, "trial": trial, "part": part, "emb": value}
+            for ctx, grid in got.responses.items()
+            for trial, row in enumerate(grid.tolist())
+            for part, value in enumerate(row))
 
 
 class TestReplay:
@@ -327,8 +328,8 @@ def recorded_streams(draw):
 
 class TestReplayMatchesReference:
     """The columnar replay against the per-record parse and dict store it
-    replaced: the same clean aggregates, byte for byte, the same records, or
-    the same error."""
+    replaced: the same clean aggregates, byte for byte, the same records
+    written as replayed (embeddings unclipped), or the same error."""
 
     @settings(max_examples=150, deadline=None)
     @given(recorded_streams())
@@ -343,11 +344,13 @@ class TestReplayMatchesReference:
                 collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm)
             assert str(info.value) == str(exc)
             return
-        got = collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm)
+        written = path.parent / "written.jsonl"
+        got = collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm,
+                      records_path=written)
         assert got.task == task
         for clean, reference in ((got.clean_with, want[0]), (got.clean_without, want[1])):
-            assert _clean_matrix(clean, task).tobytes() == _clean_matrix(reference, task).tobytes()
-        assert [r.to_json() for r in got.records] == [r.to_json() for r in want[2]]
+            assert _clean_matrix(clean).tobytes() == _clean_matrix(reference).tobytes()
+        assert written.read_text() == record_lines(want[2])
 
 
 class TestTemplates:
@@ -415,6 +418,22 @@ class TestResponderVoteOracle:
         oracle = self.make_oracle(StatefulFakeTransport(fail_first=1))
         with pytest.raises(ResponseParseError):
             collect(oracle, PAIR, "CANARY", 2, 3, seed=0, retry_budget=0)
+
+
+class TestResponderEmbeddingOracle:
+    def test_raw_vectors_are_recorded_as_returned(self, tmp_path):
+        # a responder answering y1's embedding x5: the records keep its
+        # norm, the mechanism's aggregate and the zero-shot pool clip it
+        signal = SignalPair.synthetic(0.7476, 8)
+        raw = 5.0 * signal.y1_embedding
+        oracle = ResponderEmbeddingOracle(lambda request: {"emb": raw.tolist()},
+                                          "audit_generation_blackbox", signal, "CANARY")
+        path = tmp_path / "records.jsonl"
+        got = collect(oracle, make_pair(4), "CANARY", 2, 3, seed=0, records_path=path)
+        assert all(record["emb"] == raw.tolist() for record in read_records(path))
+        np.testing.assert_allclose(got.clean_with, np.tile(signal.y1_embedding, (3, 1)))
+        for candidate in zero_shot_candidates(oracle, "CANARY", 3, seed=0):
+            np.testing.assert_allclose(candidate, signal.y1_embedding)
 
 
 class TestFileTransport:
