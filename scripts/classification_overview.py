@@ -11,15 +11,15 @@ import csv
 
 from dpicl_audit import (
     AuditConfig,
+    CanaryDetector,
     Exemplar,
     MechanismConfig,
     NeighboringPair,
     run_audit,
 )
-from dpicl_audit.oracles import CanaryDetectorConfig, CanaryDetectorVoteOracle
 
 
-def parse_args():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eps", type=float, nargs="+", default=[1.0, 2.0, 4.0, 8.0])
     parser.add_argument("--partitions", type=int, default=4)
@@ -30,14 +30,15 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=20240801)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default="classification_overview.csv")
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(2 * args.partitions)]
     pair = NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), 0)
-    oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=args.flip_probability))
+    # two classes, yes (0) when the partition holds the canary, else no (1)
+    oracle = CanaryDetector((1, 0), num_classes=2, flip_probability=args.flip_probability)
 
     rows = []
     print(f"{'eps_theory':>10} {'threat':>10} {'eps_emp_gdp':>12} {'mu_lower':>10} {'eps_point':>10}")

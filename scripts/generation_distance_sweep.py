@@ -11,20 +11,17 @@ import csv
 
 from dpicl_audit import (
     AuditConfig,
+    CanaryDetector,
     Exemplar,
     MechanismConfig,
     NeighboringPair,
+    SignalPair,
     run_audit,
 )
-from dpicl_audit.oracles import (
-    CanaryDetectorConfig,
-    CanaryDetectorEmbeddingOracle,
-    SignalPair,
-    catalog_distances,
-)
+from dpicl_audit.oracles import catalog_distances
 
 
-def parse_args():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eps", type=float, default=8.0)
     parser.add_argument("--partitions", type=int, default=8)
@@ -40,11 +37,11 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=20240806)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default="generation_distance_sweep.csv")
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     distances = args.distances or sorted(catalog_distances())
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(2 * args.partitions)]
     pair = NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), 0)
@@ -61,7 +58,7 @@ def main():
                                sensitivity_mode=args.sensitivity_mode)
         config = AuditConfig(mechanism=mech, task="generation", threat_model=args.threat,
                              n_llm=args.n_llm, n_sample=args.n_sample, seed=args.seed)
-        oracle = CanaryDetectorEmbeddingOracle(signal, CanaryDetectorConfig())
+        oracle = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
         report = run_audit(config, oracle, pair, "CANARY", signal_pair=signal,
                            workers=args.workers)
         tau = report.tau if report.tau is not None else float("nan")

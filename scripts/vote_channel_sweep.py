@@ -11,7 +11,7 @@ import argparse
 from dpicl_audit.gaussian_model import sweep, write_sweep_csv
 
 
-def parse_args():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--T", type=int, nargs="+", default=list(range(2, 15, 2)))
     parser.add_argument("--k-rule", default="all", choices=["extreme", "centered", "fixed", "all"])
@@ -20,11 +20,11 @@ def parse_args():
     parser.add_argument("--sigma", type=float, default=2.0)
     parser.add_argument("--delta-target", type=float, default=1e-5)
     parser.add_argument("--out", default="vote_channel_sweep.csv")
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     rows = sweep(T_values=args.T, k_rule=args.k_rule, b=args.b, sigma=args.sigma,
                  delta_target=args.delta_target, k_fixed=args.k_fixed)
     write_sweep_csv(rows, args.out)

@@ -38,10 +38,9 @@ from .mechanisms import (
     voting_noise_scale,
 )
 from .oracles import (
-    CanaryDetectorConfig,
-    CanaryDetectorEmbeddingOracle,
-    CanaryDetectorVoteOracle,
+    CanaryDetector,
     ReplayOracle,
+    Responder,
     SignalPair,
     collect,
 )
@@ -53,9 +52,7 @@ __all__ = [
     "AttackCounts",
     "AuditConfig",
     "AuditReport",
-    "CanaryDetectorConfig",
-    "CanaryDetectorEmbeddingOracle",
-    "CanaryDetectorVoteOracle",
+    "CanaryDetector",
     "ErrorBounds",
     "Exemplar",
     "ExemplarContext",
@@ -63,6 +60,7 @@ __all__ = [
     "MechanismConfig",
     "NeighboringPair",
     "ReplayOracle",
+    "Responder",
     "SignalPair",
     "VotePattern",
     "analytic_rates",

@@ -54,6 +54,9 @@ from .parallel import map_in_order
 from .stats import band_upper_bound_array
 
 TASKS = ("classification", "generation")
+# the noise calibrations each task's mechanism takes
+_TASK_SENSITIVITY_MODES = {"classification": ("paper_voting",),
+                           "generation": ("esa_tight", "esa_legacy")}
 THREAT_MODELS = ("black_box", "white_box")
 
 # Trials are generated in fixed-size blocks, each with its own derived
@@ -86,6 +89,10 @@ class AuditConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+        modes = _TASK_SENSITIVITY_MODES[self.task]
+        if self.mechanism.sensitivity_mode not in modes:
+            raise ValueError(f"sensitivity_mode {self.mechanism.sensitivity_mode!r} does not fit "
+                             f"a {self.task} audit; choose one of {', '.join(modes)}")
         if self.threat_model not in THREAT_MODELS:
             raise ValueError(f"threat_model must be one of {THREAT_MODELS}, got {self.threat_model!r}")
         if self.n_llm < 1:
@@ -476,7 +483,6 @@ def run_audit(
     *,
     signal_pair: Optional[SignalPair] = None,
     candidates: Optional[Sequence[np.ndarray]] = None,
-    records_path: Optional[Union[str, Path]] = None,
     workers: int = 1,
     retry_budget: int = 0,
     pad: bool = False,
@@ -485,7 +491,7 @@ def run_audit(
     start = time.perf_counter()
     collection: CleanCollection = collect(
         oracle, pair, query, config.mechanism.num_partitions, config.n_llm,
-        seed=config.seed, records_path=records_path, workers=workers,
+        seed=config.seed, workers=workers,
         retry_budget=retry_budget, pad=pad,
     )
     _check_collection(collection, config, signal_pair)

@@ -21,7 +21,6 @@ from .config import (
     build_audit_config,
     build_neighboring_pair,
     build_oracle,
-    build_responder,
     build_signal_pair,
     load_run_config,
     output_path,
@@ -76,24 +75,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _build_run(config: dict, render_only: bool = False):
+    """The audit config, signal pair, neighboring pair and oracle a command
+    runs on (``render_only`` as ``build_oracle`` takes it).
+
+    A ValueError (or KeyError) raised while building them means the config
+    asks for something they reject, so it is a config error, converted here
+    for every command.
+    """
+    try:
+        audit_cfg = build_audit_config(config)
+        signal_pair = build_signal_pair(config)
+        pair = build_neighboring_pair(config)
+        oracle = build_oracle(config, signal_pair, render_only=render_only)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0] if exc.args else exc) from exc
+    return audit_cfg, signal_pair, pair, oracle
+
+
 def cmd_collect(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
-    audit_cfg = build_audit_config(config)
-    signal_pair = build_signal_pair(config)
-    pair = build_neighboring_pair(config)
     oracle_cfg = config["oracle"]
+    render_only = bool(oracle_cfg.get("emit_requests_only"))
+    audit_cfg, _, pair, oracle = _build_run(config, render_only)
 
-    if oracle_cfg.get("emit_requests_only"):
+    if render_only:
         requests_path = output_path(config, "records").with_suffix(".requests.jsonl")
-        # the responder renders the requests; no transport is called
-        responder = build_responder(config, signal_pair, transport=None)
-        count = emit_requests(requests_path, responder, pair, config["context"]["canary_text"],
+        count = emit_requests(requests_path, oracle, pair, config["context"]["canary_text"],
                               audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,
                               pad=config["context"]["pad_to_partitions"])
         print(f"wrote {count} responder requests to {requests_path}")
         return EXIT_OK
 
-    oracle = build_oracle(config, signal_pair)
     records_path = output_path(config, "records")
     records_path.unlink(missing_ok=True)
     collection = collect(
@@ -115,15 +128,13 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
-    audit_cfg = build_audit_config(config)
-    signal_pair = build_signal_pair(config)
-    pair = build_neighboring_pair(config)
-    oracle = build_oracle(config, signal_pair)
+    audit_cfg, signal_pair, pair, oracle = _build_run(config)
 
     candidates = None
     pool_size = audit_cfg.mechanism.candidate_pool_size
+    # a replay serves recorded partitions only, so its pool is the signal pair
     if (audit_cfg.task == "generation" and audit_cfg.threat_model == "black_box"
-            and pool_size > 2 and hasattr(oracle, "embed")):
+            and pool_size > 2 and config["oracle"]["kind"] != "replay"):
         candidates = zero_shot_candidates(oracle, config["context"]["canary_text"],
                                           pool_size, audit_cfg.seed)
 

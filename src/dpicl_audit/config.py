@@ -6,6 +6,7 @@ document is what gets validated and echoed into reports.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import os
@@ -17,17 +18,13 @@ import jsonschema
 import yaml
 
 from .audit import AuditConfig
-from .mechanisms import Exemplar, MechanismConfig, NeighboringPair
+from .mechanisms import Exemplar, MechanismConfig, NeighboringPair, partition
 from .oracles import (
-    CanaryDetectorConfig,
-    CanaryDetectorEmbeddingOracle,
-    CanaryDetectorVoteOracle,
-    DecodeSettings,
+    CanaryDetector,
     FileTransport,
     HttpTransport,
     ReplayOracle,
-    ResponderEmbeddingOracle,
-    ResponderVoteOracle,
+    Responder,
     SignalPair,
 )
 
@@ -142,7 +139,9 @@ def load_run_config(path: str | Path, overrides: Optional[list[str]] = None) -> 
         document = {}
     if not isinstance(document, dict):
         raise ConfigError("config document must be a mapping")
-    merged = _deep_merge(DEFAULTS, document)
+    # a copy: an override of a section the document leaves out must not
+    # write into DEFAULTS, which every later load in the process reads
+    merged = _deep_merge(copy.deepcopy(DEFAULTS), document)
     for assignment in overrides or []:
         apply_override(merged, assignment)
     error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(merged))
@@ -153,37 +152,31 @@ def load_run_config(path: str | Path, overrides: Optional[list[str]] = None) -> 
 
 def build_mechanism_config(config: dict) -> MechanismConfig:
     mech = config["mechanism"]
-    try:
-        return MechanismConfig(
-            eps_theory=float(mech["eps_theory"]),
-            delta=float(mech["delta"]),
-            num_partitions=int(mech["num_partitions"]),
-            sensitivity_mode=mech["sensitivity_mode"],
-            candidate_pool_size=int(mech["candidate_pool_size"]),
-            classic_calibration=bool(mech["classic_calibration"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad mechanism section: {exc}") from exc
+    return MechanismConfig(
+        eps_theory=float(mech["eps_theory"]),
+        delta=float(mech["delta"]),
+        num_partitions=int(mech["num_partitions"]),
+        sensitivity_mode=mech["sensitivity_mode"],
+        candidate_pool_size=int(mech["candidate_pool_size"]),
+        classic_calibration=bool(mech["classic_calibration"]),
+    )
 
 
 def build_audit_config(config: dict) -> AuditConfig:
     audit = config["audit"]
     oracle = config["oracle"]
-    try:
-        return AuditConfig(
-            mechanism=build_mechanism_config(config),
-            task=config["task"],
-            threat_model=config["threat_model"],
-            n_llm=int(audit["n_llm"]),
-            n_sample=int(audit["n_sample"]),
-            confidence=float(audit["confidence"]),
-            delta_target=float(audit["delta_target"]),
-            seed=int(audit["seed"]),
-            yes_index=int(oracle["yes_index"]),
-            no_index=int(oracle["no_index"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad audit section: {exc}") from exc
+    return AuditConfig(
+        mechanism=build_mechanism_config(config),
+        task=config["task"],
+        threat_model=config["threat_model"],
+        n_llm=int(audit["n_llm"]),
+        n_sample=int(audit["n_sample"]),
+        confidence=float(audit["confidence"]),
+        delta_target=float(audit["delta_target"]),
+        seed=int(audit["seed"]),
+        yes_index=int(oracle["yes_index"]),
+        no_index=int(oracle["no_index"]),
+    )
 
 
 def load_context_exemplars(config: dict) -> list[Exemplar]:
@@ -208,13 +201,16 @@ def load_context_exemplars(config: dict) -> list[Exemplar]:
 
 
 def build_neighboring_pair(config: dict) -> NeighboringPair:
+    """The canary-in/canary-out contexts; raises ValueError when the canary
+    index is out of range or the contexts do not split into the configured
+    partitions."""
     ctx = config["context"]
-    exemplars = load_context_exemplars(config)
-    index = int(ctx["canary_index"])
-    if not (0 <= index < len(exemplars)):
-        raise ConfigError(f"canary_index {index} out of range for {len(exemplars)} exemplars")
     canary = Exemplar(text_in=ctx["canary_text"], text_out="canary output")
-    return NeighboringPair.insert_canary(exemplars, canary, index)
+    pair = NeighboringPair.insert_canary(load_context_exemplars(config), canary,
+                                         int(ctx["canary_index"]))
+    partition(pair.with_canary, int(config["mechanism"]["num_partitions"]),
+              pad=ctx["pad_to_partitions"])
+    return pair
 
 
 def build_signal_pair(config: dict) -> Optional[SignalPair]:
@@ -233,26 +229,16 @@ def build_signal_pair(config: dict) -> Optional[SignalPair]:
     return SignalPair.synthetic(distance, dimension)
 
 
-def build_detector_config(config: dict) -> CanaryDetectorConfig:
-    oracle = config["oracle"]
-    return CanaryDetectorConfig(
-        flip_probability=float(oracle["flip_probability"]),
-        classes=tuple(oracle["classes"]),
-        yes_index=int(oracle["yes_index"]),
-        no_index=int(oracle["no_index"]),
-    )
+def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: bool = False):
+    """The configured oracle: a replay of a records file, the canary detector,
+    or a responder over the file or HTTP transport. The task sets its answers:
+    votes over ``oracle.classes``, or the signal pair's embeddings.
 
-
-def build_oracle(config: dict, signal_pair: Optional[SignalPair]):
+    With ``render_only`` it is the configured responder with no transport,
+    which renders requests and sends none, whatever ``oracle.kind`` says.
+    """
     oracle_cfg = config["oracle"]
-    kind = oracle_cfg["kind"]
-    task = config["task"]
-    detector = build_detector_config(config)
-
-    if kind == "canary_detector":
-        if task == "classification":
-            return CanaryDetectorVoteOracle(detector)
-        return CanaryDetectorEmbeddingOracle(signal_pair, detector)
+    kind = "render_only" if render_only else oracle_cfg["kind"]
 
     if kind == "replay":
         records_path = oracle_cfg.get("records_path")
@@ -262,7 +248,22 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair]):
             raise ConfigError(f"records file not found: {records_path}")
         return ReplayOracle.from_file(records_path, num_classes=len(oracle_cfg["classes"]))
 
-    if kind == "responder_file":
+    if config["task"] == "classification":
+        classes = oracle_cfg["classes"]
+        num_classes, markers, template_id = len(classes), {}, "audit_classification"
+        answers = (int(oracle_cfg["no_index"]), int(oracle_cfg["yes_index"]))
+        replies = {label: classes.index(label) for label in classes}  # a label's first index
+    else:
+        num_classes, template_id = None, "audit_generation_blackbox"
+        markers = {"y1_text": signal_pair.y1_text, "y0_text": signal_pair.y0_text}
+        answers = (signal_pair.y0_embedding, signal_pair.y1_embedding)
+        replies = {signal_pair.y0_text: answers[0], signal_pair.y1_text: answers[1]}
+
+    if kind == "canary_detector":
+        return CanaryDetector(answers, num_classes, float(oracle_cfg["flip_probability"]))
+    if kind == "render_only":
+        transport = None
+    elif kind == "responder_file":
         responses = oracle_cfg.get("responses_path")
         if not responses:
             raise ConfigError("file responder needs oracle.responses_path")
@@ -282,24 +283,11 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair]):
         transport = HttpTransport(endpoint, oracle_cfg.get("auth_header"), token)
     else:
         raise ConfigError(f"unknown oracle kind {kind!r}")
-    return build_responder(config, signal_pair, transport)
-
-
-def build_responder(config: dict, signal_pair: Optional[SignalPair], transport):
-    """The configured task's responder oracle over ``transport``: its prompt
-    template (one default per task) and decode settings."""
-    oracle_cfg = config["oracle"]
-    decode = DecodeSettings(
-        temperature=float(oracle_cfg["decode"]["temperature"]),
-        max_tokens=int(oracle_cfg["decode"]["max_tokens"]),
-    )
-    canary_text = config["context"]["canary_text"]
-    if config["task"] == "classification":
-        template_id = oracle_cfg.get("template_id", "audit_classification")
-        return ResponderVoteOracle(transport, template_id, oracle_cfg["classes"],
-                                   canary_text, decode)
-    template_id = oracle_cfg.get("template_id", "audit_generation_blackbox")
-    return ResponderEmbeddingOracle(transport, template_id, signal_pair, canary_text, decode)
+    decode = oracle_cfg["decode"]
+    return Responder(transport, oracle_cfg.get("template_id", template_id), replies,
+                     config["context"]["canary_text"], num_classes, markers,
+                     temperature=float(decode["temperature"]),
+                     max_tokens=int(decode["max_tokens"]))
 
 
 def output_path(config: dict, key: str) -> Path:

@@ -1,22 +1,31 @@
 """Clean (pre-noise) per-partition responses: simulated, replayed, or remote.
 
-Three oracle families produce the raw material the audit resamples:
+An oracle answers one partition at a time through ``respond(subset, query,
+rng)``: a vote index (classification) or an embedding (generation). Its
+``num_classes`` says which, the label set's size for votes and None for
+embeddings. The two live oracles take their answers as data:
 
-* canary detectors — idealized responders that answer from canary membership
-  alone, with an optional flip probability standing in for decoding noise;
-* replay — re-serves responses previously persisted as JSONL records, parsed
-  in one pass into columns (ctx, trial, partition, vote or embedding);
-* responder adapters — render a prompt template and hand it to an external
-  text generator over a line-delimited file batch or a single HTTP POST
-  endpoint, then map the returned text onto a class or signal embedding.
+* ``CanaryDetector`` — the idealized responder: the yes answer (a vote
+  index, or y1's embedding) when the partition holds the canary and the no
+  answer otherwise, flipped with p_flip; a zero-shot call (no partition)
+  flips a fair coin;
+* ``Responder`` — renders a prompt template, sends the request through a
+  transport (a line-delimited file batch or one HTTP POST endpoint) and
+  maps the reply text onto its answer: a label onto its vote index, a
+  signal text onto its embedding. An embedding responder also takes a raw
+  ``emb`` reply.
+
+``ReplayOracle`` re-serves responses persisted as JSONL records, parsed in
+one pass into columns (ctx, trial, partition, vote or embedding).
 
 `collect` runs the partition-and-query pipeline for both neighboring
 contexts. It holds each context's per-partition responses as one array, as
-the oracle returned them, and returns them with their per-trial aggregates
-from ``mechanisms.aggregate``, the first stage of the release (aggregate ->
-noise -> select): the clean vote counts (classification) or the mean of the
-unit-clipped embeddings (generation), one row per trial. The per-partition
-records are written straight from the arrays, unclipped.
+the oracle returned them, rejects non-finite embeddings, and returns the
+responses with their per-trial aggregates from ``mechanisms.aggregate``,
+the first stage of the release (aggregate -> noise -> select): the clean
+vote counts (classification) or the mean of the unit-clipped embeddings
+(generation), one row per trial. The per-partition records are written
+straight from the arrays, unclipped.
 """
 
 from __future__ import annotations
@@ -24,11 +33,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -53,30 +63,7 @@ class OracleError(RuntimeError):
 
 
 class ResponseParseError(OracleError):
-    """External responder text did not match any configured label."""
-
-
-@dataclass(frozen=True)
-class CanaryDetectorConfig:
-    """Idealized canary detector: answers membership, then flips with p_flip."""
-
-    flip_probability: float = 0.0
-    classes: tuple[str, ...] = ("yes", "no")
-    yes_index: int = 0
-    no_index: int = 1
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.flip_probability <= 0.5):
-            raise ValueError(f"flip_probability must lie in [0, 0.5], got {self.flip_probability}")
-        n = len(self.classes)
-        if not (0 <= self.yes_index < n and 0 <= self.no_index < n):
-            raise ValueError("yes/no indices must address the class list")
-        if self.yes_index == self.no_index:
-            raise ValueError("yes and no must be distinct classes")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
+    """External responder text matched none of the configured replies."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,38 +127,37 @@ def catalog_distances() -> tuple[float, ...]:
     return tuple(entry["l2_distance"] for entry in load_signal_catalog())
 
 
-class CanaryDetectorVoteOracle:
-    """Votes "yes" iff the canary is in the subset, then flips with p_flip."""
+class CanaryDetector:
+    """Answers from canary membership alone: ``answers[1]`` when the subset
+    holds the canary and ``answers[0]`` otherwise, then flips with p_flip; a
+    zero-shot call (subset None) flips a fair coin.
 
-    def __init__(self, config: CanaryDetectorConfig | None = None):
-        self.config = config or CanaryDetectorConfig()
+    ``answers`` is ``(no_index, yes_index)`` for votes over ``num_classes``
+    classes, or the ``(y0, y1)`` embeddings when ``num_classes`` is None.
+    """
 
-    @property
-    def num_classes(self) -> int:
-        return self.config.num_classes
+    def __init__(self, answers: tuple, num_classes: Optional[int] = None,
+                 flip_probability: float = 0.0):
+        if not (0.0 <= flip_probability <= 0.5):
+            raise ValueError(f"flip_probability must lie in [0, 0.5], got {flip_probability}")
+        if num_classes is not None:
+            no, yes = answers
+            if not (0 <= yes < num_classes and 0 <= no < num_classes):
+                raise ValueError(f"yes/no indices {yes}/{no} must address the "
+                                 f"{num_classes}-class label set")
+            if yes == no:
+                raise ValueError("yes and no must be distinct classes")
+        self.answers = tuple(answers)
+        self.num_classes = num_classes
+        self.flip_probability = flip_probability
 
-    def vote(self, subset: ExemplarSubset, query: str, rng: np.random.Generator) -> int:
-        saw_canary = subset.contains_canary
-        if self.config.flip_probability > 0.0 and rng.random() < self.config.flip_probability:
-            saw_canary = not saw_canary
-        return self.config.yes_index if saw_canary else self.config.no_index
-
-
-class CanaryDetectorEmbeddingOracle:
-    """Emits y1's embedding on canary sightings, y0's otherwise, then flips
-    with p_flip; a zero-shot call (subset=None) flips a fair coin."""
-
-    def __init__(self, pair: SignalPair, config: CanaryDetectorConfig | None = None):
-        self.pair = pair
-        self.config = config or CanaryDetectorConfig()
-
-    def embed(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator) -> np.ndarray:
+    def respond(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator):
         if subset is None:
-            return self.pair.y1_embedding if rng.random() < 0.5 else self.pair.y0_embedding
+            return self.answers[rng.random() < 0.5]
         saw_canary = subset.contains_canary
-        if self.config.flip_probability > 0.0 and rng.random() < self.config.flip_probability:
+        if self.flip_probability > 0.0 and rng.random() < self.flip_probability:
             saw_canary = not saw_canary
-        return self.pair.y1_embedding if saw_canary else self.pair.y0_embedding
+        return self.answers[saw_canary]
 
 
 # The one encoder of record values: what json.dumps(..., separators=(",", ":"))
@@ -203,11 +189,18 @@ def _write_responses(path: Union[str, Path], responses: dict[str, np.ndarray]) -
 
 def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[np.ndarray]:
     """Candidate pool from zero-shot oracle calls (no exemplar context), each
-    clipped to the unit ball as the mechanism clips the partition embeddings."""
+    clipped to the unit ball as the mechanism clips the partition embeddings.
+    A non-finite embedding raises OracleError."""
     if pool_size < 1:
         raise ValueError("pool_size must be positive")
     rng = np.random.default_rng([seed, 201])
-    return [clip_to_unit(oracle.embed(None, query, rng)) for _ in range(pool_size)]
+    pool = []
+    for call in range(pool_size):
+        candidate = oracle.respond(None, query, rng)
+        if not np.isfinite(candidate).all():
+            raise OracleError(f"non-finite embedding from zero-shot call {call}")
+        pool.append(clip_to_unit(candidate))
+    return pool
 
 
 @dataclass
@@ -282,14 +275,19 @@ class ReplayOracle:
     The records are held as columns in stream order: ctx codes, trial and
     partition ids, and the votes (n,) or embeddings (n, d). ``collect`` takes
     each arm's responses from them with one index lookup (``responses``).
+    A vote stream takes the configured label set's size, ``num_classes``;
+    an embedding stream's ``num_classes`` is None.
     """
 
     def __init__(self, ctx: np.ndarray, trial: np.ndarray, part: np.ndarray,
                  responses: np.ndarray, num_classes: Optional[int] = None):
         self._ctx, self._trial, self._part = ctx, trial, part
         self._responses = responses
-        self._num_classes = num_classes
-        self.kind = "vote" if responses.ndim == 1 else "emb"
+        if responses.ndim > 1:
+            num_classes = None
+        elif num_classes is None:
+            raise ValueError("a vote stream needs the label set's size, num_classes")
+        self.num_classes = num_classes
 
     @classmethod
     def from_file(cls, path: Union[str, Path], num_classes: Optional[int] = None) -> "ReplayOracle":
@@ -299,9 +297,7 @@ class ReplayOracle:
         Only when that parse or the columns fail are the lines parsed one by
         one, to name the first malformed line; a fault of the stream as a
         whole names the file. ``num_classes`` is the configured label set's
-        size and bounds the votes; without it the vote width is the largest
-        recorded vote plus one, which is narrower whenever the last classes
-        never occur.
+        size, which bounds the votes; a vote stream requires it.
         """
         try:
             with open(path, encoding="utf-8") as handle:
@@ -328,14 +324,6 @@ class ReplayOracle:
                         raise OracleError(f"malformed record at {path}:{number}: {fault}") from None
             raise OracleError(f"{exc} ({path})") from None
         return cls(*columns, num_classes=num_classes)
-
-    @property
-    def num_classes(self) -> int:
-        if self.kind != "vote":
-            raise OracleError("replay stream holds embeddings, not votes")
-        if self._num_classes is not None:
-            return self._num_classes
-        return int(self._responses.max()) + 1
 
     def responses(self, ctx: str, n_llm: int, num_partitions: int) -> np.ndarray:
         """Trials 0..n_llm-1 of ``ctx`` as recorded, (n_llm, T) votes or
@@ -381,12 +369,15 @@ def collect(
 ) -> CleanCollection:
     """Run the partition-and-query pipeline n_llm times per hypothesis, no DP noise.
 
-    Each arm's responses form one array, aggregated at once by
-    ``mechanisms.aggregate``; a replay serves it from its records with one
-    lookup, a live oracle is called once per partition and trial. A vote
-    outside the oracle's label set raises OracleError. Oracle failures are retried at the same trial index
-    with a fresh derived stream, each retry consuming the shared budget; an
-    exhausted budget aborts the arm. Records are canonicalized by
+    The oracle's ``num_classes`` names the task: votes over that many classes,
+    or embeddings when it is None. Each arm's responses form one array,
+    aggregated at once by ``mechanisms.aggregate``; a replay serves it from
+    its records with one lookup, a live oracle's ``respond`` is called once
+    per partition and trial. A vote outside the oracle's label set, or a
+    non-finite embedding, raises OracleError naming the first such response.
+    Oracle failures are retried at the same trial index with a fresh derived
+    stream, each retry consuming the shared budget; an exhausted budget
+    aborts the arm. Records are canonicalized by
     (hypothesis, trial, partition) so output files are deterministic
     regardless of worker count.
     """
@@ -395,17 +386,8 @@ def collect(
     if workers < 1:
         raise ValueError("workers must be positive")
 
-    is_replay = isinstance(oracle, ReplayOracle)
-    if is_replay:
-        task = "classification" if oracle.kind == "vote" else "generation"
-    elif hasattr(oracle, "vote"):
-        task = "classification"
-    elif hasattr(oracle, "embed"):
-        task = "generation"
-    else:
-        raise TypeError("oracle must expose vote(), embed(), or be a ReplayOracle")
-
-    num_classes = oracle.num_classes if task == "classification" else None
+    num_classes = oracle.num_classes
+    task = "generation" if num_classes is None else "classification"
 
     responses: dict[str, np.ndarray] = {}
     clean: dict[str, np.ndarray] = {}
@@ -420,9 +402,7 @@ def collect(
             while True:
                 rng = _trial_rng(seed, ctx_label, trial, attempt)
                 try:
-                    if task == "classification":
-                        return [oracle.vote(subset, query, rng) for subset in subsets]
-                    return [oracle.embed(subset, query, rng) for subset in subsets]
+                    return [oracle.respond(subset, query, rng) for subset in subsets]
                 except OracleError:
                     with budget_lock:
                         if budget["left"] <= 0:
@@ -431,7 +411,7 @@ def collect(
                         budget["failures"] += 1
                     attempt += 1
 
-        if is_replay:
+        if isinstance(oracle, ReplayOracle):
             grid = oracle.responses(ctx_label, n_llm, len(subsets))
         else:
             per_trial = map_in_order(run_trial, range(n_llm), workers)
@@ -441,6 +421,12 @@ def collect(
             if outside.any():
                 raise OracleError(f"vote {grid.flat[np.argmax(outside)]} outside the "
                                   f"{num_classes}-class label set")
+        else:
+            bad = ~np.isfinite(grid).all(axis=2)
+            if bad.any():
+                trial, part = np.unravel_index(np.argmax(bad), bad.shape)
+                raise OracleError(f"non-finite embedding at ({ctx_label}, trial={trial}, "
+                                  f"part={part})")
         responses[ctx_label] = grid
         # looked up on the module at each call, so the aggregate is the one
         # ``mechanisms`` holds, substitutes included
@@ -458,27 +444,7 @@ def collect(
 # External responder adapter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecodeSettings:
-    temperature: float = 0.0
-    max_tokens: int = 16
-
-
-@dataclass(frozen=True)
-class ResponderRequest:
-    template_id: str
-    rendered_prompt: str
-    decode: DecodeSettings = DecodeSettings()
-
-    def to_wire(self) -> dict:
-        return {
-            "template_id": self.template_id,
-            "rendered_prompt": self.rendered_prompt,
-            "decode": {
-                "temperature": self.decode.temperature,
-                "max_tokens": self.decode.max_tokens,
-            },
-        }
+_MARKER = re.compile(r"\{(\w+)\}")  # a template's {name} placeholder
 
 
 def load_template(template_id: str) -> str:
@@ -490,7 +456,7 @@ def load_template(template_id: str) -> str:
 
 
 def render_template(template_text: str, **placeholders: str) -> str:
-    """Plain placeholder substitution of {name} markers."""
+    """Plain placeholder substitution of {name} markers, in argument order."""
     rendered = template_text
     for name, value in placeholders.items():
         rendered = rendered.replace("{" + name + "}", value)
@@ -519,16 +485,16 @@ class HttpTransport:
         self.auth_token = auth_token
         self.timeout = timeout
 
-    def __call__(self, request: ResponderRequest) -> dict:
+    def __call__(self, request: dict) -> dict:
         # imported here: only this transport needs it, and it adds to every
         # command's start-up
         import requests
 
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         if self.auth_header and self.auth_token:
             headers[self.auth_header] = self.auth_token
         try:
-            response = requests.post(self.endpoint, json=request.to_wire(),
+            response = requests.post(self.endpoint, data=_encode(request).encode("utf-8"),
                                      headers=headers, timeout=self.timeout)
             response.raise_for_status()
             return response.json()
@@ -541,26 +507,31 @@ class FileTransport:
 
     Every request is appended to the request log as it is issued, so the
     operator can regenerate responses for exactly the prompts the audit
-    asked for.
+    asked for. A responses line that is not JSON raises OracleError naming
+    ``path:line``.
     """
 
     def __init__(self, responses_path: Union[str, Path],
                  requests_log_path: Optional[Union[str, Path]] = None):
         self._responses: list[dict] = []
         with open(responses_path, encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if line:
-                    self._responses.append(json.loads(line))
+                    try:
+                        self._responses.append(json.loads(line))
+                    except ValueError as exc:
+                        raise OracleError(f"malformed response at {responses_path}:{number}: "
+                                          f"{exc}") from None
         self._cursor = 0
         self._log_path = Path(requests_log_path) if requests_log_path else None
         if self._log_path:
             self._log_path.write_text("", encoding="utf-8")
 
-    def __call__(self, request: ResponderRequest) -> dict:
+    def __call__(self, request: dict) -> dict:
         if self._log_path:
             with open(self._log_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(request.to_wire(), separators=(",", ":")) + "\n")
+                handle.write(_encode(request) + "\n")
         if self._cursor >= len(self._responses):
             raise OracleError("response file exhausted before the collection finished")
         response = self._responses[self._cursor]
@@ -570,7 +541,7 @@ class FileTransport:
 
 def emit_requests(
     path: Union[str, Path],
-    oracle,
+    oracle: Responder,
     pair: NeighboringPair,
     query: str,
     num_partitions: int,
@@ -584,80 +555,67 @@ def emit_requests(
     """
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for _, context in ((CTX_WITH, pair.with_canary), (CTX_WITHOUT, pair.without_canary)):
+        for context in (pair.with_canary, pair.without_canary):
             subsets = partition(context, num_partitions, pad=pad)
-            for _trial in range(n_llm):
-                for subset in subsets:
-                    request = oracle.request(subset, query)
-                    handle.write(json.dumps(request.to_wire(), separators=(",", ":")) + "\n")
-                    count += 1
+            # every trial issues the same requests
+            lines = [_encode(oracle.request(subset, query)) + "\n" for subset in subsets]
+            handle.writelines(lines * n_llm)
+            count += len(lines) * n_llm
     return count
 
 
-class ResponderVoteOracle:
-    """Maps external responder text onto the class list by exact match."""
+class Responder:
+    """Renders a prompt template for each partition, sends it through
+    ``transport`` and maps the reply text onto its answer by exact match.
 
-    def __init__(self, transport: Callable[[ResponderRequest], dict],
-                 template_id: str, labels: Sequence[str], canary_text: str,
-                 decode: DecodeSettings = DecodeSettings()):
+    ``replies`` maps each reply text to its answer: a label to its vote
+    index over ``num_classes`` classes, or a signal text to its embedding
+    when ``num_classes`` is None; an embedding responder also takes a raw
+    ``emb`` reply as the embedding. The template's ``{context}`` marker
+    takes the partition's exemplars, ``{query}`` the query (``canary_text``
+    when none is given), and each of ``markers`` its text (for generation,
+    ``{y1_text}`` and ``{y0_text}``), in that order. A template marker the
+    responder does not fill raises ValueError.
+    """
+
+    def __init__(self, transport: Optional[Callable[[dict], dict]], template_id: str,
+                 replies: dict, canary_text: str, num_classes: Optional[int] = None,
+                 markers: Optional[dict[str, str]] = None,
+                 temperature: float = 0.0, max_tokens: int = 16):
         self.transport = transport
         self.template_id = template_id
         self.template = load_template(template_id)
-        self.labels = tuple(labels)
+        self.replies = dict(replies)
         self.canary_text = canary_text
-        self.decode = decode
+        self.num_classes = num_classes
+        self.markers = dict(markers or {})
+        self.temperature = float(temperature)
+        self.max_tokens = int(max_tokens)
+        unfilled = set(_MARKER.findall(self.template)) - {"context", "query", *self.markers}
+        if unfilled:
+            raise ValueError(f"template {template_id!r} keeps markers the responder does not "
+                             f"fill: {', '.join(sorted(unfilled))}")
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.labels)
+    def request(self, subset: Optional[ExemplarSubset], query: str) -> dict:
+        """The wire request for one partition (``None`` for zero-shot):
+        {template_id, rendered_prompt, decode: {temperature, max_tokens}}."""
+        prompt = render_template(self.template, context=format_exemplars(subset),
+                                 query=query or self.canary_text, **self.markers)
+        return {"template_id": self.template_id, "rendered_prompt": prompt,
+                "decode": {"temperature": self.temperature, "max_tokens": self.max_tokens}}
 
-    def request(self, subset: ExemplarSubset, query: str) -> ResponderRequest:
-        prompt = render_template(
-            self.template,
-            formatted_context=format_exemplars(subset),
-            query_article=query or self.canary_text,
-        )
-        return ResponderRequest(self.template_id, prompt, self.decode)
-
-    def vote(self, subset: ExemplarSubset, query: str, rng: np.random.Generator) -> int:
-        response = self.transport(self.request(subset, query))
-        text = str(response.get("text", "")).strip()
-        for index, label in enumerate(self.labels):
-            if text == label:
-                return index
-        raise ResponseParseError(f"response {text!r} matches no configured label")
-
-
-class ResponderEmbeddingOracle:
-    """Maps responder output onto signal embeddings (or ingests raw vectors)."""
-
-    def __init__(self, transport: Callable[[ResponderRequest], dict],
-                 template_id: str, pair: SignalPair, canary_text: str,
-                 decode: DecodeSettings = DecodeSettings()):
-        self.transport = transport
-        self.template_id = template_id
-        self.template = load_template(template_id)
-        self.pair = pair
-        self.canary_text = canary_text
-        self.decode = decode
-
-    def request(self, subset: Optional[ExemplarSubset], query: str) -> ResponderRequest:
-        prompt = render_template(
-            self.template,
-            exemplar_context=format_exemplars(subset),
-            canary=query or self.canary_text,
-            Y1_TARGET=self.pair.y1_text,
-            Y2_CONTROL=self.pair.y0_text,
-        )
-        return ResponderRequest(self.template_id, prompt, self.decode)
-
-    def embed(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator) -> np.ndarray:
-        response = self.transport(self.request(subset, query))
-        if "emb" in response:
-            return np.asarray(response["emb"], dtype=np.float64)
-        text = str(response.get("text", "")).strip()
-        if text == self.pair.y1_text:
-            return self.pair.y1_embedding
-        if text == self.pair.y0_text:
-            return self.pair.y0_embedding
-        raise ResponseParseError(f"response {text!r} matches neither signal text")
+    def respond(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator):
+        reply = self.transport(self.request(subset, query))
+        if self.num_classes is None and "emb" in reply:
+            try:
+                emb = np.asarray(reply["emb"], dtype=np.float64)
+            except (TypeError, ValueError):
+                emb = None
+            if emb is None or emb.ndim != 1:
+                raise ResponseParseError(f"emb reply {reply['emb']!r} is not a list of numbers")
+            return emb
+        text = str(reply.get("text", "")).strip()
+        try:
+            return self.replies[text]
+        except KeyError:
+            raise ResponseParseError(f"response {text!r} matches no configured reply") from None

@@ -351,12 +351,6 @@ class DictReplayOracle:
     def num_trials(self, ctx: str) -> int:
         return self._num_trials.get(ctx, 0)
 
-    @property
-    def num_classes(self) -> int:
-        if self.kind != "vote":
-            raise OracleError("replay stream holds embeddings, not votes")
-        return max(r["vote"] for r in self._store.values()) + 1
-
     def replay(self, ctx: str, trial: int, part: int):
         try:
             record = self._store[(ctx, trial, part)]
@@ -366,13 +360,11 @@ class DictReplayOracle:
 
 
 def collect_replay(oracle: DictReplayOracle, num_partitions: int, n_llm: int,
-                   num_classes: Optional[int] = None) -> tuple[list, list, list[dict]]:
+                   num_classes: int) -> tuple[list, list, list[dict]]:
     """The replay branch of ``collect``, one key at a time: each arm's clean
     vote counts or means of the unit-clipped embeddings, then the records
     behind them, as replayed."""
     task = "classification" if oracle.kind == "vote" else "generation"
-    if task == "classification" and num_classes is None:
-        num_classes = oracle.num_classes
     clean: dict[str, list] = {CTX_WITH: [], CTX_WITHOUT: []}
     records: list[dict] = []
     for ctx_label in (CTX_WITH, CTX_WITHOUT):

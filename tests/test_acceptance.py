@@ -25,9 +25,7 @@ from dpicl_audit.mechanisms import (
     voting_noise_scale,
 )
 from dpicl_audit.oracles import (
-    CanaryDetectorConfig,
-    CanaryDetectorEmbeddingOracle,
-    CanaryDetectorVoteOracle,
+    CanaryDetector,
     ReplayOracle,
     SignalPair,
     collect,
@@ -59,7 +57,7 @@ def test_a1_classification_headline_reproduction():
     }
     with criterion("A1", "classification headline reproduction (T=4, idealized oracle)"):
         pair = make_pair()
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.0))
+        oracle = CanaryDetector((1, 0), num_classes=2, flip_probability=0.0)
         for eps_theory in (1, 2, 4, 8):
             mech = MechanismConfig(eps_theory=float(eps_theory), delta=1e-5, num_partitions=4)
             mus = {}
@@ -160,7 +158,7 @@ def test_a6_generation_gap_properties():
                                    sensitivity_mode="esa_tight")
             config = AuditConfig(mechanism=mech, task="generation", threat_model="white_box",
                                  n_llm=200, n_sample=400_000, seed=20240806)
-            oracle = CanaryDetectorEmbeddingOracle(signal, CanaryDetectorConfig())
+            oracle = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
             report = run_audit(config, oracle, pair, "CANARY", signal_pair=signal, workers=4)
             return report.estimate.eps_emp
 
@@ -244,7 +242,7 @@ def unclipped_aggregate(responses, num_classes):
 def test_a10_broken_mechanisms_are_caught(tmp_path):
     with criterion("A10", "audits of known-broken mechanisms exceed eps_theory"):
         pair = make_pair()
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.0))
+        oracle = CanaryDetector((1, 0), num_classes=2, flip_probability=0.0)
         mech = MechanismConfig(eps_theory=4.0, delta=1e-5, num_partitions=4)
 
         def audit(threat):
@@ -272,8 +270,8 @@ def test_a10_broken_mechanisms_are_caught(tmp_path):
         esa = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=8,
                               sensitivity_mode="esa_tight")
         recorded, scaled = tmp_path / "records.jsonl", tmp_path / "scaled.jsonl"
-        collect(CanaryDetectorEmbeddingOracle(signal), pair, "CANARY", 8, 50, seed=3,
-                records_path=recorded)
+        collect(CanaryDetector((signal.y0_embedding, signal.y1_embedding)), pair, "CANARY", 8, 50,
+                seed=3, records_path=recorded)
         scale_canary_partition(recorded, scaled, 50.0)
         replay = ReplayOracle.from_file(scaled)
 

@@ -32,9 +32,7 @@ from dpicl_audit.mechanisms import (
     voting_noise_scale,
 )
 from dpicl_audit.oracles import (
-    CanaryDetectorConfig,
-    CanaryDetectorEmbeddingOracle,
-    CanaryDetectorVoteOracle,
+    CanaryDetector,
     OracleError,
     SignalPair,
     collect,
@@ -373,7 +371,8 @@ class TestSweepMatchesBruteForce:
     def test_classification_channel_at_100k(self, rule):
         # white-box classification, T=4, eps 8, canary-detector votes
         config = vote_config("white_box", eps_theory=8.0, n_sample=100_000, seed=2, n_llm=200)
-        collection = collect(CanaryDetectorVoteOracle(), make_pair(), "CANARY", 4, 200, seed=2)
+        collection = collect(CanaryDetector((1, 0), num_classes=2), make_pair(), "CANARY", 4, 200,
+                             seed=2)
         w = whitebox_statistic(generate_noisy_samples(collection.clean_with, config, 0), config)
         wo = whitebox_statistic(generate_noisy_samples(collection.clean_without, config, 1), config)
         if rule == "less_equal":
@@ -502,7 +501,8 @@ class TestBootstrapAudit:
         # its 19 rows are distinct, and the search runs over those alone
         clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
         signal = extra["signal_pair"]
-        zero_shot = zero_shot_candidates(CanaryDetectorEmbeddingOracle(signal), "q", 10, seed=4)
+        detector = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
+        zero_shot = zero_shot_candidates(detector, "q", 10, seed=4)
         near = generation_pool(signal, near=3)[2:]
         candidates = [*zero_shot, *near, *near[::-1], *near]
         assert len({candidate.tobytes() for candidate in candidates}) == 5
@@ -614,26 +614,27 @@ class TestBootstrapAudit:
 
 class TestRunAudit:
     def test_pure_noise_oracle_certifies_nothing(self):
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.5))
+        oracle = CanaryDetector((1, 0), num_classes=2, flip_probability=0.5)
         for threat in ("black_box", "white_box"):
             config = vote_config(threat, n_sample=50_000, seed=3, n_llm=200)
             report = run_audit(config, oracle, make_pair(), "CANARY")
             assert report.estimate.eps_emp <= 0.05
 
     def test_headline_desk_scale_point(self):
-        oracle = CanaryDetectorVoteOracle()
+        oracle = CanaryDetector((1, 0), num_classes=2)
         config = vote_config("white_box", eps_theory=1.0, n_sample=100_000, seed=1, n_llm=200)
         report = run_audit(config, oracle, make_pair(), "CANARY")
         assert report.estimate.eps_emp == pytest.approx(0.735, rel=0.15)
 
     def test_task_mismatch_rejected(self):
-        oracle = CanaryDetectorEmbeddingOracle(SignalPair.synthetic(0.5))
+        signal = SignalPair.synthetic(0.5)
+        oracle = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
         config = vote_config()
         with pytest.raises(OracleError, match="generation responses for a classification audit"):
             run_audit(config, oracle, make_pair(), "CANARY")
 
     def test_votes_narrower_than_the_yes_index_rejected(self):
-        oracle = CanaryDetectorVoteOracle()  # two classes
+        oracle = CanaryDetector((1, 0), num_classes=2)  # two classes
         mech = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=4)
         config = AuditConfig(mechanism=mech, task="classification", threat_model="black_box",
                              n_llm=1, n_sample=100, yes_index=2)
@@ -642,7 +643,7 @@ class TestRunAudit:
             run_audit(config, oracle, make_pair(), "CANARY")
 
     def test_monotone_in_n_sample_for_perfect_separation(self):
-        oracle = CanaryDetectorVoteOracle()
+        oracle = CanaryDetector((1, 0), num_classes=2)
         values = []
         for n_sample in (1_000, 10_000, 100_000):
             config = vote_config("white_box", eps_theory=1e9, n_sample=n_sample, seed=0, n_llm=50)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from dpicl_audit import cli
 from dpicl_audit import config as config_module
 from dpicl_audit.cli import main
 
-from reference import scale_canary_partition
+from reference import read_records, record_lines, scale_canary_partition
 
 
 def write_config(tmp_path, name="run.yaml", **overrides):
@@ -212,11 +213,66 @@ class TestConfigHandling:
         assert (args.command, args.overrides) == ("collect", None)
         assert not hasattr(cli._PARSER.parse_args(["convert", "--mu", "1"]), "config")
 
+    def test_override_leaves_the_defaults_alone(self, tmp_path):
+        # the file has no oracle section, so the override lands in the defaults' copy
+        path = write_config(tmp_path)
+        assert config_module.load_run_config(path, ["oracle.yes_index=1", "oracle.no_index=0"]
+                                             )["oracle"]["yes_index"] == 1
+        assert config_module.load_run_config(path)["oracle"]["yes_index"] == 0
+        assert config_module.DEFAULTS["oracle"]["yes_index"] == 0
+
     def test_set_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["audit", "--config", str(path), "--set", "audit.n_sample=400"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["n_sample"] == 400
+
+
+class TestConfigMistakes:
+    """A config that asks for what the run objects reject is a config error
+    (exit 2), raised before any output is written."""
+
+    @pytest.mark.parametrize("overrides", [
+        ["oracle.yes_index=5"],
+        ["mechanism.num_partitions=16"],
+        ["context.num_exemplars=3"],
+        ["context.canary_index=8"],
+        ["task=generation", "signal_pair={distance: 0.7476}"],
+        ["mechanism.sensitivity_mode=esa_legacy"],
+    ], ids=["yes-index-outside-classes", "more-partitions-than-exemplars",
+            "fewer-exemplars-than-partitions", "canary-index-outside-context",
+            "generation-with-voting-noise", "classification-with-esa-noise"])
+    def test_exits_2(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path)
+        argv = ["audit", "--config", str(path)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("template_id, message", [
+        # a classification responder fills no signal texts
+        ("audit_generation_blackbox", "template 'audit_generation_blackbox' keeps markers "
+                                      "the responder does not fill: y0_text, y1_text"),
+        ("audit_generation_whitebox", "template 'audit_generation_whitebox' keeps markers "
+                                      "the responder does not fill: y0_text, y1_text"),
+        ("nope", "unknown template id 'nope'"),
+    ])
+    def test_template_exits_2(self, tmp_path, capsys, template_id, message):
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text('{"text": "yes"}\n' * 160)
+        path = write_config(tmp_path, oracle={"kind": "responder_file",
+                                              "responses_path": str(responses),
+                                              "template_id": template_id})
+        assert main(["audit", "--config", str(path)]) == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_padding_admits_more_partitions_than_exemplars(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["audit", "--config", str(path), "--set", "context.num_exemplars=3",
+                     "--set", "context.pad_to_partitions=true"]) == 0
 
 
 class TestCollect:
@@ -385,7 +441,10 @@ class TestReplayMismatch:
         return code, capsys.readouterr().err
 
     def test_generation_records_audited_as_classification(self, tmp_path, capsys):
-        code, err = self.replay(tmp_path, capsys, ["task=classification"], **GENERATION)
+        # a consistent classification config: its noise calibration is voting's
+        code, err = self.replay(tmp_path, capsys, ["task=classification",
+                                                   "mechanism.sensitivity_mode=paper_voting"],
+                                **GENERATION)
         assert code == 3
         assert "oracle produced generation responses for a classification audit" in err
 
@@ -506,3 +565,42 @@ class TestSimulate:
     def test_missing_section(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 2
+
+
+class TestNonFiniteEmbeddings:
+    """A non-finite embedding, recorded or replied, is an oracle failure
+    (exit 3) that names the first (ctx, trial, part) holding one."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("threat", ["white_box", "black_box"])
+    def test_from_a_records_file(self, tmp_path, capsys, threat, value):
+        first = write_config(tmp_path, name="collect.yaml", **GENERATION)
+        assert main(["collect", "--config", str(first)]) == 0
+        records = read_records(tmp_path / "out" / "records.jsonl")
+        for record in records:
+            if record["ctx"] == "without" and record["part"] == 1:
+                record["emb"][0] = value
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(record_lines(records))
+        path = write_config(tmp_path, name="replay.yaml", threat_model=threat, **GENERATION,
+                            oracle={"kind": "replay", "records_path": str(edited)},
+                            output={"directory": str(tmp_path / "out2")})
+        capsys.readouterr()
+        assert main(["audit", "--config", str(path)]) == 3
+        assert ("oracle failure: non-finite embedding at (without, trial=0, part=1)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out2" / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("threat", ["white_box", "black_box"])
+    def test_from_a_responder_reply(self, tmp_path, capsys, threat, value):
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text((json.dumps({"emb": [value] + [0.0] * 15}) + "\n") * 160)
+        # a pair pool: no zero-shot calls come before the collection
+        mechanism = {**GENERATION["mechanism"], "candidate_pool_size": 2}
+        path = write_config(tmp_path, threat_model=threat, **{**GENERATION, "mechanism": mechanism},
+                            oracle={"kind": "responder_file", "responses_path": str(responses)})
+        assert main(["audit", "--config", str(path)]) == 3
+        assert ("oracle failure: non-finite embedding at (with, trial=0, part=0)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "report.json").exists()

@@ -23,7 +23,7 @@ from dpicl_audit.mechanisms import (
     vote_select,
     voting_noise_scale,
 )
-from dpicl_audit.oracles import CanaryDetectorEmbeddingOracle, SignalPair, collect
+from dpicl_audit.oracles import CanaryDetector, SignalPair, collect
 from dpicl_audit.stats import std_normal_cdf
 
 from reference import clip_one
@@ -318,7 +318,7 @@ class TestEsaAggregate:
     def test_opposite_vectors_cancel(self):
         # two partitions, the canary's answers u and the other -u
         u = np.array([1.0, 0.0])
-        oracle = CanaryDetectorEmbeddingOracle(SignalPair("u", "-u", u, -u))
+        oracle = CanaryDetector((-u, u))
         clean = collect(oracle, make_pair(2), "CANARY", 2, 1, seed=0).clean_with
         out = gaussian_release(np.stack(clean), np.zeros(1, dtype=np.intp), 0.0,
                                np.random.default_rng(0))
@@ -327,7 +327,7 @@ class TestEsaAggregate:
     def test_one_dimensional_signal_example(self):
         # one partition answered y1 (-1), one answered y0 (+1): clean mean 0,
         # equidistant from both, and the tie releases y1
-        oracle = CanaryDetectorEmbeddingOracle(ONE_D_PAIR)
+        oracle = CanaryDetector((ONE_D_PAIR.y0_embedding, ONE_D_PAIR.y1_embedding))
         clean = collect(oracle, make_pair(2), "CANARY", 2, 1, seed=0).clean_with
         out = gaussian_release(np.stack(clean), np.zeros(1, dtype=np.intp), 0.0,
                                np.random.default_rng(0))
@@ -343,7 +343,9 @@ class TestEsaAggregate:
 
     def test_dimension_mismatch(self):
         class Ragged:
-            def embed(self, subset, query, rng):
+            num_classes = None
+
+            def respond(self, subset, query, rng):
                 return np.zeros(3 if subset.contains_canary else 4)
 
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -15,17 +16,12 @@ from dpicl_audit.mechanisms import Exemplar, NeighboringPair, partition
 from dpicl_audit.oracles import (
     CTX_WITH,
     CTX_WITHOUT,
-    CanaryDetectorConfig,
-    CanaryDetectorEmbeddingOracle,
-    CanaryDetectorVoteOracle,
-    DecodeSettings,
+    CanaryDetector,
     FileTransport,
     HttpTransport,
     OracleError,
     ReplayOracle,
-    ResponderEmbeddingOracle,
-    ResponderRequest,
-    ResponderVoteOracle,
+    Responder,
     ResponseParseError,
     SignalPair,
     catalog_distances,
@@ -36,6 +32,7 @@ from dpicl_audit.oracles import (
     load_template,
     render_template,
     zero_shot_candidates,
+    _encode,
     _record_columns,
     _record_line,
     _write_responses,
@@ -51,29 +48,50 @@ def make_pair(n=10, canary_index=0):
 PAIR = make_pair()
 SUBSET_WITH = partition(PAIR.with_canary, 10)[0]
 SUBSET_WITHOUT = partition(PAIR.without_canary, 10)[0]
+TEMPLATES = Path(__file__).resolve().parents[1] / "src" / "dpicl_audit" / "templates"
+
+
+def vote_detector(flip_probability=0.0):
+    """The two-class canary detector: yes is class 0, no is class 1."""
+    return CanaryDetector((1, 0), num_classes=2, flip_probability=flip_probability)
+
+
+def embedding_detector(signal):
+    return CanaryDetector((signal.y0_embedding, signal.y1_embedding))
+
+
+def vote_responder(transport, template_id="audit_classification"):
+    return Responder(transport, template_id, {"Yes": 0, "No": 1}, "CANARY", num_classes=2)
+
+
+def signal_responder(transport, signal, template_id="audit_generation_blackbox"):
+    return Responder(transport, template_id,
+                     {signal.y0_text: signal.y0_embedding, signal.y1_text: signal.y1_embedding},
+                     "CANARY", markers={"y1_text": signal.y1_text, "y0_text": signal.y0_text})
 
 
 class TestCanaryDetectorVote:
     def test_deterministic_answers(self):
-        config = CanaryDetectorConfig()
-        oracle = CanaryDetectorVoteOracle(config)
+        oracle = vote_detector()
         rng = np.random.default_rng(0)
-        assert oracle.vote(SUBSET_WITH, "CANARY", rng) == config.yes_index
-        assert oracle.vote(SUBSET_WITHOUT, "CANARY", rng) == config.no_index
+        assert oracle.num_classes == 2
+        assert oracle.respond(SUBSET_WITH, "CANARY", rng) == 0
+        assert oracle.respond(SUBSET_WITHOUT, "CANARY", rng) == 1
 
     def test_flip_rate(self):
-        config = CanaryDetectorConfig(flip_probability=0.1)
-        oracle = CanaryDetectorVoteOracle(config)
+        oracle = vote_detector(flip_probability=0.1)
         rng = np.random.default_rng(5)
         draws = 100_000
-        yes = sum(oracle.vote(SUBSET_WITH, "CANARY", rng) == config.yes_index for _ in range(draws))
+        yes = sum(oracle.respond(SUBSET_WITH, "CANARY", rng) == 0 for _ in range(draws))
         assert abs(yes / draws - 0.9) <= 0.005
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            CanaryDetectorConfig(flip_probability=0.6)
+            vote_detector(flip_probability=0.6)
         with pytest.raises(ValueError):
-            CanaryDetectorConfig(yes_index=0, no_index=0)
+            CanaryDetector((0, 0), num_classes=2)
+        with pytest.raises(ValueError, match="yes/no indices 5/1 must address the 2-class"):
+            CanaryDetector((1, 5), num_classes=2)
 
 
 class TestSignalPair:
@@ -107,24 +125,25 @@ class TestSignalPair:
 class TestCanaryDetectorEmbedding:
     def test_deterministic_answers(self):
         pair = SignalPair.synthetic(0.7476)
-        oracle = CanaryDetectorEmbeddingOracle(pair, CanaryDetectorConfig())
+        oracle = embedding_detector(pair)
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(oracle.embed(SUBSET_WITH, "q", rng), pair.y1_embedding)
-        np.testing.assert_array_equal(oracle.embed(SUBSET_WITHOUT, "q", rng), pair.y0_embedding)
+        assert oracle.num_classes is None
+        np.testing.assert_array_equal(oracle.respond(SUBSET_WITH, "q", rng), pair.y1_embedding)
+        np.testing.assert_array_equal(oracle.respond(SUBSET_WITHOUT, "q", rng), pair.y0_embedding)
 
     def test_zero_shot_is_fair(self):
         pair = SignalPair.synthetic(0.7476)
-        oracle = CanaryDetectorEmbeddingOracle(pair, CanaryDetectorConfig())
+        oracle = embedding_detector(pair)
         rng = np.random.default_rng(9)
         draws = 100_000
-        y1 = sum(np.array_equal(oracle.embed(None, "q", rng), pair.y1_embedding)
+        y1 = sum(np.array_equal(oracle.respond(None, "q", rng), pair.y1_embedding)
                  for _ in range(draws))
         assert abs(y1 / draws - 0.5) <= 0.005
 
 
 class TestCollect:
     def test_deterministic_vote_vectors(self):
-        oracle = CanaryDetectorVoteOracle()
+        oracle = vote_detector()
         got = collect(oracle, PAIR, "CANARY", 10, 3, seed=0)
         assert got.clean_with.tolist() == [[1, 9]] * 3
         assert got.clean_without.tolist() == [[0, 10]] * 3
@@ -133,11 +152,11 @@ class TestCollect:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
-            collect(CanaryDetectorVoteOracle(), PAIR, "CANARY", 10, 0)
+            collect(vote_detector(), PAIR, "CANARY", 10, 0)
 
     def test_flip_rate_through_pipeline(self):
         pair = make_pair(8)
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.1))
+        oracle = vote_detector(flip_probability=0.1)
         got = collect(oracle, pair, "CANARY", 4, 500, seed=3)
         yes_counts = got.clean_with[:, 0]
         # 1 * 0.9 + 3 * 0.1 yes votes expected per trial
@@ -148,7 +167,7 @@ class TestCollect:
         # two partitions, canary in one: the clean mean sits at the midpoint
         pair = make_pair(2)
         signal = SignalPair.synthetic(0.7476)
-        oracle = CanaryDetectorEmbeddingOracle(signal)
+        oracle = embedding_detector(signal)
         got = collect(oracle, pair, "CANARY", 2, 1, seed=0)
         midpoint = (signal.y1_embedding + signal.y0_embedding) / 2.0
         np.testing.assert_allclose(got.clean_with[0], midpoint)
@@ -158,7 +177,7 @@ class TestCollect:
             CTX_WITH: (1, 2, 16), CTX_WITHOUT: (1, 2, 16)}
 
     def test_deterministic_given_seed(self):
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.2))
+        oracle = vote_detector(flip_probability=0.2)
         a = collect(oracle, PAIR, "CANARY", 5, 20, seed=77)
         b = collect(oracle, PAIR, "CANARY", 5, 20, seed=77)
         c = collect(oracle, PAIR, "CANARY", 5, 20, seed=78)
@@ -166,7 +185,7 @@ class TestCollect:
         assert a.clean_with.tolist() != c.clean_with.tolist()
 
     def test_worker_count_does_not_change_results(self, tmp_path):
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.2))
+        oracle = vote_detector(flip_probability=0.2)
         a = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=1,
                     records_path=tmp_path / "a.jsonl")
         b = collect(oracle, PAIR, "CANARY", 5, 30, seed=5, workers=8,
@@ -195,7 +214,7 @@ class TestRecords:
         assert read_records(path) == [{"ctx": ctx, "trial": t, "part": p, "vote": t % 2}
                                       for ctx in (CTX_WITH, CTX_WITHOUT)
                                       for t in range(3) for p in range(2)]
-        replayed = collect(ReplayOracle.from_file(path), make_pair(2), "CANARY", 2, 3)
+        replayed = collect(ReplayOracle.from_file(path, num_classes=2), make_pair(2), "CANARY", 2, 3)
         assert {ctx: grid.tolist() for ctx, grid in replayed.responses.items()} == {
             ctx: grid.tolist() for ctx, grid in votes.items()}
 
@@ -246,7 +265,7 @@ class TestRecordsWriter:
     def test_collect_writes_what_its_records_read(self, tmp_path):
         path = tmp_path / "records.jsonl"
         signal = SignalPair.synthetic(0.7476)
-        got = collect(CanaryDetectorEmbeddingOracle(signal), PAIR, "CANARY", 4, 5, seed=3,
+        got = collect(embedding_detector(signal), PAIR, "CANARY", 4, 5, seed=3,
                       records_path=path)
         assert path.read_text() == record_lines(
             {"ctx": ctx, "trial": trial, "part": part, "emb": value}
@@ -259,18 +278,19 @@ class TestReplay:
     def test_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.15))
+        oracle = vote_detector(flip_probability=0.15)
         original = collect(oracle, PAIR, "CANARY", 4, 25, seed=11, records_path=first)
-        replayed = collect(ReplayOracle.from_file(first), PAIR, "CANARY", 4, 25,
+        replayed = collect(ReplayOracle.from_file(first, num_classes=2), PAIR, "CANARY", 4, 25,
                            seed=999, records_path=second)
         assert first.read_bytes() == second.read_bytes()
         assert original.clean_with.tolist() == replayed.clean_with.tolist()
 
     def test_replay_reproduces_empirical_distribution(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        oracle = CanaryDetectorVoteOracle(CanaryDetectorConfig(flip_probability=0.3))
+        oracle = vote_detector(flip_probability=0.3)
         original = collect(oracle, PAIR, "CANARY", 4, 50, seed=2, records_path=path)
-        replayed = collect(ReplayOracle.from_file(path), PAIR, "CANARY", 4, 50, seed=3)
+        replayed = collect(ReplayOracle.from_file(path, num_classes=2), PAIR, "CANARY", 4, 50,
+                           seed=3)
         original_counts = sorted(original.clean_with.tolist())
         replayed_counts = sorted(replayed.clean_with.tolist())
         assert original_counts == replayed_counts
@@ -278,7 +298,7 @@ class TestReplay:
     def test_embedding_replay(self, tmp_path):
         path = tmp_path / "records.jsonl"
         signal = SignalPair.synthetic(0.5562, 8)
-        oracle = CanaryDetectorEmbeddingOracle(signal)
+        oracle = embedding_detector(signal)
         collect(oracle, make_pair(4), "CANARY", 4, 6, seed=0, records_path=path)
         replayed = collect(ReplayOracle.from_file(path), make_pair(4), "CANARY", 4, 6, seed=1)
         assert replayed.task == "generation"
@@ -286,9 +306,32 @@ class TestReplay:
 
     def test_too_few_recorded_trials(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        collect(CanaryDetectorVoteOracle(), PAIR, "CANARY", 4, 5, seed=0, records_path=path)
+        collect(vote_detector(), PAIR, "CANARY", 4, 5, seed=0, records_path=path)
         with pytest.raises(OracleError):
-            collect(ReplayOracle.from_file(path), PAIR, "CANARY", 4, 6)
+            collect(ReplayOracle.from_file(path, num_classes=2), PAIR, "CANARY", 4, 6)
+
+    def test_vote_stream_needs_the_label_set_size(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        collect(vote_detector(), PAIR, "CANARY", 4, 5, seed=0, records_path=path)
+        with pytest.raises(ValueError, match="a vote stream needs the label set's size"):
+            ReplayOracle.from_file(path)
+        assert ReplayOracle.from_file(path, num_classes=3).num_classes == 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_embedding_rejected(self, tmp_path, value):
+        path = tmp_path / "records.jsonl"
+        signal = SignalPair.synthetic(0.5562, 8)
+        collect(embedding_detector(signal), make_pair(4), "CANARY", 4, 3, seed=0,
+                records_path=path)
+        records = read_records(path)
+        for record in records:
+            if (record["ctx"], record["trial"], record["part"]) == (CTX_WITHOUT, 2, 1):
+                record["emb"][5] = value
+        path.write_text(record_lines(records))
+        replay = ReplayOracle.from_file(path, num_classes=2)
+        assert replay.num_classes is None
+        with pytest.raises(OracleError, match=r"non-finite embedding at \(without, trial=2, part=1\)"):
+            collect(replay, make_pair(4), "CANARY", 4, 3)
 
 
 @st.composite
@@ -337,16 +380,18 @@ class TestReplayMatchesReference:
         task, T, n_llm, lines = stream
         path = tmp_path_factory.mktemp("replay") / "records.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        # the streams' votes lie in [0, 3); both replays take that label set
         try:
-            want = collect_replay(DictReplayOracle.from_file(path), T, n_llm)
+            want = collect_replay(DictReplayOracle.from_file(path), T, n_llm, num_classes=3)
         except OracleError as exc:
             with pytest.raises(OracleError) as info:
-                collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm)
+                collect(ReplayOracle.from_file(path, num_classes=3), make_pair(T), "CANARY", T,
+                        n_llm)
             assert str(info.value) == str(exc)
             return
         written = path.parent / "written.jsonl"
-        got = collect(ReplayOracle.from_file(path), make_pair(T), "CANARY", T, n_llm,
-                      records_path=written)
+        got = collect(ReplayOracle.from_file(path, num_classes=3), make_pair(T), "CANARY", T,
+                      n_llm, records_path=written)
         assert got.task == task
         for clean, reference in ((got.clean_with, want[0]), (got.clean_without, want[1])):
             assert _clean_matrix(clean).tobytes() == _clean_matrix(reference).tobytes()
@@ -356,8 +401,7 @@ class TestReplayMatchesReference:
 class TestTemplates:
     def test_all_templates_load(self):
         for template_id in ("audit_classification", "audit_generation_whitebox",
-                            "audit_generation_blackbox", "baseline_classification_mislabel",
-                            "baseline_generation_completion", "baseline_generation_list_probe"):
+                            "audit_generation_blackbox", "baseline_classification_mislabel"):
             assert load_template(template_id)
 
     def test_unknown_template(self):
@@ -366,15 +410,34 @@ class TestTemplates:
 
     def test_rendering_substitutes_placeholders(self):
         text = load_template("audit_classification")
-        rendered = render_template(text, formatted_context="CTX", query_article="QUERY")
+        rendered = render_template(text, context="CTX", query="QUERY")
         assert "CTX" in rendered and "QUERY" in rendered
-        assert "{formatted_context}" not in rendered
+        assert "{context}" not in rendered
 
     def test_generation_template_placeholders(self):
         text = load_template("audit_generation_blackbox")
-        rendered = render_template(text, canary="C", Y1_TARGET="A", Y2_CONTROL="B",
-                                   exemplar_context="")
+        rendered = render_template(text, query="C", y1_text="A", y0_text="B", context="")
         assert '"A"' in rendered and '"B"' in rendered
+
+    @pytest.mark.parametrize("template_id", sorted(path.stem for path in TEMPLATES.glob("*.txt")))
+    def test_every_template_renders_completely(self, template_id):
+        # each shipped template, through its own task's responder
+        if "classification" in template_id:
+            oracle = vote_responder(None, template_id)
+        else:
+            oracle = signal_responder(None, SignalPair.from_catalog(0.7476), template_id)
+        for subset in (SUBSET_WITH, None):
+            prompt = oracle.request(subset, "")["rendered_prompt"]
+            assert re.findall(r"\{\w+\}", prompt) == []
+            assert "CANARY" in prompt
+
+    @pytest.mark.parametrize("template_id", ["audit_generation_blackbox",
+                                             "audit_generation_whitebox"])
+    def test_unfilled_marker_rejected(self, template_id):
+        # a classification responder does not fill the signal texts
+        with pytest.raises(ValueError, match="keeps markers the responder does not fill: "
+                                             "y0_text, y1_text"):
+            vote_responder(None, template_id)
 
 
 class StatefulFakeTransport:
@@ -384,29 +447,29 @@ class StatefulFakeTransport:
         self.calls = 0
         self.fail_first = fail_first
 
-    def __call__(self, request: ResponderRequest) -> dict:
+    def __call__(self, request: dict) -> dict:
         self.calls += 1
         if self.calls <= self.fail_first:
             return {"text": "mumble"}
-        context = request.rendered_prompt.split("<context>\n")[1].split("\n</context>")[0]
+        context = request["rendered_prompt"].split("<context>\n")[1].split("\n</context>")[0]
         answer = "Yes" if "CANARY" in context else "No"
         return {"text": answer}
 
 
 class TestResponderVoteOracle:
     def make_oracle(self, transport):
-        return ResponderVoteOracle(transport, "audit_classification", ("Yes", "No"), "CANARY")
+        return vote_responder(transport)
 
     def test_maps_text_to_class(self):
         oracle = self.make_oracle(StatefulFakeTransport())
         rng = np.random.default_rng(0)
-        assert oracle.vote(SUBSET_WITH, "CANARY", rng) == 0
-        assert oracle.vote(SUBSET_WITHOUT, "CANARY", rng) == 1
+        assert oracle.respond(SUBSET_WITH, "CANARY", rng) == 0
+        assert oracle.respond(SUBSET_WITHOUT, "CANARY", rng) == 1
 
     def test_parse_failure_raises(self):
         oracle = self.make_oracle(StatefulFakeTransport(fail_first=10**9))
         with pytest.raises(ResponseParseError):
-            oracle.vote(SUBSET_WITH, "CANARY", np.random.default_rng(0))
+            oracle.respond(SUBSET_WITH, "CANARY", np.random.default_rng(0))
 
     def test_collect_retries_within_budget(self):
         oracle = self.make_oracle(StatefulFakeTransport(fail_first=1))
@@ -426,8 +489,7 @@ class TestResponderEmbeddingOracle:
         # norm, the mechanism's aggregate and the zero-shot pool clip it
         signal = SignalPair.synthetic(0.7476, 8)
         raw = 5.0 * signal.y1_embedding
-        oracle = ResponderEmbeddingOracle(lambda request: {"emb": raw.tolist()},
-                                          "audit_generation_blackbox", signal, "CANARY")
+        oracle = signal_responder(lambda request: {"emb": raw.tolist()}, signal)
         path = tmp_path / "records.jsonl"
         got = collect(oracle, make_pair(4), "CANARY", 2, 3, seed=0, records_path=path)
         assert all(record["emb"] == raw.tolist() for record in read_records(path))
@@ -435,12 +497,39 @@ class TestResponderEmbeddingOracle:
         for candidate in zero_shot_candidates(oracle, "CANARY", 3, seed=0):
             np.testing.assert_allclose(candidate, signal.y1_embedding)
 
+    def test_signal_text_maps_to_its_embedding(self):
+        signal = SignalPair.from_catalog(0.7476)
+        oracle = signal_responder(lambda request: {"text": f" {signal.y0_text}\n"}, signal)
+        assert oracle.num_classes is None
+        got = oracle.respond(SUBSET_WITH, "CANARY", np.random.default_rng(0))
+        np.testing.assert_array_equal(got, signal.y0_embedding)
+        with pytest.raises(ResponseParseError):
+            signal_responder(lambda request: {"text": "Yes"}, signal).respond(
+                SUBSET_WITH, "CANARY", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("emb", ["abc", [[1.0, 0.0]], [1.0, "x"], 3.0])
+    def test_malformed_emb_reply_is_a_parse_failure(self, emb):
+        signal = SignalPair.synthetic(0.7476, 2)
+        oracle = signal_responder(lambda request: {"emb": emb}, signal)
+        with pytest.raises(ResponseParseError, match="is not a list of numbers"):
+            oracle.respond(SUBSET_WITH, "CANARY", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_reply_rejected(self, value):
+        signal = SignalPair.synthetic(0.7476, 8)
+        emb = [value] + [0.0] * 7
+        oracle = signal_responder(lambda request: {"emb": emb}, signal)
+        with pytest.raises(OracleError, match=r"non-finite embedding at \(with, trial=0, part=0\)"):
+            collect(oracle, make_pair(4), "CANARY", 2, 3, seed=0)
+        with pytest.raises(OracleError, match="non-finite embedding from zero-shot call 0"):
+            zero_shot_candidates(oracle, "CANARY", 3, seed=0)
+
 
 class TestFileTransport:
     def test_batch_round_trip(self, tmp_path):
         pair = make_pair(4)
         requests_path = tmp_path / "requests.jsonl"
-        renderer = ResponderVoteOracle(None, "audit_classification", ("Yes", "No"), "CANARY")
+        renderer = vote_responder(None)
         count = emit_requests(requests_path, renderer, pair, "CANARY", 2, 2)
         assert count == 2 * 2 * 2  # hypotheses x trials x partitions
         requests = [json.loads(line) for line in requests_path.read_text().splitlines()]
@@ -456,7 +545,7 @@ class TestFileTransport:
                 handle.write(json.dumps({"text": answer}) + "\n")
 
         transport = FileTransport(responses_path, tmp_path / "log.jsonl")
-        oracle = ResponderVoteOracle(transport, "audit_classification", ("Yes", "No"), "CANARY")
+        oracle = vote_responder(transport)
         recorded = tmp_path / "records.jsonl"
         got = collect(oracle, pair, "CANARY", 2, 2, seed=0, records_path=recorded)
         assert got.clean_with.tolist() == [[1, 1], [1, 1]]
@@ -466,15 +555,21 @@ class TestFileTransport:
         assert logged == requests
         # replaying the recorded responder stream is byte-identical
         replayed = tmp_path / "replayed.jsonl"
-        collect(ReplayOracle.from_file(recorded), pair, "CANARY", 2, 2, seed=5,
+        collect(ReplayOracle.from_file(recorded, num_classes=2), pair, "CANARY", 2, 2, seed=5,
                 records_path=replayed)
         assert recorded.read_bytes() == replayed.read_bytes()
+
+    def test_malformed_response_line_is_named(self, tmp_path):
+        responses_path = tmp_path / "responses.jsonl"
+        responses_path.write_text('{"text": "Yes"}\n\n{"text": \n')
+        with pytest.raises(OracleError, match=f"malformed response at {responses_path}:3: "):
+            FileTransport(responses_path)
 
     def test_exhausted_responses(self, tmp_path):
         responses_path = tmp_path / "responses.jsonl"
         responses_path.write_text(json.dumps({"text": "Yes"}) + "\n")
         transport = FileTransport(responses_path)
-        oracle = ResponderVoteOracle(transport, "audit_classification", ("Yes", "No"), "CANARY")
+        oracle = vote_responder(transport)
         with pytest.raises(OracleError):
             collect(oracle, make_pair(4), "CANARY", 2, 2, seed=0)
 
@@ -508,7 +603,7 @@ class TestHttpTransport:
                 f"http://127.0.0.1:{server.server_port}/respond",
                 auth_header="X-Audit-Token", auth_token="sekrit",
             )
-            oracle = ResponderVoteOracle(transport, "audit_classification", ("Yes", "No"), "CANARY")
+            oracle = vote_responder(transport)
             got = collect(oracle, make_pair(4), "CANARY", 2, 2, seed=0)
             assert got.clean_with.tolist() == [[1, 1], [1, 1]]
         finally:
@@ -517,7 +612,7 @@ class TestHttpTransport:
     def test_unreachable_endpoint(self):
         transport = HttpTransport("http://127.0.0.1:9/nowhere", timeout=0.3)
         with pytest.raises(OracleError):
-            transport(ResponderRequest("audit_classification", "prompt"))
+            transport({"template_id": "audit_classification", "rendered_prompt": "prompt"})
 
 
 class TestFormatting:
@@ -526,5 +621,10 @@ class TestFormatting:
         assert format_exemplars(None) == ""
 
     def test_decode_settings_defaults(self):
-        wire = ResponderRequest("t", "p", DecodeSettings(temperature=0.7, max_tokens=4)).to_wire()
-        assert wire["decode"] == {"temperature": 0.7, "max_tokens": 4}
+        oracle = Responder(None, "audit_classification", {}, "CANARY", 2,
+                           temperature=0.7, max_tokens=4)
+        assert oracle.request(SUBSET_WITH, "q")["decode"] == {"temperature": 0.7, "max_tokens": 4}
+        # an integer temperature goes on the wire as a float
+        wire = Responder(None, "audit_classification", {}, "CANARY", 2, temperature=0).request(
+            SUBSET_WITH, "q")
+        assert _encode(wire["decode"]) == '{"temperature":0.0,"max_tokens":16}'
