@@ -29,10 +29,10 @@ from .mechanisms import (
     ExemplarContext,
     MechanismConfig,
     NeighboringPair,
-    esa_noise_scale,
     esa_select,
     esa_sensitivity,
     gaussian_release,
+    noise_scale,
     partition,
     vote_select,
     voting_noise_scale,
@@ -72,13 +72,13 @@ __all__ = [
     "eps_emp_analytic",
     "eps_emp_dp",
     "eps_from_mu_delta",
-    "esa_noise_scale",
     "esa_select",
     "esa_sensitivity",
     "gaussian_release",
     "mu_from_eps_delta",
     "mu_gauss",
     "mu_lower",
+    "noise_scale",
     "partition",
     "run_audit",
     "std_normal_cdf",

@@ -1,14 +1,16 @@
 """The audit engine: bootstrap membership-inference trials into GDP estimates.
 
-For each of n_sample trials per hypothesis a clean response is resampled
-with replacement, the shipped mechanism perturbs it and releases its output
-(``mechanisms.gaussian_release``, then ``vote_select`` or ``esa_select``),
-and a decision rule converts it into a membership bit. Black-box rules read
-only the released output; white-box rules threshold a 1-D statistic of the
-noisy aggregate (vote difference or embedding distance difference) at the
-tau maximizing the mu lower bound. That bound comes from a confidence band
-that holds at every tau at once, so choosing tau on the trials it is scored
-on leaves it valid.
+Both tasks reduce to one binary decision between a no and a yes answer, two
+rows in aggregate space: the one-hot votes e_no and e_yes, or the signal
+pair's embeddings y0 and y1. For each of n_sample trials per hypothesis a
+clean response is resampled with replacement and the shipped mechanism
+perturbs it (``mechanisms.gaussian_release``). The black-box attack says
+"canary in" when the release (``vote_select`` or ``esa_select``) is the yes
+answer; the white-box attack when the noisy aggregate's projection on
+yes - no, the Neyman-Pearson statistic for a Gaussian mean shift, exceeds
+the tau maximizing the mu lower bound. That bound comes from a confidence
+band that holds at every tau at once, so choosing tau on the trials it is
+scored on leaves it valid.
 
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
 releases it through the mechanism and reduces it at once to a decision tally
@@ -21,6 +23,7 @@ of its config and identical across worker counts.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -43,20 +46,12 @@ from .gdp import (
     estimate_from_bounds,
     mu_from_bounds,
 )
-from .mechanisms import (
-    MechanismConfig,
-    NeighboringPair,
-    esa_noise_scale,
-    voting_noise_scale,
-)
+from .mechanisms import SENSITIVITY_MODES, MechanismConfig, NeighboringPair, noise_scale
 from .oracles import CleanCollection, OracleError, SignalPair, collect
 from .parallel import map_in_order
 from .stats import band_upper_bound_array
 
 TASKS = ("classification", "generation")
-# the noise calibrations each task's mechanism takes
-_TASK_SENSITIVITY_MODES = {"classification": ("paper_voting",),
-                           "generation": ("esa_tight", "esa_legacy")}
 THREAT_MODELS = ("black_box", "white_box")
 
 # Trials are generated in fixed-size blocks, each with its own derived
@@ -89,8 +84,8 @@ class AuditConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        modes = _TASK_SENSITIVITY_MODES[self.task]
-        if self.mechanism.sensitivity_mode not in modes:
+        if SENSITIVITY_MODES[self.mechanism.sensitivity_mode] != self.task:
+            modes = [mode for mode, task in SENSITIVITY_MODES.items() if task == self.task]
             raise ValueError(f"sensitivity_mode {self.mechanism.sensitivity_mode!r} does not fit "
                              f"a {self.task} audit; choose one of {', '.join(modes)}")
         if self.threat_model not in THREAT_MODELS:
@@ -206,9 +201,9 @@ def _candidate_thresholds(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
     return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
 
 
-def _candidate_counts(w: np.ndarray, wo: np.ndarray,
-                      rule: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_candidate_thresholds`` and the FN and FP counts of ``rule`` at each.
+def _candidate_counts(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_candidate_thresholds`` and the FN and FP counts of "canary in above
+    tau" at each.
 
     A stable argsort of the two sorted arms merges them, and a cumulative sum
     of the arm labels counts the ``w`` statistics in every pooled prefix. The
@@ -218,8 +213,6 @@ def _candidate_counts(w: np.ndarray, wo: np.ndarray,
     midpoint rounds onto (or overflows past) a neighbour; those few are
     searched.
     """
-    if rule not in ("greater", "less_equal"):
-        raise ValueError(f"unknown rule {rule!r}")
     pooled = np.concatenate([w, wo])
     pooled[:w.size].sort()
     pooled[w.size:].sort()
@@ -247,19 +240,17 @@ def _candidate_counts(w: np.ndarray, wo: np.ndarray,
     del inner, pooled
     fn = with_below[at_or_below]  # w statistics at or below each threshold
     del with_below
-    fp = np.subtract(at_or_below, fn, out=at_or_below)
-    if rule == "greater":
-        return thresholds, fn, np.subtract(wo.size, fp, out=fp)
-    return thresholds, np.subtract(w.size, fn, out=fn), fp
+    fp = np.subtract(at_or_below, fn, out=at_or_below)  # wo statistics at or below
+    return thresholds, fn, np.subtract(wo.size, fp, out=fp)
 
 
 def sweep_threshold(
     stats_with: Sequence[float],
     stats_without: Sequence[float],
     confidence: float,
-    rule: str = "greater",
 ) -> tuple[float, AttackCounts, ErrorBounds]:
-    """Pick the tau maximizing the mu lower bound over pooled-midpoint candidates.
+    """Pick the tau maximizing the mu lower bound over pooled-midpoint
+    candidates, for the attack that says "canary in" above tau.
 
     Candidates are every midpoint between adjacent pooled sorted statistics
     plus finite sentinels outside the data range (accept-all / reject-all),
@@ -279,7 +270,7 @@ def sweep_threshold(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    thresholds, fn, fp = _candidate_counts(w, wo, rule)
+    thresholds, fn, fp = _candidate_counts(w, wo)
     mu = mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
                         band_upper_bound_array(fn, w.size, confidence))
     best = int(np.argmax(mu))  # first maximum = smallest tau
@@ -325,13 +316,6 @@ def _block_noise(clean: np.ndarray, sigma: float, seed: int, arm: int, index: in
     return mechanisms.gaussian_release(clean, rows, sigma, rng)
 
 
-def mechanism_sigma(config: AuditConfig) -> float:
-    mech = config.mechanism
-    if config.task == "classification":
-        return voting_noise_scale(mech.eps_theory, mech.delta, mech.classic_calibration)
-    return esa_noise_scale(mech)
-
-
 def generate_noisy_samples(
     clean: Sequence,
     config: AuditConfig,
@@ -343,43 +327,49 @@ def generate_noisy_samples(
     These are the trial blocks that ``bootstrap_audit`` streams, stacked.
     """
     matrix = _clean_matrix(clean)
-    sigma = mechanism_sigma(config)
+    sigma = noise_scale(config.mechanism)
     sizes = _block_sizes(config.n_sample)
     return np.concatenate(map_in_order(
         lambda index: _block_noise(matrix, sigma, config.seed, arm, index, sizes[index]),
         range(len(sizes)), workers))
 
 
-def whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
-                       signal_pair: Optional[SignalPair] = None) -> np.ndarray:
-    """The 1-D statistic the white-box threshold test reads."""
-    # the audit's pool threads call the private twin: a tracer wrapping the
-    # public name keeps one span stack per process, not per thread
-    return _whitebox_statistic(noisy, config, signal_pair)
-
-
-def _whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
-                        signal_pair: Optional[SignalPair]) -> np.ndarray:
+def _answers(config: AuditConfig, signal_pair: Optional[SignalPair], width: int) -> np.ndarray:
+    """The no and yes answers, in that order, as rows in the aggregate space
+    of ``width`` coordinates: the one-hot vote rows, or the signal pair's
+    embeddings."""
     if config.task == "classification":
-        return noisy[:, config.yes_index] - noisy[:, config.no_index]
+        return np.eye(width)[[config.no_index, config.yes_index]]
     if signal_pair is None:
         raise ValueError("generation audits need a signal pair")
-    statistic = np.empty(noisy.shape[0])
-    targets = np.stack([signal_pair.y1_embedding, signal_pair.y0_embedding])
-    for start, distances in mechanisms._distance_chunks(noisy, targets):
-        # the distance to y1's embedding minus the distance to y0's
-        np.subtract(distances[:, 0], distances[:, 1], out=statistic[start:start + len(distances)])
-    return statistic
+    return np.stack([signal_pair.y0_embedding, signal_pair.y1_embedding])
 
 
-def _classify_pool(pair: SignalPair, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-candidate class: 1 for y1's embedding, 0 for y0's, -1 for non-signal."""
-    classes = np.full(len(candidates), -1, dtype=np.int64)
-    for index, candidate in enumerate(candidates):
-        c = np.asarray(candidate, dtype=np.float64)
-        if np.array_equal(c, pair.y1_embedding):
+def _project(noisy: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    # The audit's pool threads call this, not the public whitebox_statistic
+    # a tracer may wrap. einsum sums each row in one C loop: bit for bit
+    # noisy[:, yes] - noisy[:, no] on a one-hot difference, and no BLAS
+    # threads to contend with the pool's, as `@` does at d=16.
+    return np.einsum("ij,j->i", noisy, direction)
+
+
+def whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
+                       signal_pair: Optional[SignalPair] = None) -> np.ndarray:
+    """The 1-D statistic the white-box threshold test reads: each noisy
+    aggregate projected on the yes answer minus the no answer."""
+    no, yes = _answers(config, signal_pair, noisy.shape[1])
+    return _project(noisy, yes - no)
+
+
+def _answer_classes(answers: np.ndarray, outputs: Sequence[np.ndarray]) -> np.ndarray:
+    """Per releasable output: 1 for the yes answer, 0 for the no answer, -1
+    for any other (counted as canary-absent)."""
+    classes = np.full(len(outputs), -1, dtype=np.int64)
+    for index, output in enumerate(outputs):
+        o = np.asarray(output, dtype=np.float64)
+        if np.array_equal(o, answers[1]):
             classes[index] = 1
-        elif np.array_equal(c, pair.y0_embedding):
+        elif np.array_equal(o, answers[0]):
             classes[index] = 0
     return classes
 
@@ -395,34 +385,36 @@ def bootstrap_audit(
 ) -> AuditReport:
     """Resample, perturb, decide, tally, convert. Deterministic given config.seed.
 
-    One kernel maps each trial block of either arm to its decision tally and
-    non-signal count (black-box) or its statistic (white-box); the blocks of
-    both arms run on ``workers`` threads, and no arm's trials are ever held
-    whole. Non-signal picks warn once per audit, with their count.
+    The no and yes answers are set once per audit: the white-box direction
+    yes - no, the black-box release and the answer class of each output it
+    can release. One kernel then maps each trial block of either arm, of
+    either task, to its decision tally and non-signal count (black-box) or
+    its projection on the direction (white-box); the blocks of both arms run
+    on ``workers`` threads, and no arm's trials are ever held whole.
+    Non-signal releases warn once per audit, with their count.
     """
     start = time.perf_counter()
-    generation = config.task == "generation"
-    if generation and signal_pair is None:
-        raise ValueError("generation audits need a signal pair")
     black_box = config.threat_model == "black_box"
-    if generation and black_box:
-        pool = candidates if candidates is not None else [signal_pair.y1_embedding,
-                                                          signal_pair.y0_embedding]
-        pool_classes = _classify_pool(signal_pair, pool)
-    sigma = mechanism_sigma(config)
+    sigma = noise_scale(config.mechanism)
     arms = (_clean_matrix(clean_with), _clean_matrix(clean_without))
+    answers = _answers(config, signal_pair, arms[0].shape[1])
+    direction = answers[1] - answers[0]
+    if config.task == "classification":
+        outputs = np.eye(arms[0].shape[1])  # class k releases the one-hot row e_k
+        release = mechanisms.vote_select
+    else:
+        outputs = candidates if candidates is not None else answers[::-1]  # y1, then y0
+        release = functools.partial(mechanisms.esa_select, candidates=outputs)
+    classes = _answer_classes(answers, outputs)
     sizes = _block_sizes(config.n_sample)
 
     def kernel(block: tuple[int, int]):
         arm, index = block
         noisy = _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index])
         if not black_box:
-            return _whitebox_statistic(noisy, config, signal_pair)
-        if not generation:
-            return int(np.count_nonzero(mechanisms.vote_select(noisy) == config.yes_index)), 0
-        # 1 for y1's embedding, 0 for y0's, -1 for a non-signal candidate (counted as absent)
-        classes = pool_classes[mechanisms.esa_select(noisy, pool)]
-        return int(np.count_nonzero(classes == 1)), int(np.count_nonzero(classes < 0))
+            return _project(noisy, direction)
+        picked = classes[release(noisy)]
+        return int(np.count_nonzero(picked == 1)), int(np.count_nonzero(picked < 0))
 
     results = map_in_order(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
                                     for index in range(len(sizes))], workers)
@@ -444,10 +436,8 @@ def bootstrap_audit(
         )
         estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     else:
-        rule = "greater" if config.task == "classification" else "less_equal"
         tau, counts, bounds = sweep_threshold(np.concatenate(with_blocks),
-                                              np.concatenate(without_blocks),
-                                              config.confidence, rule)
+                                              np.concatenate(without_blocks), config.confidence)
         estimate = estimate_from_bounds(bounds, config.delta_target)
     eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -30,14 +30,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-SENSITIVITY_MODES = ("paper_voting", "esa_tight", "esa_legacy")
+# each noise calibration and the task whose release it calibrates
+SENSITIVITY_MODES = {"paper_voting": "classification", "esa_tight": "generation",
+                     "esa_legacy": "generation"}
 
 VOTING_SENSITIVITY = 2.0  # one exemplar can move two histogram coordinates by 1 each
 
-# Byte budget of the rows x k x d difference tensor of one chunk of a
-# distance search (at least one row): k counts the distinct candidates of the
-# nearest-candidate search, or the two signal embeddings of the white-box
-# statistic. It bounds the temporaries whatever the pool size and dimension;
+# Byte budget of the rows x k x d difference tensor of one chunk of the
+# nearest-candidate search (at least one row), k counting the distinct
+# candidates. It bounds the temporaries whatever the pool size and dimension;
 # at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB ran alike on
 # a 2-core Xeon.
 _NEAREST_CHUNK_BYTES = 1 << 21
@@ -201,16 +202,12 @@ def esa_sensitivity(num_partitions: int) -> float:
     return 2.0 / num_partitions
 
 
-def esa_noise_scale(config: MechanismConfig) -> float:
-    """Gaussian scale for embedding aggregation under the configured sensitivity."""
-    if config.sensitivity_mode == "esa_tight":
-        sensitivity = esa_sensitivity(config.num_partitions)
-    elif config.sensitivity_mode == "esa_legacy":
-        sensitivity = 1.0
-    else:
-        raise ValueError(
-            f"sensitivity_mode {config.sensitivity_mode!r} is not an embedding-aggregation mode"
-        )
+def noise_scale(config: MechanismConfig) -> float:
+    """Gaussian scale of the configured release, keyed on its sensitivity
+    mode: ``VOTING_SENSITIVITY`` for voting, 2/T (``esa_tight``) or 1
+    (``esa_legacy``) for embedding aggregation."""
+    sensitivity = {"paper_voting": VOTING_SENSITIVITY, "esa_legacy": 1.0,
+                   "esa_tight": esa_sensitivity(config.num_partitions)}[config.sensitivity_mode]
     return gaussian_sigma(sensitivity, config.eps_theory, config.delta, config.classic_calibration)
 
 

@@ -374,7 +374,8 @@ def collect(
     aggregated at once by ``mechanisms.aggregate``; a replay serves it from
     its records with one lookup, a live oracle's ``respond`` is called once
     per partition and trial. A vote outside the oracle's label set, or a
-    non-finite embedding, raises OracleError naming the first such response.
+    non-finite embedding, raises OracleError naming the first such response;
+    live embeddings of unequal lengths raise it naming the arm.
     Oracle failures are retried at the same trial index with a fresh derived
     stream, each retry consuming the shared budget; an exhausted budget
     aborts the arm. Records are canonicalized by
@@ -415,6 +416,11 @@ def collect(
             grid = oracle.responses(ctx_label, n_llm, len(subsets))
         else:
             per_trial = map_in_order(run_trial, range(n_llm), workers)
+            if task == "generation":
+                lengths = {len(reply) for replies in per_trial for reply in replies}
+                if len(lengths) > 1:
+                    raise OracleError(f"embeddings of lengths {sorted(lengths)} in the "
+                                      f"'{ctx_label}' arm; every reply must have one length")
             grid = np.array(per_trial, dtype=np.int64 if task == "classification" else np.float64)
         if task == "classification":
             outside = (grid < 0) | (grid >= num_classes)

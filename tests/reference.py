@@ -25,14 +25,7 @@ import numpy as np
 from scipy import integrate, special
 
 from dpicl_audit import audit
-from dpicl_audit.audit import (
-    AuditConfig,
-    AuditReport,
-    _classify_pool,
-    _clean_matrix,
-    mechanism_sigma,
-    sweep_threshold,
-)
+from dpicl_audit.audit import AuditConfig, AuditReport, _clean_matrix, sweep_threshold
 from dpicl_audit.gdp import (
     AttackCounts,
     ErrorBounds,
@@ -40,6 +33,7 @@ from dpicl_audit.gdp import (
     eps_emp_dp,
     estimate_from_bounds,
 )
+from dpicl_audit.mechanisms import noise_scale
 from dpicl_audit.oracles import (
     CTX_WITH,
     CTX_WITHOUT,
@@ -136,16 +130,13 @@ def eps_grid_scan(mu: float, delta_target: float, delta_fn) -> float:
 
 
 def _counts_for_rule(stat_with: np.ndarray, stat_without: np.ndarray,
-                     thresholds: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
+                     thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TP and FP counts of "canary in above tau" at each threshold."""
     sw = np.sort(stat_with)
     swo = np.sort(stat_without)
     above_w = len(sw) - np.searchsorted(sw, thresholds, side="right")
     above_wo = len(swo) - np.searchsorted(swo, thresholds, side="right")
-    if rule == "greater":
-        return above_w, above_wo
-    if rule == "less_equal":
-        return len(sw) - above_w, len(swo) - above_wo
-    raise ValueError(f"unknown rule {rule!r}")
+    return above_w, above_wo
 
 
 def candidate_thresholds_bruteforce(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
@@ -156,11 +147,11 @@ def candidate_thresholds_bruteforce(w: np.ndarray, wo: np.ndarray) -> np.ndarray
     return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
 
 
-def band_mu_bruteforce(w: np.ndarray, wo: np.ndarray, confidence: float, rule: str):
+def band_mu_bruteforce(w: np.ndarray, wo: np.ndarray, confidence: float):
     """Every candidate threshold, its TP, FP and FN counts, the band's bounds
     on its error rates and the unclamped mu they give."""
     thresholds = candidate_thresholds_bruteforce(w, wo)
-    tp, fp = _counts_for_rule(w, wo, thresholds, rule)
+    tp, fp = _counts_for_rule(w, wo, thresholds)
     fn = w.size - tp
     # the one-sided DKW band with Massart's constant, (1 - confidence) / 2 per arm
     log_term = math.log(2.0 / (1.0 - confidence))
@@ -180,7 +171,6 @@ def sweep_threshold_bruteforce(
     stats_with: Sequence[float],
     stats_without: Sequence[float],
     confidence: float,
-    rule: str = "greater",
 ) -> tuple[float, AttackCounts, ErrorBounds]:
     """The threshold sweep evaluating the band's mu at every candidate."""
     w = np.asarray(stats_with, dtype=np.float64)
@@ -190,7 +180,7 @@ def sweep_threshold_bruteforce(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    thresholds, tp, fp, fn, alpha_bar, beta_bar, mu = band_mu_bruteforce(w, wo, confidence, rule)
+    thresholds, tp, fp, fn, alpha_bar, beta_bar, mu = band_mu_bruteforce(w, wo, confidence)
     best = int(np.argmax(mu))  # first maximum = smallest tau
     counts = AttackCounts(
         true_positives=int(tp[best]),
@@ -227,13 +217,13 @@ def _noisy_matrix(clean: np.ndarray, sigma: float, n_sample: int, seed: int,
 
 def _whitebox_statistic_full(noisy: np.ndarray, config: AuditConfig,
                              signal_pair: Optional[SignalPair] = None) -> np.ndarray:
+    """Each noisy aggregate projected on yes - no: the vote difference, or
+    the product sum with y1 - y0, over whole arms."""
     if config.task == "classification":
         return noisy[:, config.yes_index] - noisy[:, config.no_index]
     if signal_pair is None:
         raise ValueError("generation audits need a signal pair")
-    d1 = np.linalg.norm(noisy - signal_pair.y1_embedding, axis=1)
-    d0 = np.linalg.norm(noisy - signal_pair.y0_embedding, axis=1)
-    return d1 - d0
+    return np.einsum("ij,j->i", noisy, signal_pair.y1_embedding - signal_pair.y0_embedding)
 
 
 def _blackbox_bits_full(noisy: np.ndarray, config: AuditConfig,
@@ -248,11 +238,11 @@ def _blackbox_bits_full(noisy: np.ndarray, config: AuditConfig,
                                                       signal_pair.y0_embedding]
     stacked = np.stack([np.asarray(c, dtype=np.float64) for c in pool])
     distances = np.linalg.norm(noisy[:, None, :] - stacked[None, :, :], axis=2)
-    selected = np.argmin(distances, axis=1)
-    labels = _classify_pool(signal_pair, pool)
-    if np.any(labels[selected] < 0):
+    selected = stacked[np.argmin(distances, axis=1)]
+    is_y1 = (selected == signal_pair.y1_embedding).all(axis=1)
+    if np.any(~is_y1 & ~(selected == signal_pair.y0_embedding).all(axis=1)):
         warnings.warn("non-signal candidates selected; counted as canary-absent", stacklevel=2)
-    return labels[selected] == 1
+    return is_y1
 
 
 def bootstrap_audit_full_matrix(
@@ -266,7 +256,7 @@ def bootstrap_audit_full_matrix(
 ) -> AuditReport:
     """The audit on whole arms: every noisy trial, then every decision."""
     start = time.perf_counter()
-    sigma = mechanism_sigma(config)
+    sigma = noise_scale(config.mechanism)
     noisy_with = _noisy_matrix(_clean_matrix(clean_with), sigma, config.n_sample,
                                config.seed, 0, workers)
     noisy_without = _noisy_matrix(_clean_matrix(clean_without), sigma,
@@ -284,11 +274,10 @@ def bootstrap_audit_full_matrix(
         )
         estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     else:
-        rule = "greater" if config.task == "classification" else "less_equal"
         tau, counts, bounds = sweep_threshold(
             _whitebox_statistic_full(noisy_with, config, signal_pair),
             _whitebox_statistic_full(noisy_without, config, signal_pair),
-            config.confidence, rule)
+            config.confidence)
         estimate = estimate_from_bounds(bounds, config.delta_target)
     eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -283,3 +283,25 @@ def test_a10_broken_mechanisms_are_caught(tmp_path):
         assert all(replayed(threat) < esa.eps_theory for threat in threats)
         with mock.patch.object(mechanisms, "aggregate", unclipped_aggregate):
             assert all(replayed(threat) > esa.eps_theory for threat in threats)
+
+
+def test_a11_generation_whitebox_exact_channel():
+    targets = {8.0: 3.742, 16.0: 8.466}
+    with criterion("A11", "white-box generation audit near the exact mean-shift channel"):
+        pair = make_pair()
+        signal = SignalPair.from_catalog(0.7476, 16)
+        oracle = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
+        for eps_theory, target in targets.items():
+            # the canary moves one of T=8 unit embeddings from y0 to y1: the
+            # mean shifts by d/T against sigma = (2/T) sqrt(ln(1.25/delta))/eps
+            mu = signal.l2_distance * eps_theory / (2.0 * math.sqrt(math.log(1.25 / 1e-5)))
+            exact = eps_from_mu_delta(mu, 1e-5)
+            assert abs(exact - target) <= 1e-3, exact
+            mech = MechanismConfig(eps_theory=eps_theory, delta=1e-5, num_partitions=8,
+                                   sensitivity_mode="esa_tight")
+            config = AuditConfig(mechanism=mech, task="generation", threat_model="white_box",
+                                 n_llm=200, n_sample=400_000, seed=20240811)
+            report = run_audit(config, oracle, pair, "CANARY", signal_pair=signal, workers=4)
+            eps_emp = report.estimate.eps_emp
+            assert abs(eps_emp - exact) <= 0.15 * exact, (
+                f"eps_theory={eps_theory}: got {eps_emp:.4f}, exact {exact:.4f} +/- 15%")

@@ -3,6 +3,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from dpicl_audit import audit
 from dpicl_audit.audit import (
     AuditConfig,
     AuditReport,
-    _classify_pool,
+    _answer_classes,
     append_report_csv,
     bootstrap_audit,
     generate_noisy_samples,
@@ -28,6 +29,7 @@ from dpicl_audit.mechanisms import (
     MechanismConfig,
     NeighboringPair,
     esa_select,
+    noise_scale,
     vote_select,
     voting_noise_scale,
 )
@@ -70,6 +72,12 @@ def generation_config(threat="white_box", eps_theory=8.0, n_sample=20_000, seed=
 ONE_D_PAIR = SignalPair(y1_text="target", y0_text="control",
                         y1_embedding=np.array([-1.0]), y0_embedding=np.array([1.0]))
 
+
+def signal_classes(signal, pool):
+    """Each pool candidate's answer class: 1 for y1, 0 for y0, -1 otherwise."""
+    return _answer_classes(np.stack([signal.y0_embedding, signal.y1_embedding]), pool)
+
+
 # Test trial blocks: three full blocks plus a partial one. A pool of 10
 # distinct 16-d float64 candidates puts 1638 rows in a nearest-candidate
 # chunk (5 distinct: 3276), so each block spans chunks.
@@ -92,9 +100,9 @@ def generation_pool(signal, near, far=0):
 def full_pool_non_signal(clean_with, clean_without, config, signal_pair, candidates):
     """Non-signal picks of both arms by argmin over the whole pool, repeats
     included, on the whole-arm noise."""
-    sigma = audit.mechanism_sigma(config)
+    sigma = noise_scale(config.mechanism)
     stacked = np.stack(candidates)
-    classes = _classify_pool(signal_pair, candidates)
+    classes = signal_classes(signal_pair, candidates)
     count = 0
     for arm, clean in enumerate((clean_with, clean_without)):
         noisy = _noisy_matrix(np.stack(clean), sigma, config.n_sample, config.seed, arm)
@@ -137,34 +145,41 @@ class TestDecisionRules:
 
     def test_whitebox_classification_examples(self):
         stat = whitebox_statistic(np.array([[5.5, 4.0], [4.0, 11.0]]), vote_config())
-        tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]), "greater")
+        tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]))
         assert (tp.tolist(), fp.tolist()) == ([1], [0])
 
     def test_whitebox_classification_is_strict(self):
         stat = whitebox_statistic(np.array([[4.0, 2.5]]), vote_config())
-        tp, fp = _counts_for_rule(stat, stat, np.array([1.5]), "greater")
+        tp, fp = _counts_for_rule(stat, stat, np.array([1.5]))
         assert (tp.tolist(), fp.tolist()) == ([0], [0])
 
     def test_blackbox_generation(self):
         noisy = np.stack(PAIR_POOL)
         picks = esa_select(noisy, PAIR_POOL)
-        assert (_classify_pool(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True, False]
+        assert (signal_classes(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True, False]
 
-    def test_blackbox_generation_non_signal_warns(self):
-        # noise-free trials at 0.25 all release the non-signal candidate
-        pool = [*PAIR_POOL, np.array([0.25])]
-        assert esa_select(np.array([[0.25]]), pool).tolist() == [2]
-        config = generation_config("black_box", eps_theory=1e9, n_sample=10)
+    @pytest.mark.parametrize("task", audit.TASKS)
+    def test_blackbox_non_signal_warns(self, task):
+        # noise-free trials all release a non-signal output: the third of
+        # three classes, or the pool's candidate at 0.25
+        if task == "classification":
+            clean, extra = [(1, 0, 3)], {}
+            config = vote_config("black_box", eps_theory=1e9, n_sample=10)
+            assert vote_select(np.array([clean[0]])).tolist() == [2]
+        else:
+            clean = [np.array([0.25])]
+            extra = {"signal_pair": ONE_D_PAIR, "candidates": [*PAIR_POOL, np.array([0.25])]}
+            config = generation_config("black_box", eps_theory=1e9, n_sample=10)
+            assert esa_select(clean[0][None], extra["candidates"]).tolist() == [2]
         with pytest.warns(UserWarning, match="20 trials selected a non-signal candidate"):
-            report = bootstrap_audit([np.array([0.25])], [np.array([0.25])], config,
-                                     signal_pair=ONE_D_PAIR, candidates=pool)
+            report = bootstrap_audit(clean, clean, config, **extra)
         assert report.counts.true_positives == 0
 
     def test_blackbox_generation_duplicate_signal_in_pool(self):
         # a duplicate of y1 later in the pool still counts as y1, and the
         # nearest search returns the first occurrence
         pool = [*PAIR_POOL, ONE_D_PAIR.y1_embedding]
-        assert _classify_pool(ONE_D_PAIR, pool).tolist() == [1, 0, 1]
+        assert signal_classes(ONE_D_PAIR, pool).tolist() == [1, 0, 1]
         assert esa_select(np.array([[-1.0], [1.0], [-0.9]]), pool).tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize("order", ["0101", "110", "010", "101"])
@@ -180,37 +195,40 @@ class TestDecisionRules:
 
     def test_whitebox_generation(self):
         stat = whitebox_statistic(np.stack(PAIR_POOL), generation_config(), ONE_D_PAIR)
-        tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]), "less_equal")
+        tp, fp = _counts_for_rule(stat[:1], stat[1:], np.array([0.0]))
         assert (tp.tolist(), fp.tolist()) == ([1], [0])
-
-    def test_whitebox_generation_boundary_is_non_strict(self):
-        midpoint = (ONE_D_PAIR.y1_embedding + ONE_D_PAIR.y0_embedding) / 2.0
-        stat = whitebox_statistic(midpoint[None, :], generation_config(), ONE_D_PAIR)
-        tp, _ = _counts_for_rule(stat, stat, np.array([0.0]), "less_equal")
-        assert tp.tolist() == [1]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=2, max_value=20), st.sampled_from([0.1022, 0.7476, 2.0]),
            st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_whitebox_generation_matches_linalg_norm(self, d, distance, n, seed):
-        # trials on either signal embedding, at the midpoint (a tie), at
-        # signed zeros and at random points: the statistic is bit for bit the
-        # difference of the two np.linalg.norm distances
+    def test_whitebox_generation_sign_is_the_pair_release(self, d, distance, n, seed):
+        # y1 and y0 are unit vectors, so the bisector of the pair is the
+        # zero of the projection on y1 - y0: off it, the projection is
+        # positive exactly where the release from {y1, y0} is y1
         pair = SignalPair.synthetic(distance, d)
+        noisy = np.random.default_rng(seed).normal(0.0, 1.0, (n, d))
+        stat = whitebox_statistic(noisy, generation_config(), pair)
+        off = np.abs(stat) > 1e-9
+        picks = esa_select(noisy[off], [pair.y1_embedding, pair.y0_embedding])
+        assert ((stat[off] > 0) == (picks == 0)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=3, max_value=8), st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_whitebox_classification_is_the_vote_difference(self, classes, n, seed):
+        # the projection on e_yes - e_no is h[yes] - h[no] bit for bit, with
+        # zero coefficients on the other classes and yes above no
         rng = np.random.default_rng(seed)
-        kinds = [np.broadcast_to(pair.y1_embedding, (n, d)),
-                 np.broadcast_to((pair.y1_embedding + pair.y0_embedding) / 2.0, (n, d)),
-                 np.array([0.0, -0.0])[rng.integers(0, 2, (n, d))],
-                 rng.normal(0.0, 1.0, (n, d))]
-        noisy = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
-        want = (np.linalg.norm(noisy - pair.y1_embedding, axis=1)
-                - np.linalg.norm(noisy - pair.y0_embedding, axis=1))
-        assert whitebox_statistic(noisy, generation_config(), pair).tobytes() == want.tobytes()
+        no, yes = np.sort(rng.choice(classes, size=2, replace=False))
+        config = replace(vote_config(), yes_index=int(yes), no_index=int(no))
+        noisy = rng.integers(0, 5, (n, classes)) + rng.normal(0.0, 3.0, (n, classes))
+        want = noisy[:, yes] - noisy[:, no]
+        assert whitebox_statistic(noisy, config).tobytes() == want.tobytes()
 
     def test_generation_example_mean(self):
         # DP mean -0.2 against the pool {-1, +1} selects the target string
         picks = esa_select(np.array([[-0.2]]), PAIR_POOL)
-        assert (_classify_pool(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True]
+        assert (signal_classes(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True]
 
     def test_threshold_must_be_finite(self):
         # tau is a midpoint or sentinel of the statistics, so they must be finite
@@ -244,15 +262,6 @@ class TestSweepThreshold:
         assert estimate.mu_lower == 0.0
         assert estimate.eps_emp == 0.0
 
-    def test_less_equal_rule(self):
-        # smaller statistics indicate membership under the distance rule
-        rng = np.random.default_rng(2)
-        member = rng.normal(-3.0, 0.2, size=50)
-        non_member = rng.normal(3.0, 0.2, size=50)
-        tau, _, bounds = sweep_threshold(member, non_member, 0.95, rule="less_equal")
-        assert -2.0 < tau < 2.0
-        assert estimate_from_bounds(bounds, 1e-5).mu_lower > 0
-
     def test_tie_breaks_to_smallest_tau(self):
         # identical lists of two: every candidate ranks equal at -inf, and
         # the smallest, the accept-all sentinel, wins
@@ -260,17 +269,13 @@ class TestSweepThreshold:
         assert tau == -1.0
         assert estimate_from_bounds(bounds, 1e-5).mu_lower == 0.0
 
-    @pytest.mark.parametrize("rule", ["greater", "less_equal"])
-    def test_counts_are_the_rule_applied_at_tau(self, rule):
+    def test_counts_are_the_rule_applied_at_tau(self):
         rng = np.random.default_rng(3)
         stat_with = np.round(rng.normal(0.5, 1.0, size=3000), 1)  # rounding makes ties
         stat_without = np.round(rng.normal(0.0, 1.0, size=2000), 1)
-        if rule == "less_equal":
-            stat_with = -stat_with
-        tau, counts, _ = sweep_threshold(stat_with, stat_without, 0.95, rule=rule)
-        decide = np.greater if rule == "greater" else np.less_equal
-        tp = int(np.count_nonzero(decide(stat_with, tau)))
-        fp = int(np.count_nonzero(decide(stat_without, tau)))
+        tau, counts, _ = sweep_threshold(stat_with, stat_without, 0.95)
+        tp = int(np.count_nonzero(stat_with > tau))
+        fp = int(np.count_nonzero(stat_without > tau))
         assert counts == AttackCounts(tp, fp, stat_with.size - tp, stat_without.size - fp)
 
     def test_empty_rejected(self):
@@ -307,8 +312,7 @@ def sweep_inputs(draw, max_trials):
     else:
         w, wo = rng.normal(shift, 1.0, n_with), rng.normal(0.0, 1.0, n_without)
     confidence = draw(st.floats(min_value=0.5, max_value=0.999999))
-    rule = draw(st.sampled_from(["greater", "less_equal"]))
-    return w.astype(np.float64), wo.astype(np.float64), confidence, rule
+    return w.astype(np.float64), wo.astype(np.float64), confidence
 
 
 class TestSweepMatchesBruteForce:
@@ -327,11 +331,11 @@ class TestSweepMatchesBruteForce:
     @given(sweep_inputs(max_trials=3000))
     def test_candidate_counts_match_the_reference(self, case):
         # the merged counts equal a binary search of each arm at every candidate
-        w, wo, _, rule = case
-        thresholds, fn, fp = audit._candidate_counts(w, wo, rule)
+        w, wo, _ = case
+        thresholds, fn, fp = audit._candidate_counts(w, wo)
         expected = candidate_thresholds_bruteforce(w, wo)
         assert thresholds.tobytes() == expected.tobytes()
-        tp_ref, fp_ref = _counts_for_rule(w, wo, expected, rule)
+        tp_ref, fp_ref = _counts_for_rule(w, wo, expected)
         assert np.array_equal(w.size - fn, tp_ref)
         assert np.array_equal(fp, fp_ref)
 
@@ -352,10 +356,9 @@ class TestSweepMatchesBruteForce:
         # the midpoint of two huge statistics of one sign overflows to an
         # infinite candidate, beyond its gap's neighbours
         w, wo = sign * np.array([1.7e308]), sign * np.array([1.7e308, 1.6e308])
-        for rule in ("greater", "less_equal"):
-            with np.errstate(over="ignore"):
-                got = sweep_threshold(w, wo, 0.95, rule)
-                assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95, rule))
+        with np.errstate(over="ignore"):
+            got = sweep_threshold(w, wo, 0.95)
+            assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
 
     def test_bound_below_rounding_at_tiny_confidence(self):
         # near zero confidence the band is at its narrowest, sqrt(ln 2 / 2n);
@@ -367,18 +370,15 @@ class TestSweepMatchesBruteForce:
         assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 1e-15))
         assert got[1].false_positives < 50
 
-    @pytest.mark.parametrize("rule", ["greater", "less_equal"])
-    def test_classification_channel_at_100k(self, rule):
+    def test_classification_channel_at_100k(self):
         # white-box classification, T=4, eps 8, canary-detector votes
         config = vote_config("white_box", eps_theory=8.0, n_sample=100_000, seed=2, n_llm=200)
         collection = collect(CanaryDetector((1, 0), num_classes=2), make_pair(), "CANARY", 4, 200,
                              seed=2)
         w = whitebox_statistic(generate_noisy_samples(collection.clean_with, config, 0), config)
         wo = whitebox_statistic(generate_noisy_samples(collection.clean_without, config, 1), config)
-        if rule == "less_equal":
-            w, wo = -w, -wo
-        got = sweep_threshold(w, wo, 0.95, rule)
-        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95, rule))
+        got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
         assert estimate_from_bounds(got[2], 1e-5).mu_lower > 1.0
 
 
@@ -527,7 +527,7 @@ class TestBootstrapAudit:
         clean_with, _, config, _ = audit_cell("generation", "white_box")
         with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
             got = generate_noisy_samples(clean_with, config, arm=1, workers=workers)
-            want = _noisy_matrix(np.stack(clean_with), audit.mechanism_sigma(config),
+            want = _noisy_matrix(np.stack(clean_with), noise_scale(config.mechanism),
                                  config.n_sample, config.seed, 1)
         assert np.array_equal(got, want)
 

@@ -604,3 +604,18 @@ class TestNonFiniteEmbeddings:
         assert ("oracle failure: non-finite embedding at (with, trial=0, part=0)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_ragged_responder_embeddings_are_an_oracle_failure(tmp_path, capsys):
+    # 15- and 16-long replies in turn: the arm's embeddings cannot form one array
+    responses = tmp_path / "responses.jsonl"
+    replies = [json.dumps({"emb": [0.1] * (15 + index % 2)}) for index in range(40)]
+    responses.write_text("\n".join(replies) + "\n")
+    mechanism = {**GENERATION["mechanism"], "candidate_pool_size": 2}
+    path = write_config(tmp_path, **{**GENERATION, "mechanism": mechanism},
+                        audit={"n_llm": 5},
+                        oracle={"kind": "responder_file", "responses_path": str(responses)})
+    assert main(["audit", "--config", str(path)]) == 3
+    assert ("oracle failure: embeddings of lengths [15, 16] in the 'with' arm"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()

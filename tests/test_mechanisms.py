@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpicl_audit import mechanisms
+from dpicl_audit.audit import AuditConfig
 from dpicl_audit.mechanisms import (
     Exemplar,
     ExemplarContext,
@@ -15,15 +16,16 @@ from dpicl_audit.mechanisms import (
     NeighboringPair,
     aggregate,
     clip_to_unit,
-    esa_noise_scale,
+    SENSITIVITY_MODES,
     esa_select,
     esa_sensitivity,
     gaussian_release,
+    noise_scale,
     partition,
     vote_select,
     voting_noise_scale,
 )
-from dpicl_audit.oracles import CanaryDetector, SignalPair, collect
+from dpicl_audit.oracles import CanaryDetector, OracleError, SignalPair, collect
 from dpicl_audit.stats import std_normal_cdf
 
 from reference import clip_one
@@ -129,12 +131,12 @@ class TestNoiseScales:
     def test_esa_tight_cancellation(self):
         config = MechanismConfig(eps_theory=2.0, delta=1.25 / math.e, num_partitions=2,
                                  sensitivity_mode="esa_tight")
-        assert esa_noise_scale(config) == pytest.approx(0.5, abs=1e-12)
+        assert noise_scale(config) == pytest.approx(0.5, abs=1e-12)
 
     def test_esa_tight_is_voting_over_T(self):
         config = MechanismConfig(eps_theory=3.0, delta=1e-5, num_partitions=6,
                                  sensitivity_mode="esa_tight")
-        assert esa_noise_scale(config) == pytest.approx(voting_noise_scale(3.0, 1e-5) / 6.0)
+        assert noise_scale(config) == pytest.approx(voting_noise_scale(3.0, 1e-5) / 6.0)
 
     def test_legacy_to_tight_ratio(self):
         for T in (2, 5, 12):
@@ -142,12 +144,22 @@ class TestNoiseScales:
                                     sensitivity_mode="esa_tight")
             legacy = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=T,
                                      sensitivity_mode="esa_legacy")
-            assert esa_noise_scale(legacy) / esa_noise_scale(tight) == pytest.approx(T / 2.0)
+            assert noise_scale(legacy) / noise_scale(tight) == pytest.approx(T / 2.0)
 
     def test_voting_mode_rejected_for_esa(self):
+        # the mode -> task map keeps the voting calibration off embedding audits
         config = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=4)
-        with pytest.raises(ValueError):
-            esa_noise_scale(config)
+        assert SENSITIVITY_MODES[config.sensitivity_mode] == "classification"
+        with pytest.raises(ValueError, match="does not fit a generation audit"):
+            AuditConfig(mechanism=config, task="generation", threat_model="white_box", n_llm=1)
+
+    def test_voting_mode_is_the_voting_scale(self):
+        # read at call time, so a patched sensitivity moves the scale
+        config = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=4)
+        voting = voting_noise_scale(2.0, 1e-5)
+        assert noise_scale(config) == voting
+        with mock.patch.object(mechanisms, "VOTING_SENSITIVITY", 1.0):
+            assert noise_scale(config) == voting / 2.0
 
 
 class TestGaussianRelease:
@@ -348,7 +360,7 @@ class TestEsaAggregate:
             def respond(self, subset, query, rng):
                 return np.zeros(3 if subset.contains_canary else 4)
 
-        with pytest.raises(ValueError):
+        with pytest.raises(OracleError, match=r"embeddings of lengths \[3, 4\] in the 'with' arm"):
             collect(Ragged(), make_pair(2), "CANARY", 2, 1, seed=0)
 
 
