@@ -193,25 +193,13 @@ def append_report_csv(path: Union[str, Path], report: AuditReport) -> None:
 # Threshold sweep
 # ---------------------------------------------------------------------------
 
-def _candidate_thresholds(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
-    """Every distinct midpoint of adjacent pooled statistics, and a sentinel
-    below and above the data (accept-all / reject-all)."""
-    pooled = np.sort(np.concatenate([w, wo]))
-    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
-    return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
-
-
-def _candidate_counts(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_candidate_thresholds`` and the FN and FP counts of "canary in above
-    tau" at each.
+def _split_counts(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pooled statistics, sorted, and the FN and FP counts of "canary in
+    above" each split of them: between adjacent distinct pooled values, and
+    both ends (accept-all / reject-all).
 
     A stable argsort of the two sorted arms merges them, and a cumulative sum
-    of the arm labels counts the ``w`` statistics in every pooled prefix. The
-    midpoints of adjacent pooled values are non-decreasing, so the candidates
-    are the first midpoint of each run of equal ones. The pooled values at or
-    below the midpoint of gap g are the g + 1 up to the gap, unless the
-    midpoint rounds onto (or overflows past) a neighbour; those few are
-    searched.
+    of the arm labels counts the ``w`` statistics in every pooled prefix.
     """
     pooled = np.concatenate([w, wo])
     pooled[:w.size].sort()
@@ -221,27 +209,25 @@ def _candidate_counts(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.nda
     with_below = np.zeros(pooled.size + 1, dtype=np.intp)  # w statistics among the first k pooled
     np.cumsum(order < w.size, out=with_below[1:])
     del order
-    midpoints = 0.5 * (pooled[1:] + pooled[:-1])
-    # each candidate's gap, until the increment below
-    at_or_below = np.flatnonzero(np.concatenate([[True], midpoints[1:] != midpoints[:-1]]))
-    inner = midpoints[at_or_below]
-    del midpoints
-    odd = np.flatnonzero((inner < pooled[at_or_below]) | (inner >= pooled[at_or_below + 1]))
-    at_or_below += 1
-    at_or_below[odd] = np.searchsorted(pooled, inner[odd], side="right")
-    low = pooled[0] - 1.0  # can equal pooled[0] for large magnitudes
-    at_or_below = np.concatenate([[np.searchsorted(pooled, low, side="right")], at_or_below,
-                                  [pooled.size]])
-    if (inner == 0.0).any():
-        # +0.0 == -0.0, and np.unique decides which sign stands for the run
-        thresholds = _candidate_thresholds(w, wo)
-    else:
-        thresholds = np.concatenate([[low], inner, [pooled[-1] + 1.0]])
-    del inner, pooled
-    fn = with_below[at_or_below]  # w statistics at or below each threshold
+    at_or_below = np.flatnonzero(np.concatenate([[True], pooled[1:] != pooled[:-1], [True]]))
+    fn = with_below[at_or_below]  # w statistics at or below each split
     del with_below
     fp = np.subtract(at_or_below, fn, out=at_or_below)  # wo statistics at or below
-    return thresholds, fn, np.subtract(wo.size, fp, out=fp)
+    return pooled, fn, np.subtract(wo.size, fp, out=fp)
+
+
+def _split_tau(pooled: np.ndarray, k: int) -> float:
+    """A tau with exactly the ``k`` smallest pooled statistics at or below
+    it: the midpoint of its neighbours (the lower one if the midpoint rounds
+    onto the upper or overflows), or below or above all the data."""
+    if k == 0:
+        low = float(pooled[0])
+        return low - 1.0 if low - 1.0 < low else math.nextafter(low, -math.inf)
+    if k == pooled.size:
+        return float(pooled[-1]) + 1.0
+    below, above = float(pooled[k - 1]), float(pooled[k])
+    tau = 0.5 * (below + above)
+    return tau if below <= tau < above else below
 
 
 def sweep_threshold(
@@ -249,19 +235,18 @@ def sweep_threshold(
     stats_without: Sequence[float],
     confidence: float,
 ) -> tuple[float, AttackCounts, ErrorBounds]:
-    """Pick the tau maximizing the mu lower bound over pooled-midpoint
-    candidates, for the attack that says "canary in" above tau.
+    """Pick the tau maximizing the mu lower bound, for the attack that says
+    "canary in" above tau.
 
-    Candidates are every midpoint between adjacent pooled sorted statistics
-    plus finite sentinels outside the data range (accept-all / reject-all),
-    and their counts come from one merge of the two sorted arms
-    (``_candidate_counts``). Each error rate is bounded by a one-sided DKW
-    band, min(rate + e, 1) (``stats.band_upper_bound_array``), which holds
-    at every candidate at once with probability ``confidence``; mu is
-    ranked unclamped by ``gdp.mu_from_bounds``, so a saturated bound ranks at
-    -inf. Ties break toward the smallest tau, and a band saturated at every
-    candidate picks the accept-all sentinel. Returns tau, the attack's counts
-    at tau and the band's bounds there.
+    The candidates are the splits of the pooled statistics, counted by one
+    merge of the two sorted arms (``_split_counts``). Each error rate is
+    bounded by a one-sided DKW band, min(rate + e, 1)
+    (``stats.band_upper_bound_array``), which holds at every split at once
+    with probability ``confidence``; mu is ranked unclamped by
+    ``gdp.mu_from_bounds``, so a saturated bound ranks at -inf. Ties break
+    toward the lowest split, so a band saturated everywhere picks accept-all.
+    tau is computed at the winning split only (``_split_tau``). Returns tau,
+    the attack's counts at tau and the band's bounds there.
     """
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
@@ -270,10 +255,10 @@ def sweep_threshold(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    thresholds, fn, fp = _candidate_counts(w, wo)
+    pooled, fn, fp = _split_counts(w, wo)
     mu = mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
                         band_upper_bound_array(fn, w.size, confidence))
-    best = int(np.argmax(mu))  # first maximum = smallest tau
+    best = int(np.argmax(mu))  # first maximum = lowest split
     at_best = slice(best, best + 1)
     bounds = ErrorBounds(
         alpha_bar=float(band_upper_bound_array(fp[at_best], wo.size, confidence)[0]),
@@ -286,7 +271,7 @@ def sweep_threshold(
         false_negatives=int(fn[best]),
         true_negatives=int(wo.size - fp[best]),
     )
-    return float(thresholds[best]), counts, bounds
+    return _split_tau(pooled, counts.false_negatives + counts.true_negatives), counts, bounds
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 oracle failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import sys
@@ -75,21 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """Turn a ValueError (or KeyError) raised inside into a config error: the
+    config or the flags ask for something the code they reach rejects."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0] if exc.args else exc) from exc
+
+
 def _build_run(config: dict, render_only: bool = False):
     """The audit config, signal pair, neighboring pair and oracle a command
-    runs on (``render_only`` as ``build_oracle`` takes it).
-
-    A ValueError (or KeyError) raised while building them means the config
-    asks for something they reject, so it is a config error, converted here
-    for every command.
-    """
-    try:
+    runs on (``render_only`` as ``build_oracle`` takes it); what they reject
+    is a config error, for every command."""
+    with _input_errors():
         audit_cfg = build_audit_config(config)
         signal_pair = build_signal_pair(config)
         pair = build_neighboring_pair(config)
         oracle = build_oracle(config, signal_pair, render_only=render_only)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(exc.args[0] if exc.args else exc) from exc
     return audit_cfg, signal_pair, pair, oracle
 
 
@@ -155,6 +160,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_input_errors()
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
     section = config.get("simulate")
@@ -174,6 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_input_errors()
 def cmd_convert(args: argparse.Namespace) -> int:
     count_flags = [args.tp, args.fp, args.fn, args.tn]
     modes = sum([args.mu is not None, args.eps is not None, any(f is not None for f in count_flags)])
@@ -188,22 +195,21 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
     if args.eps is not None:
         # invert: the mu whose conversion lands back on the requested eps
-        target = args.eps
-        if target < 0:
-            raise ConfigError("--eps must be non-negative")
-        mu = mu_from_eps_delta(target, args.delta)
+        mu = mu_from_eps_delta(args.eps, args.delta)
         round_trip = eps_from_mu_delta(mu, args.delta)
-        print(f"eps={target:.9g} delta_target={args.delta:.3g}")
+        print(f"eps={args.eps:.9g} delta_target={args.delta:.3g}")
         print(f"mu={mu:.9g}")
         if math.isinf(round_trip):
             print(f"round_trip_eps=unbounded (above EPS_BRACKET_MAX={EPS_BRACKET_MAX:g})")
         else:
             print(f"round_trip_eps={round_trip:.9g}")
-        print(f"delta_at_eps={delta_from_eps_mu(target, mu):.6g}")
+        print(f"delta_at_eps={delta_from_eps_mu(args.eps, mu):.6g}")
         return EXIT_OK
 
     if any(f is None for f in count_flags):
         raise ConfigError("count mode needs all of --tp --fp --fn --tn")
+    if not 0.0 < args.gamma < 1.0:
+        raise ConfigError(f"--gamma must lie in (0, 1), got {args.gamma}")
     counts = AttackCounts(true_positives=args.tp, false_positives=args.fp,
                           false_negatives=args.fn, true_negatives=args.tn)
     estimate = audit_epsilon(counts, args.gamma, args.delta)

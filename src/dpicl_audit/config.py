@@ -26,6 +26,7 @@ from .oracles import (
     ReplayOracle,
     Responder,
     SignalPair,
+    read_lines,
 )
 
 
@@ -186,11 +187,16 @@ def load_context_exemplars(config: dict) -> list[Exemplar]:
         if not path.exists():
             raise ConfigError(f"context file not found: {path}")
         exemplars = []
-        for line in path.read_text("utf-8").splitlines():
-            line = line.strip()
+        for number, line in enumerate(read_lines(path, "context file", ConfigError), 1):
             if not line:
                 continue
-            payload = json.loads(line)
+            try:
+                payload = json.loads(line)
+            except ValueError:
+                payload = None
+            if not (isinstance(payload, dict) and isinstance(payload.get("input"), str)):
+                raise ConfigError(f"context line {path}:{number} is not a JSON object "
+                                  "with a string 'input'")
             exemplars.append(Exemplar(text_in=payload["input"], text_out=payload.get("output", "")))
         if len(exemplars) < 2:
             raise ConfigError("context file must hold at least two exemplars")

@@ -97,10 +97,6 @@ class GdpEstimate:
     alpha_bar: float
     beta_bar: float
 
-    @property
-    def eps_unbounded(self) -> bool:
-        return math.isinf(self.eps_emp)
-
 
 def mu_from_bounds(alpha_bar: np.ndarray, beta_bar: np.ndarray) -> np.ndarray:
     """Phi^-1(1 - beta_bar) - Phi^-1(alpha_bar) elementwise and unclamped, in place.

@@ -225,6 +225,16 @@ _VOTE_FIELDS = frozenset(("ctx", "trial", "part", "vote"))
 _EMB_FIELDS = frozenset(("ctx", "trial", "part", "emb"))
 
 
+def read_lines(path: Union[str, Path], kind: str, error: type[Exception]) -> list[str]:
+    """The stripped lines of a UTF-8 text file; one that is not UTF-8 raises
+    ``error`` naming the file as a ``kind``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return [line.strip() for line in handle.read().split("\n")]
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} {path} is not UTF-8 text: {exc}") from None
+
+
 def _integers(values: tuple, field: str) -> np.ndarray:
     if set(map(type, values)) != {int}:
         raise ValueError(f"{field} must be an integer")
@@ -299,11 +309,7 @@ class ReplayOracle:
         whole names the file. ``num_classes`` is the configured label set's
         size, which bounds the votes; a vote stream requires it.
         """
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = [line.strip() for line in handle.read().split("\n")]
-        except UnicodeDecodeError as exc:
-            raise OracleError(f"records file {path} is not UTF-8 text: {exc}") from None
+        lines = read_lines(path, "records file", OracleError)
         body = [line for line in lines if line]
         if not body:
             raise OracleError("no records to replay")
@@ -520,15 +526,13 @@ class FileTransport:
     def __init__(self, responses_path: Union[str, Path],
                  requests_log_path: Optional[Union[str, Path]] = None):
         self._responses: list[dict] = []
-        with open(responses_path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, 1):
-                line = line.strip()
-                if line:
-                    try:
-                        self._responses.append(json.loads(line))
-                    except ValueError as exc:
-                        raise OracleError(f"malformed response at {responses_path}:{number}: "
-                                          f"{exc}") from None
+        for number, line in enumerate(read_lines(responses_path, "responses file", OracleError), 1):
+            if line:
+                try:
+                    self._responses.append(json.loads(line))
+                except ValueError as exc:
+                    raise OracleError(f"malformed response at {responses_path}:{number}: "
+                                      f"{exc}") from None
         self._cursor = 0
         self._log_path = Path(requests_log_path) if requests_log_path else None
         if self._log_path:
@@ -612,6 +616,8 @@ class Responder:
 
     def respond(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator):
         reply = self.transport(self.request(subset, query))
+        if not isinstance(reply, dict):
+            raise ResponseParseError(f"reply {reply!r} is not a JSON object")
         if self.num_classes is None and "emb" in reply:
             try:
                 emb = np.asarray(reply["emb"], dtype=np.float64)

@@ -139,32 +139,46 @@ def _counts_for_rule(stat_with: np.ndarray, stat_without: np.ndarray,
     return above_w, above_wo
 
 
-def candidate_thresholds_bruteforce(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
-    """The sorted distinct midpoints of the pooled statistics, and a sentinel
-    below and above the data."""
-    pooled = np.sort(np.concatenate([w, wo]))
-    midpoints = np.unique(0.5 * (pooled[1:] + pooled[:-1]))
-    return np.concatenate([[pooled[0] - 1.0], midpoints, [pooled[-1] + 1.0]])
+def split_counts_bruteforce(w: np.ndarray, wo: np.ndarray):
+    """The distinct pooled values, and the TP and FP counts of "canary in
+    above" each split: accept-all, then "at or below v" for each distinct
+    value v in increasing order, each arm counted by binary search."""
+    values = np.unique(np.concatenate([w, wo]))
+    tp, fp = _counts_for_rule(w, wo, values)
+    return values, np.concatenate([[w.size], tp]), np.concatenate([[wo.size], fp])
+
+
+def split_tau_bruteforce(values: np.ndarray, split: int) -> float:
+    """tau for split ``split`` of ``split_counts_bruteforce``: below the data
+    at 0, above it at the last, else the midpoint of the split's neighbours,
+    or the lower one if the midpoint is not in [lower, upper)."""
+    if split == 0:
+        low = float(values[0])
+        return low - 1.0 if low - 1.0 < low else math.nextafter(low, -math.inf)
+    if split == values.size:
+        return float(values[-1]) + 1.0
+    lower, upper = float(values[split - 1]), float(values[split])
+    mid = 0.5 * (lower + upper)
+    return mid if lower <= mid < upper else lower
 
 
 def band_mu_bruteforce(w: np.ndarray, wo: np.ndarray, confidence: float):
-    """Every candidate threshold, its TP, FP and FN counts, the band's bounds
-    on its error rates and the unclamped mu they give."""
-    thresholds = candidate_thresholds_bruteforce(w, wo)
-    tp, fp = _counts_for_rule(w, wo, thresholds)
+    """The distinct pooled values, every split's TP, FP and FN counts, the
+    band's bounds on its error rates and the unclamped mu they give."""
+    values, tp, fp = split_counts_bruteforce(w, wo)
     fn = w.size - tp
     # the one-sided DKW band with Massart's constant, (1 - confidence) / 2 per arm
     log_term = math.log(2.0 / (1.0 - confidence))
     alpha_bar = np.minimum(fp / wo.size + math.sqrt(log_term / (2.0 * wo.size)), 1.0)
     beta_bar = np.minimum(fn / w.size + math.sqrt(log_term / (2.0 * w.size)), 1.0)
 
-    # rank on the unclamped bound so an informative threshold always beats
-    # the degenerate accept-all/reject-all sentinels; saturated bounds rank
-    # at -inf (the reported estimate still clamps at zero)
+    # rank on the unclamped bound so an informative split always beats the
+    # degenerate accept-all/reject-all ends; saturated bounds rank at -inf
+    # (the reported estimate still clamps at zero)
     mu = np.full_like(alpha_bar, -np.inf)
     open_mask = (alpha_bar < 1.0) & (beta_bar < 1.0)
     mu[open_mask] = special.ndtri(1.0 - beta_bar[open_mask]) - special.ndtri(alpha_bar[open_mask])
-    return thresholds, tp, fp, fn, alpha_bar, beta_bar, mu
+    return values, tp, fp, fn, alpha_bar, beta_bar, mu
 
 
 def sweep_threshold_bruteforce(
@@ -172,7 +186,7 @@ def sweep_threshold_bruteforce(
     stats_without: Sequence[float],
     confidence: float,
 ) -> tuple[float, AttackCounts, ErrorBounds]:
-    """The threshold sweep evaluating the band's mu at every candidate."""
+    """The threshold sweep evaluating the band's mu at every split."""
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
     if w.size == 0 or wo.size == 0:
@@ -180,8 +194,8 @@ def sweep_threshold_bruteforce(
     if not (np.isfinite(w).all() and np.isfinite(wo).all()):
         raise ValueError("statistics must be finite")
 
-    thresholds, tp, fp, fn, alpha_bar, beta_bar, mu = band_mu_bruteforce(w, wo, confidence)
-    best = int(np.argmax(mu))  # first maximum = smallest tau
+    values, tp, fp, fn, alpha_bar, beta_bar, mu = band_mu_bruteforce(w, wo, confidence)
+    best = int(np.argmax(mu))  # first maximum = lowest split
     counts = AttackCounts(
         true_positives=int(tp[best]),
         false_positives=int(fp[best]),
@@ -190,7 +204,7 @@ def sweep_threshold_bruteforce(
     )
     bounds = ErrorBounds(alpha_bar=float(alpha_bar[best]), beta_bar=float(beta_bar[best]),
                          confidence=confidence)
-    return float(thresholds[best]), counts, bounds
+    return split_tau_bruteforce(values, best), counts, bounds
 
 
 def _noisy_matrix(clean: np.ndarray, sigma: float, n_sample: int, seed: int,

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpicl_audit import audit
@@ -46,7 +46,7 @@ from reference import (
     _noisy_matrix,
     band_mu_bruteforce,
     bootstrap_audit_full_matrix,
-    candidate_thresholds_bruteforce,
+    split_counts_bruteforce,
     sweep_threshold_bruteforce,
 )
 
@@ -231,56 +231,10 @@ class TestDecisionRules:
         assert (signal_classes(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True]
 
     def test_threshold_must_be_finite(self):
-        # tau is a midpoint or sentinel of the statistics, so they must be finite
+        # tau lies between or beside the statistics, so they must be finite
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 sweep_threshold([bad, 0.0], [1.0], 0.95)
-
-
-class TestSweepThreshold:
-    def test_single_midpoint(self):
-        # one trial per arm: the band is saturated at every candidate, so the
-        # sweep falls back to the accept-all sentinel and certifies nothing
-        tau, counts, bounds = sweep_threshold([1.0], [0.0], 0.95)
-        assert tau == -1.0
-        assert counts == AttackCounts(1, 1, 0, 0)
-        assert estimate_from_bounds(bounds).mu_lower == 0.0
-
-    def test_perfect_separation_matches_zero_error_counts(self):
-        rng = np.random.default_rng(0)
-        with_stats = rng.normal(10.0, 0.1, size=500)
-        without_stats = rng.normal(-10.0, 0.1, size=500)
-        tau, counts, _ = sweep_threshold(with_stats, without_stats, 0.95)
-        assert counts == AttackCounts(500, 0, 0, 500)
-        assert -10.0 < tau < 10.0
-
-    def test_identical_distributions_yield_zero(self):
-        rng = np.random.default_rng(1)
-        stats = rng.normal(size=2000)
-        _, _, bounds = sweep_threshold(stats, stats, 0.95)
-        estimate = estimate_from_bounds(bounds, 1e-5)
-        assert estimate.mu_lower == 0.0
-        assert estimate.eps_emp == 0.0
-
-    def test_tie_breaks_to_smallest_tau(self):
-        # identical lists of two: every candidate ranks equal at -inf, and
-        # the smallest, the accept-all sentinel, wins
-        tau, _, bounds = sweep_threshold([0.0, 1.0], [0.0, 1.0], 0.95)
-        assert tau == -1.0
-        assert estimate_from_bounds(bounds, 1e-5).mu_lower == 0.0
-
-    def test_counts_are_the_rule_applied_at_tau(self):
-        rng = np.random.default_rng(3)
-        stat_with = np.round(rng.normal(0.5, 1.0, size=3000), 1)  # rounding makes ties
-        stat_without = np.round(rng.normal(0.0, 1.0, size=2000), 1)
-        tau, counts, _ = sweep_threshold(stat_with, stat_without, 0.95)
-        tp = int(np.count_nonzero(stat_with > tau))
-        fp = int(np.count_nonzero(stat_without > tau))
-        assert counts == AttackCounts(tp, fp, stat_with.size - tp, stat_without.size - fp)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_threshold([], [1.0], 0.95)
 
 
 _ADJACENT = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
@@ -315,11 +269,78 @@ def sweep_inputs(draw, max_trials):
     return w.astype(np.float64), wo.astype(np.float64), confidence
 
 
+# Signed zeros in either merge order, and statistics so large that the
+# midpoint of two of one sign overflows and pooled[0] - 1 rounds back onto
+# pooled[0]. At one copy the band is vacuous and tau is accept-all's; a
+# thousand copies make it informative.
+_EDGE_CASES = [
+    (np.tile(w, copies), np.tile(wo, copies), 0.95)
+    for copies in (1, 1000)
+    for w, wo in [([-0.0, 1.0], [-0.0, 0.0, -1.0]), ([-0.0, 1.0], [0.0, -0.0, -1.0]),
+                  ([1.7e308], [1.7e308, 1.6e308]), ([-1.7e308], [-1.7e308, -1.6e308])]
+]
+
+
+def with_edge_cases(test):
+    """Run a ``sweep_inputs`` test on ``_EDGE_CASES`` too."""
+    for case in _EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+class TestSweepThreshold:
+    def test_single_midpoint(self):
+        # one trial per arm: the band is saturated at every split, so the
+        # sweep falls back to accept-all and certifies nothing
+        tau, counts, bounds = sweep_threshold([1.0], [0.0], 0.95)
+        assert tau == -1.0
+        assert counts == AttackCounts(1, 1, 0, 0)
+        assert estimate_from_bounds(bounds).mu_lower == 0.0
+
+    def test_perfect_separation_matches_zero_error_counts(self):
+        rng = np.random.default_rng(0)
+        with_stats = rng.normal(10.0, 0.1, size=500)
+        without_stats = rng.normal(-10.0, 0.1, size=500)
+        tau, counts, _ = sweep_threshold(with_stats, without_stats, 0.95)
+        assert counts == AttackCounts(500, 0, 0, 500)
+        assert -10.0 < tau < 10.0
+
+    def test_identical_distributions_yield_zero(self):
+        rng = np.random.default_rng(1)
+        stats = rng.normal(size=2000)
+        _, _, bounds = sweep_threshold(stats, stats, 0.95)
+        estimate = estimate_from_bounds(bounds, 1e-5)
+        assert estimate.mu_lower == 0.0
+        assert estimate.eps_emp == 0.0
+
+    def test_tie_breaks_to_smallest_tau(self):
+        # identical lists of two: every split ranks equal at -inf, and the
+        # lowest, accept-all, wins
+        tau, _, bounds = sweep_threshold([0.0, 1.0], [0.0, 1.0], 0.95)
+        assert tau == -1.0
+        assert estimate_from_bounds(bounds, 1e-5).mu_lower == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_inputs(max_trials=3000))
+    @with_edge_cases
+    def test_counts_are_the_rule_applied_at_tau(self, case):
+        # the counts are "canary in above tau" applied to the statistics
+        w, wo, confidence = case
+        tau, counts, _ = sweep_threshold(w, wo, confidence)
+        tp, fp = int(np.count_nonzero(w > tau)), int(np.count_nonzero(wo > tau))
+        assert counts == AttackCounts(tp, fp, w.size - tp, wo.size - fp)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            sweep_threshold([], [1.0], 0.95)
+
+
 class TestSweepMatchesBruteForce:
     """The sweep returns exactly what counting and bounding every candidate does."""
 
     @settings(max_examples=150, deadline=None)
     @given(sweep_inputs(max_trials=3000))
+    @with_edge_cases
     def test_random_inputs(self, case):
         got = sweep_threshold(*case)
         assert repr(got) == repr(sweep_threshold_bruteforce(*case))
@@ -330,35 +351,13 @@ class TestSweepMatchesBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(sweep_inputs(max_trials=3000))
     def test_candidate_counts_match_the_reference(self, case):
-        # the merged counts equal a binary search of each arm at every candidate
+        # the merged counts equal a binary search of each arm at every split
         w, wo, _ = case
-        thresholds, fn, fp = audit._candidate_counts(w, wo)
-        expected = candidate_thresholds_bruteforce(w, wo)
-        assert thresholds.tobytes() == expected.tobytes()
-        tp_ref, fp_ref = _counts_for_rule(w, wo, expected)
+        pooled, fn, fp = audit._split_counts(w, wo)
+        _, tp_ref, fp_ref = split_counts_bruteforce(w, wo)
+        assert np.array_equal(pooled, np.sort(np.concatenate([w, wo])))
         assert np.array_equal(w.size - fn, tp_ref)
         assert np.array_equal(fp, fp_ref)
-
-    @pytest.mark.parametrize("without", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0]])
-    def test_signed_zero_threshold(self, without):
-        # tau is the zero midpoint; np.unique decides its sign, whichever
-        # zero the merged pool holds first. At two and three trials the band
-        # is vacuous and tau is the sentinel; a thousand copies make it
-        # informative.
-        for copies in (1, 1000):
-            w, wo = np.tile([-0.0, 1.0], copies), np.tile(without, copies)
-            got = sweep_threshold(w, wo, 0.95)
-            assert got[0] == (-2.0 if copies == 1 else 0.0)
-            assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
-
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_overflowing_midpoints(self, sign):
-        # the midpoint of two huge statistics of one sign overflows to an
-        # infinite candidate, beyond its gap's neighbours
-        w, wo = sign * np.array([1.7e308]), sign * np.array([1.7e308, 1.6e308])
-        with np.errstate(over="ignore"):
-            got = sweep_threshold(w, wo, 0.95)
-            assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
 
     def test_bound_below_rounding_at_tiny_confidence(self):
         # near zero confidence the band is at its narrowest, sqrt(ln 2 / 2n);

@@ -79,6 +79,18 @@ class TestConvert:
     def test_two_modes_rejected(self, capsys):
         assert main(["convert", "--mu", "1", "--eps", "2"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--gamma", "1.5", "--tp", "1", "--fp", "1", "--fn", "1", "--tn", "1"],
+         "--gamma must lie in (0, 1), got 1.5"),
+        (["--mu", "-1"], "mu must be non-negative, got -1.0"),
+        (["--mu", "1", "--delta", "0"], "delta_target must lie in (0, 1), got 0.0"),
+        (["--tp", "0", "--fp", "3", "--fn", "0", "--tn", "2"],
+         "both hypotheses must be sampled at least once"),
+    ], ids=["gamma", "negative-mu", "zero-delta", "empty-arm"])
+    def test_input_mistakes_exit_2(self, capsys, argv, message):
+        assert main(["convert", *argv]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -566,6 +578,16 @@ class TestSimulate:
         path = write_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("section, message", [
+        ({"k_rule": "fixed"}, "k_rule 'fixed' needs k_fixed"),
+        ({"k_rule": "fixed", "k_fixed": 9}, "k must lie in [0, 4], got 9"),
+    ], ids=["no-k-fixed", "k-fixed-above-T"])
+    def test_input_mistakes_exit_2(self, tmp_path, capsys, section, message):
+        path = write_config(tmp_path, simulate={"T_values": [4], "b": 1.0, "sigma": 2.0, **section})
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
 
 class TestNonFiniteEmbeddings:
     """A non-finite embedding, recorded or replied, is an oracle failure
@@ -619,3 +641,48 @@ def test_ragged_responder_embeddings_are_an_oracle_failure(tmp_path, capsys):
     assert ("oracle failure: embeddings of lengths [15, 16] in the 'with' arm"
             in capsys.readouterr().err)
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestMalformedOutsideFiles:
+    """A context file, or a responder's replies, that the run cannot read
+    fails with its kind's exit code and names the file."""
+
+    @pytest.mark.parametrize("line", ['["an input", "an output"]', '{"output": "an output"}',
+                                      '{"input": 3}', "an input -> an output"],
+                             ids=["list", "no-input", "number-input", "not-json"])
+    def test_context_line_is_named(self, tmp_path, capsys, line):
+        context = tmp_path / "context.jsonl"
+        context.write_text('{"input": "a"}\n\n' + line + '\n{"input": "b"}\n')
+        path = write_config(tmp_path, context={"file": str(context)})
+        assert main(["audit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"config error: context line {context}:3 is not a "
+                                           "JSON object with a string 'input'\n")
+
+    def test_undecodable_context_file(self, tmp_path, capsys):
+        context = tmp_path / "context.jsonl"
+        context.write_bytes(b'{"input": "\xff"}\n')
+        path = write_config(tmp_path, context={"file": str(context)})
+        assert main(["audit", "--config", str(path)]) == 2
+        assert f"config error: context file {context} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_undecodable_responses_file(self, tmp_path, capsys):
+        responses = tmp_path / "responses.jsonl"
+        responses.write_bytes(b'{"text": "\xff"}\n')
+        path = write_config(tmp_path, oracle={"kind": "responder_file",
+                                              "responses_path": str(responses)})
+        assert main(["audit", "--config", str(path)]) == 3
+        assert (f"oracle failure: responses file {responses} is not UTF-8 text"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("reply", ['["yes"]', '"yes"', "3"], ids=["list", "string", "number"])
+    def test_reply_that_is_not_an_object(self, tmp_path, capsys, reply):
+        # retried within the budget, then an oracle failure
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(reply + "\n" + '{"text": "yes"}\n' * (5 * 4 * 2))
+        oracle = {"kind": "responder_file", "responses_path": str(responses)}
+        path = write_config(tmp_path, audit={"n_llm": 5, "n_sample": 100}, oracle=oracle)
+        assert main(["collect", "--config", str(path), "--set", "oracle.retry_budget=1"]) == 0
+        assert "1 retried failures" in capsys.readouterr().out
+        assert main(["collect", "--config", str(path)]) == 3
+        assert (f"oracle failure: reply {json.loads(reply)!r} is not a JSON object\n"
+                == capsys.readouterr().err)
