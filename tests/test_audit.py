@@ -359,6 +359,32 @@ class TestSweepMatchesBruteForce:
         assert np.array_equal(w.size - fn, tp_ref)
         assert np.array_equal(fp, fp_ref)
 
+    @pytest.mark.parametrize("without", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0]])
+    def test_signed_zero_threshold(self, without):
+        # whichever zero the merged pool holds first, tau is the same. At two
+        # and three trials the band is vacuous and tau is accept-all's, below
+        # the data; a thousand copies make it informative, splitting the
+        # zeros from 1.0.
+        for copies in (1, 1000):
+            w, wo = np.tile([-0.0, 1.0], copies), np.tile(without, copies)
+            got = sweep_threshold(w, wo, 0.95)
+            assert got[0] == (-2.0 if copies == 1 else 0.5)
+            assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_overflowing_midpoints(self, sign):
+        # the midpoint of two huge statistics of one sign overflows, and
+        # pooled[0] - 1 rounds back onto pooled[0]; tau stays finite and
+        # keeps its split
+        w, wo = sign * np.array([1.7e308]), sign * np.array([1.7e308, 1.6e308])
+        with np.errstate(over="raise"):
+            got = sweep_threshold(w, wo, 0.95)
+        assert np.isfinite(got[0])
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        pooled = np.sort(sign * np.array([1.7e308, 1.8e308]))
+        tau = audit._split_tau(pooled, 1)
+        assert pooled[0] <= tau < pooled[1]
+
     def test_bound_below_rounding_at_tiny_confidence(self):
         # near zero confidence the band is at its narrowest, sqrt(ln 2 / 2n);
         # the saturated accept-all sentinel must still rank below the
