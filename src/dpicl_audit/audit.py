@@ -14,10 +14,10 @@ scored on leaves it valid.
 
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
 releases it through the mechanism and reduces it at once to a decision tally
-or a 1-D statistic, so no arm's noisy responses or candidate distances are
-ever held whole, and ``workers`` threads run whole blocks. All randomness is
-derived from (seed, hypothesis, trial block), so a report is a pure function
-of its config and identical across worker counts.
+or a 1-D statistic, so no arm's noisy responses are ever held whole, and
+``workers`` threads run whole blocks. All randomness is derived from (seed,
+hypothesis, trial block), so a report is a pure function of its config and
+identical across worker counts.
 """
 
 from __future__ import annotations
@@ -100,6 +100,9 @@ class AuditConfig:
             raise ValueError("delta_target must lie in (0, 1)")
         if self.yes_index == self.no_index:
             raise ValueError("yes and no classes must differ")
+        if min(self.yes_index, self.no_index) < 0:
+            raise ValueError(f"class indices must be non-negative, got yes {self.yes_index} "
+                             f"and no {self.no_index}")
 
 
 @dataclass(frozen=True)
@@ -330,20 +333,12 @@ def _answers(config: AuditConfig, signal_pair: Optional[SignalPair], width: int)
     return np.stack([signal_pair.y0_embedding, signal_pair.y1_embedding])
 
 
-def _project(noisy: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    # The audit's pool threads call this, not the public whitebox_statistic
-    # a tracer may wrap. einsum sums each row in one C loop: bit for bit
-    # noisy[:, yes] - noisy[:, no] on a one-hot difference, and no BLAS
-    # threads to contend with the pool's, as `@` does at d=16.
-    return np.einsum("ij,j->i", noisy, direction)
-
-
 def whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
                        signal_pair: Optional[SignalPair] = None) -> np.ndarray:
     """The 1-D statistic the white-box threshold test reads: each noisy
     aggregate projected on the yes answer minus the no answer."""
     no, yes = _answers(config, signal_pair, noisy.shape[1])
-    return _project(noisy, yes - no)
+    return mechanisms.project(noisy, yes - no)
 
 
 def _answer_classes(answers: np.ndarray, outputs: Sequence[np.ndarray]) -> np.ndarray:
@@ -397,7 +392,7 @@ def bootstrap_audit(
         arm, index = block
         noisy = _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index])
         if not black_box:
-            return _project(noisy, direction)
+            return mechanisms.project(noisy, direction)
         picked = classes[release(noisy)]
         return int(np.count_nonzero(picked == 1)), int(np.count_nonzero(picked < 0))
 

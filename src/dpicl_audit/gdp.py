@@ -226,6 +226,8 @@ def audit_epsilon(counts: AttackCounts, confidence: float, delta_target: float =
     Each Clopper-Pearson bound is taken at (1 + confidence) / 2, so that by
     the union bound both hold together with probability ``confidence``.
     """
+    if not (0.0 < confidence < 1.0):
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     each = (1.0 + confidence) / 2.0
     bounds = ErrorBounds(
         alpha_bar=binom_upper_bound(counts.false_positives, counts.trials_without, each),

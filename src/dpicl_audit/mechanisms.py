@@ -10,7 +10,9 @@ Both release in three stages: aggregate, noise, select. `aggregate` turns
 each trial's per-partition responses into its clean aggregate (vote counts,
 or the mean of the clipped embeddings); `gaussian_release` perturbs a block
 of clean aggregates; voting then takes each row's argmax (`vote_select`) and
-embedding aggregation each row's nearest candidate (`esa_select`).
+embedding aggregation each row's nearest candidate (`esa_select`), the
+candidate of highest score on the one projection kernel (`project`) that
+also computes the white-box statistic.
 `oracles.collect` aggregates with the first, and the audit's trial kernel
 calls the others and nothing else to noise and release, so a fault here
 moves its reports.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +37,6 @@ SENSITIVITY_MODES = {"paper_voting": "classification", "esa_tight": "generation"
                      "esa_legacy": "generation"}
 
 VOTING_SENSITIVITY = 2.0  # one exemplar can move two histogram coordinates by 1 each
-
-# Byte budget of the rows x k x d difference tensor of one chunk of the
-# nearest-candidate search (at least one row), k counting the distinct
-# candidates. It bounds the temporaries whatever the pool size and dimension;
-# at 10 distinct candidates and d=16, budgets from 0.5 to 8 MiB ran alike on
-# a 2-core Xeon.
-_NEAREST_CHUNK_BYTES = 1 << 21
 
 # Byte budget of the clean rows ``gaussian_release`` gathers at once (at
 # least one row), so its only temporary beside the released block is one
@@ -261,62 +256,48 @@ def vote_select(noisy: np.ndarray) -> np.ndarray:
     return np.argmax(noisy, axis=1)
 
 
-def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Per noisy mean, the index in ``candidates`` of the nearest (Euclidean)
-    candidate; ties -> lowest.
+def project(points: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Each row of ``points`` projected on ``direction``: the one linear
+    score kernel, read by the white-box statistic and by ``esa_select``."""
+    # The audit's pool threads call this, not the public whitebox_statistic
+    # a tracer may wrap. einsum sums each row in one C loop: bit for bit
+    # noisy[:, yes] - noisy[:, no] on a one-hot difference, and no BLAS
+    # threads to contend with the pool's, as `@` does at d=16.
+    return np.einsum("ij,j->i", points, direction)
 
-    A zero-shot pool often repeats itself, so the search runs over the
-    distinct candidates only, each kept at its first occurrence and in pool
-    order, and each pick is mapped back to that first occurrence. The result
-    is argmin over the whole pool, index for index: identical rows get
-    identical distances, the whole pool's first minimum is a first
-    occurrence, and keeping the pool order keeps the first-index tie-break
-    between distinct candidates. The distances come a chunk of rows at a
-    time from ``_distance_chunks``.
+
+def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
+    """Per noisy mean x, the index in ``candidates`` of the nearest
+    (Euclidean) candidate; ties -> lowest.
+
+    Since |x - c|^2 = |x|^2 - 2 (x.c - |c|^2 / 2), the nearest candidate is
+    the one of highest linear score ``project(x, c) - |c|^2 / 2``. A running
+    maximum takes the candidates in pool order and moves a pick only on a
+    strictly higher score, so the first maximum wins. A zero-shot pool
+    often repeats itself, so only its distinct candidates are scored, each
+    at its first occurrence: a repeat scores what its first occurrence does
+    and could never win. The temporaries are a few row-length vectors,
+    whatever the pool size or the dimension.
     """
     if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
-    first: dict[bytes, int] = {}  # distinct candidate -> its first pool index
-    distinct = []
+    seen: set[bytes] = set()
+    picks = np.zeros(noisy.shape[0], dtype=np.intp)
+    best: Optional[np.ndarray] = None  # the picks' scores
     for index, candidate in enumerate(candidates):
         row = np.asarray(candidate, dtype=np.float64)
-        if first.setdefault(row.tobytes(), index) == index:
-            distinct.append(row)
-    stacked = np.stack(distinct)
-    if stacked.shape[1:] != noisy.shape[1:]:
-        raise ValueError(f"candidate dimension {stacked.shape[1:]} does not match "
-                         f"the noisy mean's {noisy.shape[1:]}")
-    origin = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    picks = np.empty(noisy.shape[0], dtype=np.intp)
-    for start, distances in _distance_chunks(noisy, stacked):
-        # every index is in range, so "clip" only spares the buffered copy of "raise"
-        np.take(origin, np.argmin(distances, axis=1), out=picks[start:start + len(distances)],
-                mode="clip")
+        if row.shape != noisy.shape[1:]:
+            raise ValueError(f"candidate dimension {row.shape} does not match "
+                             f"the noisy mean's {noisy.shape[1:]}")
+        key = row.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        score = project(noisy, row)
+        score -= 0.5 * float(row @ row)
+        if best is None:
+            best = score
+        else:
+            np.putmask(picks, score > best, index)
+            np.maximum(best, score, out=best)
     return picks
-
-
-def _distance_chunks(points: np.ndarray,
-                     targets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """The Euclidean distances of each of n points to each of k targets, as
-    (start, distances) per chunk of rows, ``distances`` being the
-    (rows, k) block of rows start, start + 1, ...
-
-    Bit for bit ``np.linalg.norm(points[:, None] - targets[None], axis=2)``:
-    the same subtraction, squares and ``np.add.reduce`` over the same
-    contiguous last axis, then ``sqrt``, without its conjugate copy and
-    temporaries. The squares are taken in place in one buffer of
-    rows x k x d that fits _NEAREST_CHUNK_BYTES (at least one row), reused
-    by every chunk, as is ``distances``: read each chunk before the next.
-    Each row's distances come from that row alone, so they do not depend on
-    the chunking.
-    """
-    rows = max(1, _NEAREST_CHUNK_BYTES // max(1, targets.nbytes))
-    squares = np.empty((min(rows, points.shape[0]), *targets.shape))
-    sums = np.empty(squares.shape[:2])
-    for start in range(0, points.shape[0], rows):
-        chunk = points[start:start + rows]
-        diff, distances = squares[:len(chunk)], sums[:len(chunk)]
-        np.subtract(chunk[:, None, :], targets[None, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=2, out=distances)
-        yield start, np.sqrt(distances, out=distances)

@@ -667,6 +667,12 @@ class TestRunAudit:
                            match="class index 2 is outside the 2-class votes the oracle produced"):
             run_audit(config, oracle, make_pair(), "CANARY")
 
+    @pytest.mark.parametrize("index", [{"yes_index": -1}, {"no_index": -1}])
+    def test_negative_class_index_rejected(self, index):
+        # np.eye(width)[[no, yes]] would wrap -1 around to the last class
+        with pytest.raises(ValueError, match="class indices must be non-negative"):
+            replace(vote_config(), **index)
+
     def test_monotone_in_n_sample_for_perfect_separation(self):
         oracle = CanaryDetector((1, 0), num_classes=2)
         values = []

@@ -178,6 +178,11 @@ class TestAuditEpsilon:
         assert estimate.mu_lower == 0.0
         assert estimate.eps_emp == 0.0
 
+    def test_confidence_checked_as_passed(self):
+        # before (1 + gamma) / 2 is formed, so the message names the gamma passed
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            audit_epsilon(AttackCounts(100, 100, 100, 100), 1.5, 1e-5)
+
     def test_perfect_attack_regression(self):
         # frozen by composing the CP (at (1 + 0.95) / 2 = 0.975 per bound),
         # inverse-CDF and grid-scan oracles; with each bound at 0.95 they gave

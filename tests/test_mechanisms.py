@@ -301,7 +301,7 @@ _ENTRIES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
 def pools_and_means(draw):
     """A pool that repeats its candidates, and noisy means built to tie: on
     the candidates, at midpoints of candidate pairs, at signed zeros, and at
-    random points; with a chunk budget that splits the rows across chunks."""
+    random points."""
     d = draw(st.integers(min_value=1, max_value=3))
     entry = st.sampled_from(_ENTRIES)
     distinct = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=4))
@@ -314,8 +314,7 @@ def pools_and_means(draw):
     kinds = [stacked[a], (stacked[a] + stacked[b]) / 2.0,
              np.array(_ENTRIES)[rng.integers(0, len(_ENTRIES), (n, d))], rng.normal(0.0, 1.0, (n, d))]
     noisy = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
-    budget = draw(st.integers(min_value=1, max_value=64 * d * 8))
-    return noisy, pool, budget
+    return noisy, pool
 
 
 class TestEsaAggregate:
@@ -387,64 +386,26 @@ class TestEsaSelect:
     @settings(max_examples=300, deadline=None)
     @given(pools_and_means())
     def test_matches_argmin_over_the_full_pool(self, case):
-        noisy, pool, budget = case
-        with mock.patch.object(mechanisms, "_NEAREST_CHUNK_BYTES", budget):
-            got = esa_select(noisy, pool)
+        noisy, pool = case
         full = np.argmin(np.linalg.norm(noisy[:, None, :] - np.stack(pool)[None], axis=2), axis=1)
-        assert got.tolist() == full.tolist()
+        assert esa_select(noisy, pool).tolist() == full.tolist()
 
-
-@st.composite
-def points_and_targets(draw):
-    """Points and targets from signed zeros, repeated entries and random
-    floats, with repeated target rows (tied distances) and a chunk budget
-    from one row per chunk up to all rows in one."""
-    d = draw(st.integers(min_value=1, max_value=20))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    entry = st.sampled_from(_ENTRIES)
-    distinct = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=3))
-    targets = np.array(distinct)[rng.integers(0, len(distinct), draw(st.integers(1, 6)))]
-    n = draw(st.integers(min_value=1, max_value=150))
-    kinds = [targets[rng.integers(0, len(targets), n)],
-             np.array(_ENTRIES)[rng.integers(0, len(_ENTRIES), (n, d))],
-             rng.normal(0.0, 1.0, (n, d))]
-    points = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
-    budget = draw(st.integers(min_value=1, max_value=2 * n * targets.nbytes))
-    return points, targets, budget
-
-
-class TestDistanceChunks:
-    @settings(max_examples=300, deadline=None)
-    @given(points_and_targets())
-    def test_bit_identical_to_linalg_norm(self, case):
-        points, targets, budget = case
-        with mock.patch.object(mechanisms, "_NEAREST_CHUNK_BYTES", budget):
-            # each chunk's distances live in a reused buffer: copy before the next
-            chunks = [(start, distances.copy())
-                      for start, distances in mechanisms._distance_chunks(points, targets)]
-        assert [start for start, _ in chunks] == list(
-            range(0, len(points), max(1, budget // targets.nbytes)))
-        got = np.concatenate([distances for _, distances in chunks])
-        want = np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2)
-        assert got.tobytes() == want.tobytes()
-
-    def test_buffers_stay_chunk_sized(self):
-        # a full (65536, 16) trial block against two targets
-        points = np.random.default_rng(4).normal(size=(65536, 16))
-        targets = np.random.default_rng(5).normal(size=(2, 16))
+    @pytest.mark.parametrize("pool_size", [2, 200])
+    def test_temporaries_stay_row_vectors(self, pool_size):
+        # a full (65536, 16) trial block: whatever the pool size, the search
+        # holds a few row-length vectors (512 KiB each), where the block's
+        # (65536, 200, 16) differences alone would take 1.7 GB
+        noisy = np.random.default_rng(4).normal(size=(65536, 16))
+        pool = list(np.random.default_rng(5).normal(size=(pool_size, 16)))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for _ in mechanisms._distance_chunks(points, targets):
-                pass
+            esa_select(noisy, pool)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        rows = mechanisms._NEAREST_CHUNK_BYTES // targets.nbytes
-        # the squares and their sums, plus the reduction's iteration buffers
-        # (a few 8192-element blocks) and interpreter bookkeeping; the
-        # block's (65536, 2, 16) differences alone would take 16 MiB
-        assert peak <= mechanisms._NEAREST_CHUNK_BYTES + rows * 2 * 8 + (1 << 18)
+        row_vector = noisy.shape[0] * 8
+        assert peak <= 4 * row_vector + (1 << 16)
 
 
 class TestClipToUnit:
