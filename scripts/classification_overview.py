@@ -36,7 +36,7 @@ def parse_args(argv=None):
 def main(argv=None):
     args = parse_args(argv)
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(2 * args.partitions)]
-    pair = NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), 0)
+    pair = NeighboringPair(base, Exemplar("CANARY", "canary out"), 0)
     # two classes, yes (0) when the partition holds the canary, else no (1)
     oracle = CanaryDetector((1, 0), num_classes=2, flip_probability=args.flip_probability)
 

@@ -44,7 +44,7 @@ def main(argv=None):
     args = parse_args(argv)
     distances = args.distances or sorted(catalog_distances())
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(2 * args.partitions)]
-    pair = NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), 0)
+    pair = NeighboringPair(base, Exemplar("CANARY", "canary out"), 0)
 
     rows = []
     print(f"{'distance':>9} {'eps_emp_gdp':>12} {'mu_lower':>10} {'tau':>10}")

@@ -26,14 +26,12 @@ from .gdp import (
 from .gaussian_model import VotePattern, analytic_rates, eps_emp_analytic, mu_gauss
 from .mechanisms import (
     Exemplar,
-    ExemplarContext,
     MechanismConfig,
     NeighboringPair,
     esa_select,
     esa_sensitivity,
     gaussian_release,
     noise_scale,
-    partition,
     vote_select,
     voting_noise_scale,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "CanaryDetector",
     "ErrorBounds",
     "Exemplar",
-    "ExemplarContext",
     "GdpEstimate",
     "MechanismConfig",
     "NeighboringPair",
@@ -79,7 +76,6 @@ __all__ = [
     "mu_gauss",
     "mu_lower",
     "noise_scale",
-    "partition",
     "run_audit",
     "std_normal_cdf",
     "std_normal_inv_cdf",

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import gaussian_model
-from .audit import THREAT_MODELS, append_report_csv, run_audit
+from .audit import append_report_csv, run_audit
 from .config import (
     ConfigError,
     build_audit_config,
@@ -98,19 +98,24 @@ def _build_run(config: dict, render_only: bool = False):
     return audit_cfg, signal_pair, pair, oracle
 
 
+def _emit_batch(config: dict, audit_cfg, pair, oracle, zero_shot: int = 0) -> int:
+    """Write the request batch of a command for offline completion, beside
+    the records file, instead of running it."""
+    requests_path = output_path(config, "records").with_suffix(".requests.jsonl")
+    count = emit_requests(requests_path, oracle, pair, config["context"]["canary_text"],
+                          audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,
+                          pad=config["context"]["pad_to_partitions"], zero_shot=zero_shot)
+    print(f"wrote {count} responder requests to {requests_path}")
+    return EXIT_OK
+
+
 def cmd_collect(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
     oracle_cfg = config["oracle"]
     render_only = bool(oracle_cfg.get("emit_requests_only"))
     audit_cfg, _, pair, oracle = _build_run(config, render_only)
-
     if render_only:
-        requests_path = output_path(config, "records").with_suffix(".requests.jsonl")
-        count = emit_requests(requests_path, oracle, pair, config["context"]["canary_text"],
-                              audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,
-                              pad=config["context"]["pad_to_partitions"])
-        print(f"wrote {count} responder requests to {requests_path}")
-        return EXIT_OK
+        return _emit_batch(config, audit_cfg, pair, oracle)
 
     records_path = output_path(config, "records")
     records_path.unlink(missing_ok=True)
@@ -133,15 +138,17 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
-    audit_cfg, signal_pair, pair, oracle = _build_run(config)
+    render_only = bool(config["oracle"].get("emit_requests_only"))
+    audit_cfg, signal_pair, pair, oracle = _build_run(config, render_only)
 
-    candidates = None
     pool_size = audit_cfg.mechanism.candidate_pool_size
     # a replay serves recorded partitions only, so its pool is the signal pair
-    if (audit_cfg.task == "generation" and audit_cfg.threat_model == "black_box"
-            and pool_size > 2 and config["oracle"]["kind"] != "replay"):
-        candidates = zero_shot_candidates(oracle, config["context"]["canary_text"],
-                                          pool_size, audit_cfg.seed)
+    draws_pool = (audit_cfg.task == "generation" and audit_cfg.threat_model == "black_box"
+                  and pool_size > 2 and config["oracle"]["kind"] != "replay")
+    if render_only:
+        return _emit_batch(config, audit_cfg, pair, oracle, pool_size if draws_pool else 0)
+    candidates = zero_shot_candidates(oracle, config["context"]["canary_text"], pool_size,
+                                      audit_cfg.seed) if draws_pool else None
 
     report = run_audit(
         audit_cfg, oracle, pair, config["context"]["canary_text"],

@@ -18,7 +18,7 @@ import jsonschema
 import yaml
 
 from .audit import AuditConfig
-from .mechanisms import Exemplar, MechanismConfig, NeighboringPair, partition
+from .mechanisms import Exemplar, MechanismConfig, NeighboringPair
 from .oracles import (
     CanaryDetector,
     FileTransport,
@@ -212,10 +212,8 @@ def build_neighboring_pair(config: dict) -> NeighboringPair:
     partitions."""
     ctx = config["context"]
     canary = Exemplar(text_in=ctx["canary_text"], text_out="canary output")
-    pair = NeighboringPair.insert_canary(load_context_exemplars(config), canary,
-                                         int(ctx["canary_index"]))
-    partition(pair.with_canary, int(config["mechanism"]["num_partitions"]),
-              pad=ctx["pad_to_partitions"])
+    pair = NeighboringPair(load_context_exemplars(config), canary, int(ctx["canary_index"]))
+    pair.partitions(int(config["mechanism"]["num_partitions"]), pad=ctx["pad_to_partitions"])
     return pair
 
 
@@ -245,6 +243,12 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: b
     """
     oracle_cfg = config["oracle"]
     kind = "render_only" if render_only else oracle_cfg["kind"]
+    if config["task"] == "classification":
+        # checked before any kind is built, so no oracle is ever called
+        index = max(int(oracle_cfg["yes_index"]), int(oracle_cfg["no_index"]))
+        if index >= len(oracle_cfg["classes"]):
+            raise ConfigError(f"class index {index} is outside the "
+                              f"{len(oracle_cfg['classes'])} oracle.classes")
 
     if kind == "replay":
         records_path = oracle_cfg.get("records_path")

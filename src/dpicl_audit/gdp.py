@@ -123,6 +123,13 @@ def mu_lower(bounds: ErrorBounds) -> float:
     return mu if mu > 0.0 else 0.0
 
 
+def _check_mu(mu: float) -> None:
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if mu < 0.0:
+        raise ValueError(f"mu must be non-negative, got {mu}")
+
+
 def delta_from_eps_mu(eps: float, mu: float) -> float:
     """delta(eps; mu) for the Gaussian trade-off curve.
 
@@ -132,8 +139,7 @@ def delta_from_eps_mu(eps: float, mu: float) -> float:
     """
     if eps < 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
+    _check_mu(mu)
     if mu == 0.0 or math.isinf(eps / mu):
         return 0.0
     delta = std_normal_cdf(mu / 2.0 - eps / mu) - math.exp(eps + log_std_normal_cdf(-eps / mu - mu / 2.0))
@@ -152,8 +158,7 @@ def eps_from_mu_delta(mu: float, delta_target: float) -> float:
     """
     if not (0.0 < delta_target < 1.0):
         raise ValueError(f"delta_target must lie in (0, 1), got {delta_target}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
+    _check_mu(mu)
     if mu == 0.0:
         return 0.0
     if delta_from_eps_mu(0.0, mu) <= delta_target:

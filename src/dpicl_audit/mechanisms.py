@@ -53,67 +53,67 @@ class Exemplar:
 
 
 @dataclass(frozen=True)
-class ExemplarContext:
-    """An ordered exemplar list, optionally marking the canary position."""
-
-    exemplars: tuple[Exemplar, ...]
-    canary_index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.canary_index is not None and not (0 <= self.canary_index < len(self.exemplars)):
-            raise ValueError(
-                f"canary_index {self.canary_index} out of range for {len(self.exemplars)} exemplars"
-            )
-
-    def __len__(self) -> int:
-        return len(self.exemplars)
-
-
-@dataclass(frozen=True)
-class NeighboringPair:
-    """Target context (canary in) and reference context (canary out).
-
-    The adjacency unit of the DP guarantee: the two contexts are equal except
-    at the canary position.
-    """
-
-    with_canary: ExemplarContext
-    without_canary: ExemplarContext
-
-    def __post_init__(self) -> None:
-        c1, c0 = self.with_canary, self.without_canary
-        if len(c1) != len(c0):
-            raise ValueError("neighboring contexts must have the same size")
-        if c1.canary_index is None:
-            raise ValueError("the target context must mark its canary position")
-        diffs = [i for i, (a, b) in enumerate(zip(c1.exemplars, c0.exemplars)) if a != b]
-        if diffs != [c1.canary_index]:
-            raise ValueError(
-                f"contexts must differ exactly at the canary position {c1.canary_index}, differ at {diffs}"
-            )
-
-    @classmethod
-    def insert_canary(cls, exemplars: Sequence[Exemplar], canary: Exemplar, index: int) -> "NeighboringPair":
-        """Build a pair by substituting the canary at `index` of a base context."""
-        base = tuple(exemplars)
-        if not (0 <= index < len(base)):
-            raise ValueError(f"index {index} out of range for {len(base)} exemplars")
-        if canary == base[index]:
-            raise ValueError("canary must differ from the exemplar it replaces")
-        target = base[:index] + (canary,) + base[index + 1:]
-        return cls(
-            with_canary=ExemplarContext(target, canary_index=index),
-            without_canary=ExemplarContext(base),
-        )
-
-
-@dataclass(frozen=True)
 class ExemplarSubset:
     """One partition: its exemplars, their original indices, canary membership."""
 
     exemplars: tuple[Exemplar, ...]
     indices: tuple[int, ...]
     contains_canary: bool
+
+
+@dataclass(frozen=True)
+class NeighboringPair:
+    """Target context (canary in) and reference context (canary out), both
+    derived from one base context: the reference is ``exemplars`` and the
+    target puts ``canary`` at ``index`` in their place.
+
+    The adjacency unit of the DP guarantee: the two contexts differ in one
+    exemplar by construction, and ``partitions`` keeps it so after padding.
+    """
+
+    exemplars: tuple[Exemplar, ...]
+    canary: Exemplar
+    index: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exemplars", tuple(self.exemplars))
+        if not (0 <= self.index < len(self.exemplars)):
+            raise ValueError(f"index {self.index} out of range for {len(self.exemplars)} exemplars")
+        if self.canary == self.exemplars[self.index]:
+            raise ValueError("canary must differ from the exemplar it replaces")
+
+    def partitions(self, num_partitions: int,
+                   pad: bool = False) -> tuple[list[ExemplarSubset], list[ExemplarSubset]]:
+        """The canary-in subsets and the canary-out subsets, in that order.
+
+        Exemplar i goes to subset i mod T in both contexts, so the canary
+        lands in exactly one subset and the contexts differ in it alone. A
+        base context smaller than T is an error unless ``pad``, which fills
+        it once with copies of its non-canary exemplars, in order, before
+        the canary goes in.
+        """
+        if num_partitions < 1:
+            raise ValueError("num_partitions must be positive")
+        base = list(self.exemplars)
+        if len(base) < num_partitions:
+            if not pad:
+                raise ValueError(
+                    f"context has {len(base)} exemplars but {num_partitions} partitions were requested"
+                )
+            fillers = base[:self.index] + base[self.index + 1:]
+            if not fillers:
+                raise ValueError("cannot pad a context whose only exemplar is the canary")
+            base += [fillers[i % len(fillers)] for i in range(num_partitions - len(base))]
+        target = list(base)
+        target[self.index] = self.canary
+
+        def split(context: list[Exemplar], holds_canary: bool) -> list[ExemplarSubset]:
+            return [ExemplarSubset(exemplars=tuple(context[part::num_partitions]),
+                                   indices=tuple(range(part, len(context), num_partitions)),
+                                   contains_canary=holds_canary and self.index % num_partitions == part)
+                    for part in range(num_partitions)]
+
+        return split(target, True), split(base, False)
 
 
 @dataclass(frozen=True)
@@ -136,42 +136,6 @@ class MechanismConfig:
             raise ValueError(f"unknown sensitivity_mode {self.sensitivity_mode!r}")
         if self.candidate_pool_size < 1:
             raise ValueError("candidate_pool_size must be positive")
-
-
-def partition(context: ExemplarContext, num_partitions: int, pad: bool = False) -> list[ExemplarSubset]:
-    """Split a context into disjoint subsets, round-robin by index.
-
-    Exemplar i goes to subset i mod T, so the canary lands in exactly one
-    subset and neighboring contexts partition identically. Contexts smaller
-    than T are an error unless `pad` duplicates non-canary exemplars to fill.
-    """
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be positive")
-    exemplars = list(context.exemplars)
-    canary_index = context.canary_index
-    if len(exemplars) < num_partitions:
-        if not pad:
-            raise ValueError(
-                f"context has {len(exemplars)} exemplars but {num_partitions} partitions were requested"
-            )
-        fillers = [i for i in range(len(exemplars)) if i != canary_index]
-        if not fillers:
-            raise ValueError("cannot pad a context whose only exemplar is the canary")
-        cursor = 0
-        while len(exemplars) < num_partitions:
-            exemplars.append(exemplars[fillers[cursor % len(fillers)]])
-            cursor += 1
-    buckets: list[list[int]] = [[] for _ in range(num_partitions)]
-    for i in range(len(exemplars)):
-        buckets[i % num_partitions].append(i)
-    return [
-        ExemplarSubset(
-            exemplars=tuple(exemplars[i] for i in bucket),
-            indices=tuple(bucket),
-            contains_canary=canary_index is not None and canary_index in bucket,
-        )
-        for bucket in buckets
-    ]
 
 
 def gaussian_sigma(sensitivity: float, eps: float, delta: float, classic_calibration: bool = False) -> float:

@@ -43,12 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import mechanisms
-from .mechanisms import (
-    ExemplarSubset,
-    NeighboringPair,
-    clip_to_unit,
-    partition,
-)
+from .mechanisms import ExemplarSubset, NeighboringPair, clip_to_unit
 from .parallel import map_in_order
 
 CTX_WITH = "with"
@@ -401,9 +396,7 @@ def collect(
     budget = {"left": retry_budget, "failures": 0}
     budget_lock = threading.Lock()
 
-    for ctx_label, context in ((CTX_WITH, pair.with_canary), (CTX_WITHOUT, pair.without_canary)):
-        subsets = partition(context, num_partitions, pad=pad)
-
+    for ctx_label, subsets in zip((CTX_WITH, CTX_WITHOUT), pair.partitions(num_partitions, pad)):
         def run_trial(trial: int):
             attempt = 0
             while True:
@@ -557,16 +550,19 @@ def emit_requests(
     num_partitions: int,
     n_llm: int,
     pad: bool = False,
+    zero_shot: int = 0,
 ) -> int:
     """Write the full request batch for an offline responder run.
 
-    Each request is the responder ``oracle``'s own, in the order a collection
-    issues them, so the batch is the request log of a file-responder run.
+    Each request is the responder ``oracle``'s own, in the order a run
+    issues them: ``zero_shot`` zero-shot calls (an audit's candidate pool),
+    then the collection's partition calls. So the batch is the request log
+    of a file-responder run of the command that draws that many candidates.
     """
-    count = 0
+    count = zero_shot
     with open(path, "w", encoding="utf-8") as handle:
-        for context in (pair.with_canary, pair.without_canary):
-            subsets = partition(context, num_partitions, pad=pad)
+        handle.writelines([_encode(oracle.request(None, query)) + "\n"] * zero_shot)
+        for subsets in pair.partitions(num_partitions, pad):
             # every trial issues the same requests
             lines = [_encode(oracle.request(subset, query)) + "\n" for subset in subsets]
             handle.writelines(lines * n_llm)

@@ -47,7 +47,7 @@ def criterion(name, description):
 
 def make_pair(n=8, canary_index=0):
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(n)]
-    return NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), canary_index)
+    return NeighboringPair(base, Exemplar("CANARY", "canary out"), canary_index)
 
 
 def test_a1_classification_headline_reproduction():

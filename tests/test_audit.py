@@ -53,7 +53,7 @@ from reference import (
 
 def make_pair(n=8, canary_index=0):
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(n)]
-    return NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), canary_index)
+    return NeighboringPair(base, Exemplar("CANARY", "canary out"), canary_index)
 
 
 def vote_config(threat="white_box", eps_theory=2.0, n_sample=20_000, seed=0, T=4, n_llm=1):

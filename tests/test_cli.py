@@ -13,6 +13,7 @@ import yaml
 from dpicl_audit import cli
 from dpicl_audit import config as config_module
 from dpicl_audit.cli import main
+from dpicl_audit.oracles import SignalPair
 
 from reference import read_records, record_lines, scale_canary_partition
 
@@ -86,7 +87,9 @@ class TestConvert:
         (["--mu", "1", "--delta", "0"], "delta_target must lie in (0, 1), got 0.0"),
         (["--tp", "0", "--fp", "3", "--fn", "0", "--tn", "2"],
          "both hypotheses must be sampled at least once"),
-    ], ids=["gamma", "negative-mu", "zero-delta", "empty-arm"])
+        (["--mu", "nan"], "mu must be finite, got nan"),
+        (["--mu", "inf"], "mu must be finite, got inf"),
+    ], ids=["gamma", "negative-mu", "zero-delta", "empty-arm", "nan-mu", "inf-mu"])
     def test_input_mistakes_exit_2(self, capsys, argv, message):
         assert main(["convert", *argv]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -281,6 +284,24 @@ class TestConfigMistakes:
         assert f"config error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("kind", ["responder_file", "replay"])
+    def test_class_index_outside_classes_calls_no_oracle(self, tmp_path, capsys, kind):
+        # a file responder would log (and, over HTTP, send) every request
+        # before its votes could be found too narrow
+        responses, log = tmp_path / "responses.jsonl", tmp_path / "requests.log.jsonl"
+        responses.write_text('{"text": "yes"}\n' * 24)
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        oracle = {"kind": kind, "responses_path": str(responses),
+                  "requests_log_path": str(log), "records_path": str(records), "yes_index": 5}
+        path = write_config(tmp_path, audit={"n_llm": 3, "n_sample": 100}, oracle=oracle)
+        for command in ("collect", "audit"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == ("config error: class index 5 is outside "
+                                               "the 2 oracle.classes\n")
+            assert not log.exists()
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_padding_admits_more_partitions_than_exemplars(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["audit", "--config", str(path), "--set", "context.num_exemplars=3",
@@ -352,6 +373,33 @@ class TestCollect:
 
 
 class TestAudit:
+    def test_emitted_batch_is_the_audit_request_log(self, tmp_path, capsys):
+        # a black-box generation audit draws its zero-shot pool first, so its
+        # batch holds those requests ahead of the collection's
+        log = tmp_path / "requests.log.jsonl"
+        path = write_config(tmp_path, **GENERATION, threat_model="black_box",
+                            audit={"n_llm": 3, "n_sample": 100})
+        pool = ["--set", "mechanism.candidate_pool_size=10"]
+        assert main(["audit", "--config", str(path), *pool,
+                     "--set", "oracle.emit_requests_only=true"]) == 0
+        assert "wrote 34 responder requests" in capsys.readouterr().out
+        emitted = (tmp_path / "out" / "records.requests.jsonl").read_text()
+        prompts = [json.loads(line)["rendered_prompt"] for line in emitted.splitlines()]
+        assert not any("reference exemplar" in prompt for prompt in prompts[:10])
+        assert all("reference exemplar" in prompt for prompt in prompts[10:])
+
+        signal = SignalPair.from_catalog(0.7476)
+        y1, y0 = signal.y1_text, signal.y0_text
+        # the pool, then per trial the canary partition and three others, with and without
+        texts = [y1, y0] * 5 + [y1, y0, y0, y0] * 3 + [y0] * 12
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text("".join(json.dumps({"text": text}) + "\n" for text in texts))
+        assert main(["audit", "--config", str(path), *pool,
+                     "--set", "oracle.kind=responder_file",
+                     "--set", f"oracle.responses_path={responses}",
+                     "--set", f"oracle.requests_log_path={log}"]) == 0
+        assert log.read_text() == emitted
+
     def test_deterministic_reports(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["audit", "--config", str(path)]) == 0

@@ -122,6 +122,13 @@ class TestEpsFromMuDelta:
             with pytest.raises(ValueError):
                 eps_from_mu_delta(1.0, bad)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_mu_by_name(self, mu):
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {mu}$"):
+            eps_from_mu_delta(mu, 1e-5)
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {mu}$"):
+            delta_from_eps_mu(1.0, mu)
+
 
 class TestMuFromEpsDelta:
     def test_inverts_delta(self):

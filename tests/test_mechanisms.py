@@ -11,7 +11,6 @@ from dpicl_audit import mechanisms
 from dpicl_audit.audit import AuditConfig
 from dpicl_audit.mechanisms import (
     Exemplar,
-    ExemplarContext,
     MechanismConfig,
     NeighboringPair,
     aggregate,
@@ -21,7 +20,6 @@ from dpicl_audit.mechanisms import (
     esa_sensitivity,
     gaussian_release,
     noise_scale,
-    partition,
     vote_select,
     voting_noise_scale,
 )
@@ -31,16 +29,16 @@ from dpicl_audit.stats import std_normal_cdf
 from reference import clip_one
 
 
-def make_context(n, canary_index=None):
-    return ExemplarContext(
-        exemplars=tuple(Exemplar(f"in {i}", f"out {i}") for i in range(n)),
-        canary_index=canary_index,
-    )
+def make_context(n, canary_index=0):
+    """A neighbouring pair over n exemplars "in i" -> "out i", the canary at
+    ``canary_index``."""
+    base = [Exemplar(f"in {i}", f"out {i}") for i in range(n)]
+    return NeighboringPair(base, Exemplar("CANARY"), canary_index)
 
 
 def make_pair(n):
     base = [Exemplar(f"in {i}") for i in range(n)]
-    return NeighboringPair.insert_canary(base, Exemplar("CANARY"), 0)
+    return NeighboringPair(base, Exemplar("CANARY"), 0)
 
 
 class FixedNoise:
@@ -63,51 +61,88 @@ def release_votes(counts, sigma, rng):
 
 class TestPartition:
     def test_singletons(self):
-        subsets = partition(make_context(10), 10)
-        assert len(subsets) == 10
-        assert all(len(s.exemplars) == 1 for s in subsets)
+        for subsets in make_context(10).partitions(10):
+            assert len(subsets) == 10
+            assert all(len(s.exemplars) == 1 for s in subsets)
 
     def test_round_robin(self):
-        subsets = partition(make_context(8), 4)
-        for i, subset in enumerate(subsets):
-            assert subset.indices == (i, i + 4)
+        for subsets in make_context(8).partitions(4):
+            for i, subset in enumerate(subsets):
+                assert subset.indices == (i, i + 4)
 
     def test_canary_lands_in_one_subset(self):
-        subsets = partition(make_context(8, canary_index=3), 4)
-        flags = [s.contains_canary for s in subsets]
-        assert flags == [False, False, False, True]
+        with_canary, without = make_context(8, canary_index=3).partitions(4)
+        assert [s.contains_canary for s in with_canary] == [False, False, False, True]
+        assert with_canary[3].exemplars == (Exemplar("CANARY"), Exemplar("in 7", "out 7"))
+        assert [s.contains_canary for s in without] == [False] * 4
+        assert without[3].exemplars == (Exemplar("in 3", "out 3"), Exemplar("in 7", "out 7"))
 
     @given(st.integers(min_value=2, max_value=14), st.integers(min_value=0, max_value=27))
     def test_disjoint_cover(self, T, canary_index):
         n = 28
-        subsets = partition(make_context(n, canary_index=canary_index), T)
-        seen = sorted(i for s in subsets for i in s.indices)
-        assert seen == list(range(n))
-        assert sum(s.contains_canary for s in subsets) == 1
+        for subsets in make_context(n, canary_index=canary_index).partitions(T):
+            seen = sorted(i for s in subsets for i in s.indices)
+            assert seen == list(range(n))
+        with_canary, _ = make_context(n, canary_index=canary_index).partitions(T)
+        assert sum(s.contains_canary for s in with_canary) == 1
 
-    def test_too_few_exemplars_errors(self):
-        with pytest.raises(ValueError):
-            partition(make_context(3), 4)
+    @pytest.mark.parametrize("n, T, pad, message", [
+        (3, 4, False, "context has 3 exemplars but 4 partitions were requested"),
+        (3, 0, True, "num_partitions must be positive"),
+        (1, 2, True, "cannot pad a context whose only exemplar is the canary"),
+    ], ids=["too-few", "no-partitions", "only-the-canary"])
+    def test_too_few_exemplars_errors(self, n, T, pad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_context(n).partitions(T, pad=pad)
 
     def test_padding_duplicates_non_canary(self):
-        subsets = partition(make_context(3, canary_index=1), 5, pad=True)
-        assert len(subsets) == 5
-        assert all(len(s.exemplars) == 1 for s in subsets)
-        assert sum(s.contains_canary for s in subsets) == 1
+        with_canary, without = make_context(3, canary_index=1).partitions(5, pad=True)
+        assert [s.exemplars[0].text_in for s in with_canary] == ["in 0", "CANARY", "in 2",
+                                                                  "in 0", "in 2"]
+        assert [s.exemplars[0].text_in for s in without] == ["in 0", "in 1", "in 2",
+                                                             "in 0", "in 2"]
+        assert [s.contains_canary for s in with_canary] == [False, True, False, False, False]
+
+    @pytest.mark.parametrize("n, T, canary_index", [(3, 5, 1), (2, 7, 0), (3, 5, 2), (4, 9, 3)])
+    def test_padded_pair_differs_in_the_canary_partition_only(self, n, T, canary_index):
+        # padding fills the base once, so the copies never take the canary's place
+        with_canary, without = make_context(n, canary_index).partitions(T, pad=True)
+        differ = [part for part, (a, b) in enumerate(zip(with_canary, without))
+                  if a.exemplars != b.exemplars]
+        assert differ == [canary_index % T]
+        for subsets in (with_canary, without):
+            assert sorted(i for s in subsets for i in s.indices) == list(range(T))
+
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=12), st.data())
+    def test_contexts_differ_at_the_canary_alone(self, n, T, data):
+        # padding reaches the contexts only when n < T
+        canary_index = data.draw(st.integers(min_value=0, max_value=n - 1))
+        with_canary, without = make_context(n, canary_index).partitions(T, pad=True)
+        assert [a.indices for a in with_canary] == [b.indices for b in without]
+        differ = [(part, slot) for part, (a, b) in enumerate(zip(with_canary, without))
+                  for slot, (x, y) in enumerate(zip(a.exemplars, b.exemplars)) if x != y]
+        assert differ == [(canary_index % T, canary_index // T)]
+        assert with_canary[canary_index % T].exemplars[canary_index // T] == Exemplar("CANARY")
 
 
 class TestNeighboringPair:
     def test_insert_canary(self):
-        base = [Exemplar(f"in {i}") for i in range(6)]
-        pair = NeighboringPair.insert_canary(base, Exemplar("CANARY"), 2)
-        assert pair.with_canary.canary_index == 2
-        assert pair.with_canary.exemplars[2].text_in == "CANARY"
-        assert pair.without_canary.exemplars[2].text_in == "in 2"
+        pair = make_context(6, canary_index=2)
+        assert pair.exemplars[2].text_in == "in 2"
+        with_canary, without = pair.partitions(6)
+        assert with_canary[2].exemplars == (Exemplar("CANARY"),)
+        assert without[2].exemplars == (Exemplar("in 2", "out 2"),)
 
     def test_rejects_identical_contexts(self):
-        ctx = make_context(4, canary_index=0)
-        with pytest.raises(ValueError):
-            NeighboringPair(with_canary=ctx, without_canary=ctx)
+        # a canary equal to the exemplar it replaces leaves the contexts equal
+        base = [Exemplar(f"in {i}") for i in range(4)]
+        with pytest.raises(ValueError, match="canary must differ from the exemplar it replaces"):
+            NeighboringPair(base, Exemplar("in 1"), 1)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_rejects_an_index_outside_the_context(self, index):
+        with pytest.raises(ValueError, match=f"index {index} out of range for 4 exemplars"):
+            make_context(4, canary_index=index)
 
 
 class TestNoiseScales:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpicl_audit.audit import _clean_matrix
-from dpicl_audit.mechanisms import Exemplar, NeighboringPair, partition
+from dpicl_audit.mechanisms import Exemplar, NeighboringPair
 from dpicl_audit.oracles import (
     CTX_WITH,
     CTX_WITHOUT,
@@ -42,12 +42,11 @@ from reference import DictReplayOracle, collect_replay, read_records, record_lin
 
 def make_pair(n=10, canary_index=0):
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(n)]
-    return NeighboringPair.insert_canary(base, Exemplar("CANARY", "canary out"), canary_index)
+    return NeighboringPair(base, Exemplar("CANARY", "canary out"), canary_index)
 
 
 PAIR = make_pair()
-SUBSET_WITH = partition(PAIR.with_canary, 10)[0]
-SUBSET_WITHOUT = partition(PAIR.without_canary, 10)[0]
+SUBSET_WITH, SUBSET_WITHOUT = (subsets[0] for subsets in PAIR.partitions(10))
 TEMPLATES = Path(__file__).resolve().parents[1] / "src" / "dpicl_audit" / "templates"
 
 
