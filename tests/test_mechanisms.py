@@ -86,14 +86,18 @@ class TestPartition:
         with_canary, _ = make_context(n, canary_index=canary_index).partitions(T)
         assert sum(s.contains_canary for s in with_canary) == 1
 
-    @pytest.mark.parametrize("n, T, pad, message", [
-        (3, 4, False, "context has 3 exemplars but 4 partitions were requested"),
-        (3, 0, True, "num_partitions must be positive"),
-        (1, 2, True, "cannot pad a context whose only exemplar is the canary"),
-    ], ids=["too-few", "no-partitions", "only-the-canary"])
-    def test_too_few_exemplars_errors(self, n, T, pad, message):
+    def test_too_few_exemplars_errors(self):
+        with pytest.raises(ValueError,
+                           match="^context has 3 exemplars but 4 partitions were requested$"):
+            make_context(3).partitions(4)
+
+    @pytest.mark.parametrize("n, T, message", [
+        (3, 0, "num_partitions must be positive"),
+        (1, 2, "cannot pad a context whose only exemplar is the canary"),
+    ], ids=["no-partitions", "only-the-canary"])
+    def test_unpartitionable_request_errors(self, n, T, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            make_context(n).partitions(T, pad=pad)
+            make_context(n).partitions(T, pad=True)
 
     def test_padding_duplicates_non_canary(self):
         with_canary, without = make_context(3, canary_index=1).partitions(5, pad=True)
