@@ -42,7 +42,7 @@ from .oracles import (
     SignalPair,
     collect,
 )
-from .stats import binom_upper_bound, std_normal_cdf, std_normal_inv_cdf
+from .stats import binom_upper_bound, std_normal_cdf
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "noise_scale",
     "run_audit",
     "std_normal_cdf",
-    "std_normal_inv_cdf",
     "sweep_threshold",
     "vote_select",
     "voting_noise_scale",

@@ -47,7 +47,14 @@ from .gdp import (
     mu_from_bounds,
 )
 from .mechanisms import SENSITIVITY_MODES, MechanismConfig, NeighboringPair, noise_scale
-from .oracles import CleanCollection, OracleError, SignalPair, collect
+from .oracles import (
+    CleanCollection,
+    OracleError,
+    ReplayOracle,
+    SignalPair,
+    collect,
+    zero_shot_candidates,
+)
 from .parallel import map_in_order
 from .stats import band_upper_bound_array
 
@@ -60,12 +67,6 @@ _TRIAL_BLOCK = 1 << 16
 
 _ARM_WITH = 0
 _ARM_WITHOUT = 1
-
-CSV_COLUMNS = (
-    "task", "threat", "T", "eps_theory", "delta", "n_llm", "n_sample", "gamma",
-    "tp", "fp", "fn", "tn", "mu_lower", "eps_emp_gdp", "eps_emp_point", "tau",
-    "seed", "wall_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,7 @@ class AuditReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv_row(self) -> dict:
+        """The report's ``reports.csv`` row; its keys, in order, are the header."""
         return {
             "task": self.config.task,
             "threat": self.config.threat_model,
@@ -182,7 +184,7 @@ def append_report_csv(path: Union[str, Path], report: AuditReport) -> None:
     path = Path(path)
     row = report.to_csv_row()
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=list(row), lineterminator="\n")
     if not path.exists() or path.stat().st_size == 0:
         writer.writeheader()
     writer.writerow(row)
@@ -419,9 +421,9 @@ def bootstrap_audit(
         tau, counts, bounds = sweep_threshold(np.concatenate(with_blocks),
                                               np.concatenate(without_blocks), config.confidence)
         estimate = estimate_from_bounds(bounds, config.delta_target)
-    eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,
+    return AuditReport(counts=counts, estimate=estimate,
+                       eps_emp_point=eps_emp_dp(counts.tpr, counts.fpr),
                        config=config, tau=tau, wall_ms=wall_ms)
 
 
@@ -445,6 +447,18 @@ def _check_collection(collection: CleanCollection, config: AuditConfig,
                               f"{expected}-d signal pair")
 
 
+def zero_shot_calls(config: AuditConfig, oracle) -> int:
+    """How many zero-shot calls of ``oracle`` an audit draws its candidate
+    pool from: ``candidate_pool_size`` for a black-box generation audit when
+    that is above 2 and the oracle is live. Otherwise 0, and the release is
+    over the signal pair [y1, y0]; a replay serves recorded partitions only.
+    """
+    size = config.mechanism.candidate_pool_size
+    draws = (config.task == "generation" and config.threat_model == "black_box" and size > 2
+             and not isinstance(oracle, ReplayOracle))
+    return size if draws else 0
+
+
 def run_audit(
     config: AuditConfig,
     oracle,
@@ -452,17 +466,17 @@ def run_audit(
     query: str,
     *,
     signal_pair: Optional[SignalPair] = None,
-    candidates: Optional[Sequence[np.ndarray]] = None,
     workers: int = 1,
     retry_budget: int = 0,
-    pad: bool = False,
 ) -> AuditReport:
-    """collect(n_llm) then bootstrap_audit(n_sample), end to end."""
+    """Draw the candidate pool (``zero_shot_calls``), collect(n_llm), then
+    bootstrap_audit(n_sample), end to end."""
     start = time.perf_counter()
+    pool_size = zero_shot_calls(config, oracle)
+    candidates = zero_shot_candidates(oracle, query, pool_size, config.seed) if pool_size else None
     collection: CleanCollection = collect(
         oracle, pair, query, config.mechanism.num_partitions, config.n_llm,
-        seed=config.seed, workers=workers,
-        retry_budget=retry_budget, pad=pad,
+        seed=config.seed, workers=workers, retry_budget=retry_budget,
     )
     _check_collection(collection, config, signal_pair)
     report = bootstrap_audit(collection.clean_with, collection.clean_without, config,

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import gaussian_model
-from .audit import append_report_csv, run_audit
+from .audit import append_report_csv, run_audit, zero_shot_calls
 from .config import (
     ConfigError,
     build_audit_config,
@@ -32,10 +32,11 @@ from .gdp import (
     EPS_BRACKET_MAX,
     audit_epsilon,
     delta_from_eps_mu,
+    eps_emp_dp,
     eps_from_mu_delta,
     mu_from_eps_delta,
 )
-from .oracles import OracleError, collect, emit_requests, zero_shot_candidates
+from .oracles import OracleError, collect, emit_requests
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,8 +104,7 @@ def _emit_batch(config: dict, audit_cfg, pair, oracle, zero_shot: int = 0) -> in
     the records file, instead of running it."""
     requests_path = output_path(config, "records").with_suffix(".requests.jsonl")
     count = emit_requests(requests_path, oracle, pair, config["context"]["canary_text"],
-                          audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,
-                          pad=config["context"]["pad_to_partitions"], zero_shot=zero_shot)
+                          audit_cfg.mechanism.num_partitions, audit_cfg.n_llm, zero_shot=zero_shot)
     print(f"wrote {count} responder requests to {requests_path}")
     return EXIT_OK
 
@@ -125,7 +125,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
         seed=audit_cfg.seed, records_path=records_path,
         workers=int(config["audit"]["workers"]),
         retry_budget=int(oracle_cfg["retry_budget"]),
-        pad=config["context"]["pad_to_partitions"],
     )
     n_with = len(collection.clean_with)
     n_without = len(collection.clean_without)
@@ -140,23 +139,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
     render_only = bool(config["oracle"].get("emit_requests_only"))
     audit_cfg, signal_pair, pair, oracle = _build_run(config, render_only)
-
-    pool_size = audit_cfg.mechanism.candidate_pool_size
-    # a replay serves recorded partitions only, so its pool is the signal pair
-    draws_pool = (audit_cfg.task == "generation" and audit_cfg.threat_model == "black_box"
-                  and pool_size > 2 and config["oracle"]["kind"] != "replay")
     if render_only:
-        return _emit_batch(config, audit_cfg, pair, oracle, pool_size if draws_pool else 0)
-    candidates = zero_shot_candidates(oracle, config["context"]["canary_text"], pool_size,
-                                      audit_cfg.seed) if draws_pool else None
+        return _emit_batch(config, audit_cfg, pair, oracle, zero_shot_calls(audit_cfg, oracle))
 
     report = run_audit(
         audit_cfg, oracle, pair, config["context"]["canary_text"],
         signal_pair=signal_pair,
-        candidates=candidates,
         workers=int(config["audit"]["workers"]),
         retry_budget=int(config["oracle"]["retry_budget"]),
-        pad=config["context"]["pad_to_partitions"],
     )
     json_path = output_path(config, "report_json")
     json_path.write_text(report.to_json(), encoding="utf-8")
@@ -225,10 +215,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     print(f"alpha_bar={estimate.alpha_bar:.9g} beta_bar={estimate.beta_bar:.9g}")
     print(f"mu_lower={estimate.mu_lower:.9g}")
     print(f"eps_emp_gdp={estimate.eps_emp:.9g} (delta_target={args.delta:.3g})")
-    if counts.fpr > 0 and counts.tpr > 0:
-        print(f"eps_emp_point={math.log(counts.tpr / counts.fpr):.9g}")
-    else:
-        print("eps_emp_point=inf (zero false positives; CP bound applies)")
+    print(f"eps_emp_point={eps_emp_dp(counts.tpr, counts.fpr):.9g}")
     return EXIT_OK
 
 

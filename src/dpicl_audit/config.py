@@ -212,8 +212,9 @@ def build_neighboring_pair(config: dict) -> NeighboringPair:
     partitions."""
     ctx = config["context"]
     canary = Exemplar(text_in=ctx["canary_text"], text_out="canary output")
-    pair = NeighboringPair(load_context_exemplars(config), canary, int(ctx["canary_index"]))
-    pair.partitions(int(config["mechanism"]["num_partitions"]), pad=ctx["pad_to_partitions"])
+    pair = NeighboringPair(load_context_exemplars(config), canary, int(ctx["canary_index"]),
+                           pad=ctx["pad_to_partitions"])
+    pair.partitions(int(config["mechanism"]["num_partitions"]))
     return pair
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -27,8 +27,6 @@ from .stats import log_std_normal_cdf, std_normal_cdf
 _SQRT2 = math.sqrt(2.0)
 
 K_RULES = ("extreme", "centered", "fixed", "all")
-
-SWEEP_COLUMNS = ("T", "k", "b", "sigma", "tpr", "fpr", "mu_gauss", "eps_analytic", "eps_gdp")
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,9 @@ class VotePattern:
             raise ValueError(f"k must lie in [0, {self.num_partitions}], got {self.k}")
         if not (0.0 <= self.b <= 1.0):
             raise ValueError(f"b must lie in [0, 1], got {self.b}")
+        if self.k < self.b:
+            # the canary-out votes [k - b, T - k + b] would go negative
+            raise ValueError(f"k must be at least b = {self.b}, got {self.k}")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
 
@@ -103,6 +104,9 @@ class SweepRow:
     eps_gdp: float
 
 
+SWEEP_COLUMNS = tuple(field.name for field in fields(SweepRow))
+
+
 def sweep(
     T_values: Sequence[int],
     k_rule: str,
@@ -134,6 +138,4 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([row.T, row.k, row.b, row.sigma, row.tpr, row.fpr,
-                             row.mu_gauss, row.eps_analytic, row.eps_gdp])
+        writer.writerows(map(astuple, rows))

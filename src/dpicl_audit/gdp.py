@@ -198,16 +198,20 @@ def mu_from_eps_delta(eps: float, delta_target: float) -> float:
 
 
 def eps_emp_dp(tpr: float, fpr: float) -> float:
-    """Point-estimate empirical privacy loss ln(TPR / FPR).
+    """Point-estimate empirical privacy loss ln(TPR / FPR), the one rule for
+    it: -inf when TPR is 0, whatever FPR is, and +inf when only FPR is 0.
 
-    A zero FPR is rejected; substitute a Clopper-Pearson upper bound first.
+    It bounds nothing: an audit's eps (``GdpEstimate.eps_emp``) comes from
+    the error-rate bounds.
     """
     if not (0.0 <= tpr <= 1.0):
         raise ValueError(f"tpr must lie in [0, 1], got {tpr}")
-    if not (0.0 < fpr <= 1.0):
-        raise ValueError(f"fpr must be positive (substitute a CP bound for zero counts), got {fpr}")
+    if not (0.0 <= fpr <= 1.0):
+        raise ValueError(f"fpr must lie in [0, 1], got {fpr}")
     if tpr == 0.0:
         return -math.inf
+    if fpr == 0.0:
+        return math.inf
     return math.log(tpr / fpr)
 
 

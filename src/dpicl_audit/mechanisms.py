@@ -74,6 +74,7 @@ class NeighboringPair:
     exemplars: tuple[Exemplar, ...]
     canary: Exemplar
     index: int
+    pad: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "exemplars", tuple(self.exemplars))
@@ -82,8 +83,7 @@ class NeighboringPair:
         if self.canary == self.exemplars[self.index]:
             raise ValueError("canary must differ from the exemplar it replaces")
 
-    def partitions(self, num_partitions: int,
-                   pad: bool = False) -> tuple[list[ExemplarSubset], list[ExemplarSubset]]:
+    def partitions(self, num_partitions: int) -> tuple[list[ExemplarSubset], list[ExemplarSubset]]:
         """The canary-in subsets and the canary-out subsets, in that order.
 
         Exemplar i goes to subset i mod T in both contexts, so the canary
@@ -96,7 +96,7 @@ class NeighboringPair:
             raise ValueError("num_partitions must be positive")
         base = list(self.exemplars)
         if len(base) < num_partitions:
-            if not pad:
+            if not self.pad:
                 raise ValueError(
                     f"context has {len(base)} exemplars but {num_partitions} partitions were requested"
                 )

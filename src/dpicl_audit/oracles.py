@@ -366,7 +366,6 @@ def collect(
     records_path: Optional[Union[str, Path]] = None,
     workers: int = 1,
     retry_budget: int = 0,
-    pad: bool = False,
 ) -> CleanCollection:
     """Run the partition-and-query pipeline n_llm times per hypothesis, no DP noise.
 
@@ -396,7 +395,7 @@ def collect(
     budget = {"left": retry_budget, "failures": 0}
     budget_lock = threading.Lock()
 
-    for ctx_label, subsets in zip((CTX_WITH, CTX_WITHOUT), pair.partitions(num_partitions, pad)):
+    for ctx_label, subsets in zip((CTX_WITH, CTX_WITHOUT), pair.partitions(num_partitions)):
         def run_trial(trial: int):
             attempt = 0
             while True:
@@ -461,11 +460,10 @@ def load_template(template_id: str) -> str:
 
 
 def render_template(template_text: str, **placeholders: str) -> str:
-    """Plain placeholder substitution of {name} markers, in argument order."""
-    rendered = template_text
-    for name, value in placeholders.items():
-        rendered = rendered.replace("{" + name + "}", value)
-    return rendered
+    """Each {name} marker of the template replaced by its placeholder's text,
+    in one pass: text put in is never scanned again, and a marker with no
+    placeholder stays as it is."""
+    return _MARKER.sub(lambda marker: placeholders.get(marker[1], marker[0]), template_text)
 
 
 def format_exemplars(subset: Optional[ExemplarSubset]) -> str:
@@ -549,7 +547,6 @@ def emit_requests(
     query: str,
     num_partitions: int,
     n_llm: int,
-    pad: bool = False,
     zero_shot: int = 0,
 ) -> int:
     """Write the full request batch for an offline responder run.
@@ -562,7 +559,7 @@ def emit_requests(
     count = zero_shot
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines([_encode(oracle.request(None, query)) + "\n"] * zero_shot)
-        for subsets in pair.partitions(num_partitions, pad):
+        for subsets in pair.partitions(num_partitions):
             # every trial issues the same requests
             lines = [_encode(oracle.request(subset, query)) + "\n" for subset in subsets]
             handle.writelines(lines * n_llm)
@@ -580,8 +577,9 @@ class Responder:
     ``emb`` reply as the embedding. The template's ``{context}`` marker
     takes the partition's exemplars, ``{query}`` the query (``canary_text``
     when none is given), and each of ``markers`` its text (for generation,
-    ``{y1_text}`` and ``{y0_text}``), in that order. A template marker the
-    responder does not fill raises ValueError.
+    ``{y1_text}`` and ``{y0_text}``), all in one pass, so no filled-in text
+    is read as a marker. A template marker the responder does not fill
+    raises ValueError.
     """
 
     def __init__(self, transport: Optional[Callable[[dict], dict]], template_id: str,

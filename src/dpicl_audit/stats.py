@@ -2,9 +2,9 @@
 
 Everything here is a pure function of its arguments. The normal CDF is
 computed from the complementary error function, its logarithm by
-``scipy.special.log_ndtr``, the inverse CDF by ``scipy.special.ndtri``, the
-one-sided Clopper-Pearson upper bound by regularized-incomplete-beta
-inversion, and the bounds of a DKW confidence band in closed form.
+``scipy.special.log_ndtr``, the one-sided Clopper-Pearson upper bound by
+regularized-incomplete-beta inversion, and the bounds of a DKW confidence
+band in closed form. The inverse CDF runs in ``gdp.mu_from_bounds`` only.
 """
 
 from __future__ import annotations
@@ -38,17 +38,6 @@ def log_std_normal_cdf(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     return float(special.log_ndtr(x))
-
-
-def std_normal_inv_cdf(p: float) -> float:
-    """Inverse standard normal CDF, by ``scipy.special.ndtri``.
-
-    The endpoints p in {0, 1} are out of domain; callers that can produce
-    degenerate probabilities must clamp before calling.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    return float(special.ndtri(p))
 
 
 def band_upper_bound_array(errors: np.ndarray, trials: int, confidence: float) -> np.ndarray:

@@ -293,9 +293,9 @@ def bootstrap_audit_full_matrix(
             _whitebox_statistic_full(noisy_without, config, signal_pair),
             config.confidence)
         estimate = estimate_from_bounds(bounds, config.delta_target)
-    eps_point = math.inf if counts.false_positives == 0 else eps_emp_dp(counts.tpr, counts.fpr)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return AuditReport(counts=counts, estimate=estimate, eps_emp_point=eps_point,
+    return AuditReport(counts=counts, estimate=estimate,
+                       eps_emp_point=eps_emp_dp(counts.tpr, counts.fpr),
                        config=config, tau=tau, wall_ms=wall_ms)
 
 

@@ -17,7 +17,7 @@ from dpicl_audit import mechanisms
 from dpicl_audit.audit import AuditConfig, bootstrap_audit, generate_noisy_samples, run_audit, whitebox_statistic
 from dpicl_audit.cli import main
 from dpicl_audit.gaussian_model import VotePattern, eps_emp_analytic, sweep
-from dpicl_audit.gdp import delta_from_eps_mu, eps_from_mu_delta
+from dpicl_audit.gdp import delta_from_eps_mu, eps_from_mu_delta, mu_from_bounds
 from dpicl_audit.mechanisms import (
     Exemplar,
     MechanismConfig,
@@ -30,7 +30,7 @@ from dpicl_audit.oracles import (
     SignalPair,
     collect,
 )
-from dpicl_audit.stats import binom_upper_bound, std_normal_cdf, std_normal_inv_cdf
+from dpicl_audit.stats import binom_upper_bound, std_normal_cdf
 
 from reference import binom_tail_exact, cp_upper_bisect, scale_canary_partition
 
@@ -112,8 +112,11 @@ def test_a4_statistics_oracles():
                 residual = binom_tail_exact(successes, trials, bound) - (1.0 - gamma)
                 assert abs(residual) <= 1e-8
 
-        for p in np.concatenate([np.geomspace(1e-10, 0.5, 25), 1.0 - np.geomspace(1e-10, 0.5, 25)]):
-            assert abs(std_normal_cdf(std_normal_inv_cdf(float(p))) - p) <= 1e-10
+        ps = np.concatenate([np.geomspace(1e-10, 0.5, 25), 1.0 - np.geomspace(1e-10, 0.5, 25)])
+        # Phi^-1(1 - 0.5) - Phi^-1(p) is -Phi^-1(p)
+        quantiles = -mu_from_bounds(ps.copy(), np.full_like(ps, 0.5))
+        for p, x in zip(ps, quantiles):
+            assert abs(std_normal_cdf(float(x)) - p) <= 1e-10
 
         for mu in (0.5, 1.0, 2.0, 4.0):
             for eps in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):

@@ -22,6 +22,7 @@ from dpicl_audit.audit import (
     run_audit,
     sweep_threshold,
     whitebox_statistic,
+    zero_shot_calls,
 )
 from dpicl_audit.gdp import AttackCounts, ErrorBounds, estimate_from_bounds
 from dpicl_audit.mechanisms import (
@@ -36,6 +37,7 @@ from dpicl_audit.mechanisms import (
 from dpicl_audit.oracles import (
     CanaryDetector,
     OracleError,
+    ReplayOracle,
     SignalPair,
     collect,
     zero_shot_candidates,
@@ -673,6 +675,43 @@ class TestRunAudit:
         with pytest.raises(ValueError, match="class indices must be non-negative"):
             replace(vote_config(), **index)
 
+    @pytest.mark.parametrize("task, threat, pool_size, replay, calls", [
+        ("generation", "black_box", 10, False, 10),
+        ("generation", "black_box", 3, False, 3),
+        ("generation", "black_box", 2, False, 0),
+        ("generation", "black_box", 10, True, 0),
+        ("generation", "white_box", 10, False, 0),
+        ("classification", "black_box", 10, False, 0),
+    ], ids=["pool-10", "pool-3", "signal-pair", "replay", "white-box", "classification"])
+    def test_zero_shot_calls(self, task, threat, pool_size, replay, calls):
+        mode = "esa_tight" if task == "generation" else "paper_voting"
+        mech = MechanismConfig(eps_theory=8.0, delta=1e-5, num_partitions=4,
+                               sensitivity_mode=mode, candidate_pool_size=pool_size)
+        config = AuditConfig(mechanism=mech, task=task, threat_model=threat, n_llm=1)
+        signal = SignalPair.synthetic(0.7476, 16)
+        if replay:
+            oracle = ReplayOracle(np.zeros(1, np.int8), np.zeros(1, np.int64),
+                                  np.zeros(1, np.int64), signal.y0_embedding[None])
+        else:
+            oracle = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
+        assert zero_shot_calls(config, oracle) == calls
+
+    def test_draws_the_zero_shot_pool(self):
+        # at seed 624 the canary detector's ten zero-shot calls all answer
+        # y0, so every release is y0 and the audit certifies nothing; over
+        # the signal pair the same trials certify eps > 0
+        signal = SignalPair.synthetic(0.7476, 16)
+        oracle = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
+        config = generation_config("black_box", n_sample=20_000, seed=624)
+        pool = zero_shot_candidates(oracle, "CANARY", 10, seed=624)
+        assert all(np.array_equal(candidate, signal.y0_embedding) for candidate in pool)
+        report = run_audit(config, oracle, make_pair(), "CANARY", signal_pair=signal)
+        assert report.counts.true_positives == 0
+        assert report.estimate.eps_emp == 0.0
+        pair_pool = replace(config, mechanism=replace(config.mechanism, candidate_pool_size=2))
+        report = run_audit(pair_pool, oracle, make_pair(), "CANARY", signal_pair=signal)
+        assert report.estimate.eps_emp > 0.0
+
     def test_monotone_in_n_sample_for_perfect_separation(self):
         oracle = CanaryDetector((1, 0), num_classes=2)
         values = []
@@ -697,10 +736,22 @@ class TestReporting:
         assert report.to_json() == self.make_report().to_json()
 
     def test_infinite_point_estimate_serializes_as_flag(self):
+        # noiseless yes-majority vs no votes: every trial with the canary
+        # releases yes, none without it
         config = vote_config("black_box", eps_theory=1e9, n_sample=500)
-        report = bootstrap_audit([(1, 3)], [(0, 4)], config)
+        report = bootstrap_audit([(3, 1)], [(0, 4)], config)
+        assert (report.counts.true_positives, report.counts.false_positives) == (500, 0)
         payload = json.loads(report.to_json())
         assert payload["eps_emp_point"] == "inf"
+
+    def test_no_positives_serialize_as_minus_inf(self):
+        # noiseless yes-minority votes: no trial of either arm releases yes,
+        # and an attack that never says "canary in" shows no loss
+        config = vote_config("black_box", eps_theory=1e9, n_sample=500)
+        report = bootstrap_audit([(1, 3)], [(0, 4)], config)
+        assert (report.counts.true_positives, report.counts.false_positives) == (0, 0)
+        assert json.loads(report.to_json())["eps_emp_point"] == "-inf"
+        assert report.to_csv_row()["eps_emp_point"] == "-inf"
 
     def test_csv_append(self, tmp_path):
         path = tmp_path / "reports.csv"

@@ -12,6 +12,7 @@ import yaml
 
 from dpicl_audit import cli
 from dpicl_audit import config as config_module
+from dpicl_audit.audit import run_audit
 from dpicl_audit.cli import main
 from dpicl_audit.oracles import SignalPair
 
@@ -52,6 +53,14 @@ class TestConvert:
         assert main(["convert", "--tp", "900", "--fp", "100", "--fn", "100", "--tn", "900"]) == 0
         out = capsys.readouterr().out
         assert "alpha_bar=" in out and "beta_bar=" in out and "eps_emp_point=" in out
+
+    @pytest.mark.parametrize("tp, fp, point", [
+        ("0", "5", "-inf"), ("0", "0", "-inf"), ("5", "0", "inf"), ("90", "10", "1.60416086"),
+    ], ids=["no-true-positives", "no-positives", "no-false-positives", "both"])
+    def test_point_estimate(self, capsys, tp, fp, point):
+        # the audit's rule: -inf without true positives, +inf when only FPR is 0
+        assert main(["convert", "--tp", tp, "--fp", fp, "--fn", "100", "--tn", "95"]) == 0
+        assert f"\neps_emp_point={point}\n" in capsys.readouterr().out
 
     def test_eps_round_trip(self, capsys):
         assert main(["convert", "--eps", "3", "--delta", "1e-5"]) == 0
@@ -400,6 +409,37 @@ class TestAudit:
                      "--set", f"oracle.requests_log_path={log}"]) == 0
         assert log.read_text() == emitted
 
+    def test_library_audit_writes_the_cli_report(self, tmp_path):
+        # run_audit draws the zero-shot pool itself; at seed 624 the canary
+        # detector's ten zero-shot answers are all y0, so both certify eps 0
+        mechanism = {**GENERATION["mechanism"], "candidate_pool_size": 10}
+        path = write_config(tmp_path, **{**GENERATION, "mechanism": mechanism},
+                            threat_model="black_box",
+                            audit={"n_llm": 20, "n_sample": 2000, "seed": 624})
+        assert main(["audit", "--config", str(path)]) == 0
+        written = (tmp_path / "out" / "report.json").read_text()
+        assert json.loads(written)["eps_emp_gdp"] == 0.0
+        config = config_module.load_run_config(path)
+        signal = config_module.build_signal_pair(config)
+        report = run_audit(config_module.build_audit_config(config),
+                           config_module.build_oracle(config, signal),
+                           config_module.build_neighboring_pair(config),
+                           config["context"]["canary_text"], signal_pair=signal)
+        assert report.to_json() == written
+
+    def test_emitted_batch_of_a_replay_config_holds_the_pool(self, tmp_path, capsys):
+        # the batch is for a live responder, which draws the pool, whatever
+        # oracle.kind the config names
+        path = write_config(tmp_path, **GENERATION, threat_model="black_box",
+                            audit={"n_llm": 3, "n_sample": 100},
+                            oracle={"kind": "replay", "records_path": str(tmp_path / "none")})
+        emit = ["--set", "oracle.emit_requests_only=true"]
+        assert main(["audit", "--config", str(path), *emit]) == 0
+        assert "wrote 34 responder requests" in capsys.readouterr().out
+        assert main(["audit", "--config", str(path), *emit,
+                     "--set", "mechanism.candidate_pool_size=2"]) == 0
+        assert "wrote 24 responder requests" in capsys.readouterr().out
+
     def test_deterministic_reports(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["audit", "--config", str(path)]) == 0
@@ -629,7 +669,10 @@ class TestSimulate:
     @pytest.mark.parametrize("section, message", [
         ({"k_rule": "fixed"}, "k_rule 'fixed' needs k_fixed"),
         ({"k_rule": "fixed", "k_fixed": 9}, "k must lie in [0, 4], got 9"),
-    ], ids=["no-k-fixed", "k-fixed-above-T"])
+        # the canary-out votes [k - b, T - k + b] would go negative
+        ({"k_rule": "fixed", "k_fixed": 0}, "k must be at least b = 1.0, got 0"),
+        ({"T_values": [1], "k_rule": "centered"}, "k must be at least b = 1.0, got 0"),
+    ], ids=["no-k-fixed", "k-fixed-above-T", "k-fixed-below-b", "centered-k-below-b"])
     def test_input_mistakes_exit_2(self, tmp_path, capsys, section, message):
         path = write_config(tmp_path, simulate={"T_values": [4], "b": 1.0, "sigma": 2.0, **section})
         assert main(["simulate", "--config", str(path)]) == 2

@@ -131,3 +131,13 @@ class TestSweep:
             VotePattern(num_partitions=4, k=1, b=1.5, sigma=1.0)
         with pytest.raises(ValueError):
             sweep(T_values=[4], k_rule="bogus", b=1.0, sigma=1.0, delta_target=1e-5)
+
+    @pytest.mark.parametrize("k, b", [(0, 1.0), (0, 0.5)])
+    def test_k_below_b_rejected(self, k, b):
+        # the canary-out votes [k - b, T - k + b] would go negative
+        with pytest.raises(ValueError, match=f"^k must be at least b = {b}, got {k}$"):
+            VotePattern(num_partitions=4, k=k, b=b, sigma=1.0)
+
+    def test_k_of_zero_takes_a_zero_margin(self):
+        tpr, fpr = analytic_rates(VotePattern(num_partitions=4, k=0, b=0.0, sigma=1.0))
+        assert tpr == fpr

@@ -13,10 +13,11 @@ from dpicl_audit.gdp import (
     delta_from_eps_mu,
     eps_emp_dp,
     eps_from_mu_delta,
+    mu_from_bounds,
     mu_from_eps_delta,
     mu_lower,
 )
-from dpicl_audit.stats import binom_upper_bound, std_normal_cdf, std_normal_inv_cdf
+from dpicl_audit.stats import binom_upper_bound, std_normal_cdf
 
 from reference import eps_grid_scan
 
@@ -30,7 +31,8 @@ class TestMuLower:
         assert mu_lower(bounds(0.5, 0.5)) == 0.0
 
     def test_symmetric_bounds(self):
-        expected = 2.0 * std_normal_inv_cdf(0.975)
+        # Phi^-1(1 - 0.5) - Phi^-1(0.025) is Phi^-1(0.975)
+        expected = 2.0 * float(mu_from_bounds(np.array([0.025]), np.array([0.5]))[0])
         assert mu_lower(bounds(0.025, 0.025)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(3.9199, abs=1e-4)
 
@@ -157,9 +159,18 @@ class TestEpsEmpDp:
         fpr = binom_upper_bound(0, 100, 0.95)
         assert eps_emp_dp(1.0, fpr) == pytest.approx(3.523, abs=1e-3)
 
-    def test_zero_fpr_rejected(self):
-        with pytest.raises(ValueError):
-            eps_emp_dp(0.5, 0.0)
+    def test_zero_fpr_is_infinite(self):
+        assert eps_emp_dp(0.5, 0.0) == math.inf
+
+    @pytest.mark.parametrize("fpr", [0.5, 0.0])
+    def test_zero_tpr_is_minus_infinite(self, fpr):
+        # whatever FPR is: an attack that never says "canary in" shows no loss
+        assert eps_emp_dp(0.0, fpr) == -math.inf
+
+    @pytest.mark.parametrize("tpr, fpr", [(-0.1, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, 1.5)])
+    def test_rates_outside_the_unit_interval_rejected(self, tpr, fpr):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            eps_emp_dp(tpr, fpr)
 
 
 class TestAttackCounts:

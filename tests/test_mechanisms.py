@@ -29,11 +29,11 @@ from dpicl_audit.stats import std_normal_cdf
 from reference import clip_one
 
 
-def make_context(n, canary_index=0):
+def make_context(n, canary_index=0, pad=False):
     """A neighbouring pair over n exemplars "in i" -> "out i", the canary at
-    ``canary_index``."""
+    ``canary_index``, padded to the partition count if ``pad``."""
     base = [Exemplar(f"in {i}", f"out {i}") for i in range(n)]
-    return NeighboringPair(base, Exemplar("CANARY"), canary_index)
+    return NeighboringPair(base, Exemplar("CANARY"), canary_index, pad=pad)
 
 
 def make_pair(n):
@@ -97,10 +97,10 @@ class TestPartition:
     ], ids=["no-partitions", "only-the-canary"])
     def test_unpartitionable_request_errors(self, n, T, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            make_context(n).partitions(T, pad=True)
+            make_context(n, pad=True).partitions(T)
 
     def test_padding_duplicates_non_canary(self):
-        with_canary, without = make_context(3, canary_index=1).partitions(5, pad=True)
+        with_canary, without = make_context(3, canary_index=1, pad=True).partitions(5)
         assert [s.exemplars[0].text_in for s in with_canary] == ["in 0", "CANARY", "in 2",
                                                                   "in 0", "in 2"]
         assert [s.exemplars[0].text_in for s in without] == ["in 0", "in 1", "in 2",
@@ -110,7 +110,7 @@ class TestPartition:
     @pytest.mark.parametrize("n, T, canary_index", [(3, 5, 1), (2, 7, 0), (3, 5, 2), (4, 9, 3)])
     def test_padded_pair_differs_in_the_canary_partition_only(self, n, T, canary_index):
         # padding fills the base once, so the copies never take the canary's place
-        with_canary, without = make_context(n, canary_index).partitions(T, pad=True)
+        with_canary, without = make_context(n, canary_index, pad=True).partitions(T)
         differ = [part for part, (a, b) in enumerate(zip(with_canary, without))
                   if a.exemplars != b.exemplars]
         assert differ == [canary_index % T]
@@ -121,7 +121,7 @@ class TestPartition:
     def test_contexts_differ_at_the_canary_alone(self, n, T, data):
         # padding reaches the contexts only when n < T
         canary_index = data.draw(st.integers(min_value=0, max_value=n - 1))
-        with_canary, without = make_context(n, canary_index).partitions(T, pad=True)
+        with_canary, without = make_context(n, canary_index, pad=True).partitions(T)
         assert [a.indices for a in with_canary] == [b.indices for b in without]
         differ = [(part, slot) for part, (a, b) in enumerate(zip(with_canary, without))
                   for slot, (x, y) in enumerate(zip(a.exemplars, b.exemplars)) if x != y]

@@ -418,6 +418,23 @@ class TestTemplates:
         rendered = render_template(text, query="C", y1_text="A", y0_text="B", context="")
         assert '"A"' in rendered and '"B"' in rendered
 
+    def test_filled_in_text_is_not_rendered_again(self):
+        # an exemplar that holds a marker keeps it: the canary's text goes
+        # only where the template asks for it
+        rendered = render_template("C: {context} | Q: {query}", context="note {query} here",
+                                   query="CANARY")
+        assert rendered == "C: note {query} here | Q: CANARY"
+
+    def test_canary_text_keeps_a_signal_marker(self):
+        signal = SignalPair.from_catalog(0.7476)
+        prompt = signal_responder(None, signal).request(None, "say {y1_text}")["rendered_prompt"]
+        # the template quotes {query} three times, and y1's text twice
+        assert prompt.count('"say {y1_text}"') == 3
+        assert prompt.count(f'"{signal.y1_text}"') == 2
+
+    def test_marker_without_a_placeholder_stays(self):
+        assert render_template("{context} {other}", context="x") == "x {other}"
+
     @pytest.mark.parametrize("template_id", sorted(path.stem for path in TEMPLATES.glob("*.txt")))
     def test_every_template_renders_completely(self, template_id):
         # each shipped template, through its own task's responder

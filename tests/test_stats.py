@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpicl_audit.gdp import mu_from_bounds
 from dpicl_audit.stats import (
     binom_upper_bound,
     binom_upper_bound_array,
     log_std_normal_cdf,
     std_normal_cdf,
-    std_normal_inv_cdf,
 )
 
 from reference import (
@@ -59,6 +59,12 @@ class TestLogStdNormalCdf:
             assert log_std_normal_cdf(x) == pytest.approx(normal_log_cdf_mp(x), rel=1e-10)
 
 
+def std_normal_inv_cdf(p: float) -> float:
+    """Phi^-1(p) where the package computes it, in ``gdp.mu_from_bounds``:
+    Phi^-1(1 - 0.5) - Phi^-1(p) is exactly -Phi^-1(p)."""
+    return -float(mu_from_bounds(np.array([p]), np.array([0.5]))[0])
+
+
 class TestStdNormalInvCdf:
     def test_median(self):
         assert std_normal_inv_cdf(0.5) == 0.0
@@ -83,10 +89,10 @@ class TestStdNormalInvCdf:
         pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         assert std_normal_inv_cdf(1.0 - p) == pytest.approx(-x, abs=1e-12 + 4e-16 / pdf)
 
-    def test_rejects_endpoints(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                std_normal_inv_cdf(bad)
+    def test_endpoints_are_infinite(self):
+        # so a saturated error bound ranks mu at -inf, and a zero one at +inf
+        assert std_normal_inv_cdf(0.0) == -math.inf
+        assert std_normal_inv_cdf(1.0) == math.inf
 
     @settings(max_examples=300)
     @given(st.floats(min_value=1e-10, max_value=1.0 - 1e-10))
