@@ -10,7 +10,10 @@ answer; the white-box attack when the noisy aggregate's projection on
 yes - no, the Neyman-Pearson statistic for a Gaussian mean shift, exceeds
 the tau maximizing the mu lower bound. That bound comes from a confidence
 band that holds at every tau at once, so choosing tau on the trials it is
-scored on leaves it valid.
+scored on leaves it valid. The sweep bounds only the splits that can hold
+the first maximum: the corners, where an FP step meets an FN step, and the
+one run of equal FN counts that ends at the best corner, where ties are
+broken.
 
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
 releases it through the mechanism and reduces it at once to a decision tally
@@ -250,8 +253,15 @@ def sweep_threshold(
     with probability ``confidence``; mu is ranked unclamped by
     ``gdp.mu_from_bounds``, so a saturated bound ranks at -inf. Ties break
     toward the lowest split, so a band saturated everywhere picks accept-all.
-    tau is computed at the winning split only (``_split_tau``). Returns tau,
-    the attack's counts at tau and the band's bounds there.
+
+    Along the splits FN never falls and FP never rises, and mu never rises
+    when either count does. So the first maximum shares its FN count with a
+    corner, a split entered by a step that lowers FP and left by one that
+    raises FN. mu is ranked at the corners first (about a seventh of the
+    splits on the A1 channel), then again along the winning corner's run of
+    equal FN, whose first split of the same mu is the first maximum over
+    every split. tau is computed at that split only (``_split_tau``).
+    Returns tau, the attack's counts at tau and the band's bounds there.
     """
     w = np.asarray(stats_with, dtype=np.float64)
     wo = np.asarray(stats_without, dtype=np.float64)
@@ -261,9 +271,23 @@ def sweep_threshold(
         raise ValueError("statistics must be finite")
 
     pooled, fn, fp = _split_counts(w, wo)
-    mu = mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
-                        band_upper_bound_array(fn, w.size, confidence))
-    best = int(np.argmax(mu))  # first maximum = lowest split
+
+    def band_mu(at) -> np.ndarray:
+        return mu_from_bounds(band_upper_bound_array(fp[at], wo.size, confidence),
+                              band_upper_bound_array(fn[at], w.size, confidence))
+
+    # The corners: entered by a step that lowers fp (or split 0), left by one
+    # that raises fn (or the last split). A mixed step does both.
+    corner = np.ones(fn.size, dtype=bool)
+    np.less(fp[1:], fp[:-1], out=corner[1:])
+    corner[:-1] &= fn[1:] > fn[:-1]
+    corners = np.flatnonzero(corner)
+    mu = band_mu(corners)
+    last = int(corners[np.argmax(mu)])
+    # A tie (saturated -inf, or two bounds rounding to one float) can put the
+    # first maximum earlier in the run of splits that share fn[last].
+    first = int(np.searchsorted(fn, fn[last]))
+    best = first + int(np.argmax(band_mu(slice(first, last + 1)) == mu.max()))
     at_best = slice(best, best + 1)
     bounds = ErrorBounds(
         alpha_bar=float(band_upper_bound_array(fp[at_best], wo.size, confidence)[0]),

@@ -410,11 +410,12 @@ class TestSweepMatchesBruteForce:
 
 
 class TestSweepGrids:
-    """The sweep's memory."""
+    """The sweep's memory and work."""
 
     def test_memory_at_200k_trials_per_arm(self):
-        # the band is computed in place in two candidate-sized buffers;
-        # 27.5 MB before the counts came from one merge
+        # the band is computed at the corner splits only, so the peak is the
+        # merge's; 16.1 MB when every split was bounded, 27.5 MB before the
+        # counts came from one merge
         rng = np.random.default_rng(0)
         w, wo = rng.normal(0.3, 1.0, 200_000), rng.normal(0.0, 1.0, 200_000)
         tracemalloc.start()
@@ -423,7 +424,24 @@ class TestSweepGrids:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28e6
+        assert peak <= 15e6
+
+    def test_ranks_only_corners_and_one_tie_run(self):
+        # mu is computed at the splits entered by an FP step and left by an
+        # FN step, then again on the run of splits sharing the winner's FN
+        # count, which holds the first maximum: a small share of the splits
+        rng = np.random.default_rng(3)
+        scale = math.sqrt(2.0) * A1_SIGMA
+        w, wo = rng.normal(-2.0, scale, 200_000), rng.normal(-4.0, scale, 200_000)
+        with mock.patch.object(audit, "mu_from_bounds", wraps=audit.mu_from_bounds) as spy:
+            _, counts, _ = sweep_threshold(w, wo, 0.95)
+        evaluated = sum(call.args[0].size for call in spy.call_args_list)
+        _, fn, fp = audit._split_counts(w, wo)
+        entered = np.concatenate([[True], fp[1:] < fp[:-1]])
+        left = np.concatenate([fn[1:] > fn[:-1], [True]])
+        tie_run = np.count_nonzero(fn == counts.false_negatives)
+        assert evaluated <= np.count_nonzero(entered & left) + tie_run
+        assert evaluated < 0.2 * fn.size
 
 
 # The A1 channel: identical clean rows make the bootstrap statistic exactly

@@ -219,6 +219,27 @@ class TestGaussianRelease:
             gaussian_release(np.zeros((1, 2)), np.zeros(1, dtype=np.intp), -1.0,
                              np.random.default_rng(0))
 
+    _WIDE = np.random.default_rng(4).normal(size=(30, 5))
+
+    @pytest.mark.parametrize("clean, trials", [
+        pytest.param(np.random.default_rng(5).normal(size=(30, 1)), 40_000, id="d1"),
+        pytest.param(np.random.default_rng(5).normal(size=(30, 2)), 40_000, id="d2"),
+        pytest.param(np.random.default_rng(5).normal(size=(30, 16)), 40_000, id="d16"),
+        pytest.param(np.random.default_rng(5).integers(0, 9, size=(30, 3)), 40_000, id="int64"),
+        pytest.param(_WIDE[:, 1:3], 40_000, id="column-slice"),
+        pytest.param(np.asfortranarray(_WIDE), 40_000, id="fortran"),
+        pytest.param(np.zeros((30, 0)), 40_000, id="zero-width"),
+        pytest.param(np.random.default_rng(5).normal(size=(30, 2)), 0, id="zero-rows"),
+    ])
+    def test_gather_matches_clean_rows_plus_noise(self, clean, trials):
+        # 40k rows span several gather chunks at d = 16
+        rows = np.random.default_rng(6).integers(0, clean.shape[0], size=trials)
+        got = gaussian_release(clean, rows, 0.9, np.random.default_rng(7))
+        want = clean[rows] + np.random.default_rng(7).normal(0.0, 0.9, size=(trials, clean.shape[1]))
+        assert got.shape == want.shape
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_one_block_holds_its_output_plus_one_chunk(self):
         # a full (65536, 16) trial block: the clean rows are added a chunk at
         # a time, with the sums of clean[rows] + noise
