@@ -13,11 +13,14 @@ band that holds at every tau at once, so choosing tau on the trials it is
 scored on leaves it valid. The sweep bounds only the splits that can hold
 the first maximum: the corners, where an FP step meets an FN step, and the
 one run of equal FN counts that ends at the best corner, where ties are
-broken.
+broken. The arms are sorted, in place when the audit owns them, and never
+merged: one binary search of the without-arm for each with-arm statistic
+finds every corner and its counts.
 
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
 releases it through the mechanism and reduces it at once to a decision tally
-or a 1-D statistic, so no arm's noisy responses are ever held whole, and
+or a 1-D statistic, written straight into its slice of the arm's one
+statistic array, so no arm's noisy responses are ever held whole, and
 ``workers`` threads run whole blocks. All randomness is derived from (seed,
 hypothesis, trial block), so a report is a pure function of its config and
 identical across worker counts.
@@ -201,41 +204,88 @@ def append_report_csv(path: Union[str, Path], report: AuditReport) -> None:
 # Threshold sweep
 # ---------------------------------------------------------------------------
 
-def _split_counts(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pooled statistics, sorted, and the FN and FP counts of "canary in
-    above" each split of them: between adjacent distinct pooled values, and
-    both ends (accept-all / reject-all).
+def _corners(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The FN and FP counts of "canary in above" at the corner splits of the
+    sorted arms, in split order.
 
-    A stable argsort of the two sorted arms merges them, and a cumulative sum
-    of the arm labels counts the ``w`` statistics in every pooled prefix.
+    A corner is a split entered by a step that lowers FP (or split 0) and
+    left by one that raises FN (or the last split). A split left by an FN
+    step lies just below the first w[i] of some value: FN is i there, and FP
+    the number of wo statistics at or above w[i]. It is entered by an FP
+    step when i is 0 or a wo statistic lies in [w[i-1], w[i]), that is when
+    the count of wo statistics below w[i] rises at i, so one binary search
+    of ``wo`` for every w statistic finds them all. The last split is a
+    corner when the largest statistic is a wo one, or ties one.
     """
-    pooled = np.concatenate([w, wo])
-    pooled[:w.size].sort()
-    pooled[w.size:].sort()
-    order = np.argsort(pooled, kind="stable")
-    pooled = pooled[order]
-    with_below = np.zeros(pooled.size + 1, dtype=np.intp)  # w statistics among the first k pooled
-    np.cumsum(order < w.size, out=with_below[1:])
-    del order
-    at_or_below = np.flatnonzero(np.concatenate([[True], pooled[1:] != pooled[:-1], [True]]))
-    fn = with_below[at_or_below]  # w statistics at or below each split
-    del with_below
-    fp = np.subtract(at_or_below, fn, out=at_or_below)  # wo statistics at or below
-    return pooled, fn, np.subtract(wo.size, fp, out=fp)
+    below = np.searchsorted(wo, w)  # wo statistics strictly below each w statistic
+    corner = np.empty(w.size, dtype=bool)
+    corner[0] = True
+    np.greater(below[1:], below[:-1], out=corner[1:])
+    fn = np.flatnonzero(corner)
+    fp = wo.size - below[fn]
+    if wo[-1] >= w[-1]:
+        fn, fp = np.append(fn, w.size), np.append(fp, 0)
+    return fn, fp
 
 
-def _split_tau(pooled: np.ndarray, k: int) -> float:
-    """A tau with exactly the ``k`` smallest pooled statistics at or below
-    it: the midpoint of its neighbours (the lower one if the midpoint rounds
-    onto the upper or overflows), or below or above all the data."""
-    if k == 0:
-        low = float(pooled[0])
-        return low - 1.0 if low - 1.0 < low else math.nextafter(low, -math.inf)
-    if k == pooled.size:
-        return float(pooled[-1]) + 1.0
-    below, above = float(pooled[k - 1]), float(pooled[k])
+def _tie_run(w: np.ndarray, wo: np.ndarray, fn: int) -> np.ndarray:
+    """How many wo statistics lie at or below each split of the sorted arms
+    that has ``fn`` w statistics at or below it, in split order: the split
+    just above w[fn-1] (split 0 when ``fn`` is 0), then one just above each
+    distinct wo statistic in (w[fn-1], w[fn])."""
+    lo = int(np.searchsorted(wo, w[fn - 1], "right")) if fn else 0
+    hi = int(np.searchsorted(wo, w[fn])) if fn < w.size else wo.size
+    return np.concatenate([[lo], np.searchsorted(wo, np.unique(wo[lo:hi]), "right")])
+
+
+def _split_tau(below: Optional[float], above: Optional[float]) -> float:
+    """A tau at or above the statistic ``below`` and under ``above``, the
+    neighbours of a split (None past an end of the data): their midpoint,
+    or ``below`` if the midpoint rounds onto ``above`` or overflows; past an
+    end, 1 beyond the data (the next float down if ``above - 1`` rounds back
+    onto ``above``)."""
+    if below is None:
+        return above - 1.0 if above - 1.0 < above else math.nextafter(above, -math.inf)
+    if above is None:
+        return below + 1.0
     tau = 0.5 * (below + above)
     return tau if below <= tau < above else below
+
+
+def _sweep_in_place(w: np.ndarray, wo: np.ndarray,
+                    confidence: float) -> tuple[float, AttackCounts, ErrorBounds]:
+    """``sweep_threshold`` on two float64 arms its caller owns, which it
+    sorts in place."""
+    if w.size == 0 or wo.size == 0:
+        raise ValueError("both statistic lists must be non-empty")
+    w.sort()
+    wo.sort()
+    # sorted, an infinite statistic is at an end and NaN is last
+    if not np.isfinite([w[0], w[-1], wo[0], wo[-1]]).all():
+        raise ValueError("statistics must be finite")
+
+    def band_mu(fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
+        return mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
+                              band_upper_bound_array(fn, w.size, confidence))
+
+    fn, fp = _corners(w, wo)
+    mu = band_mu(fp, fn)
+    f = int(fn[np.argmax(mu)])
+    # A tie (saturated -inf, or two bounds rounding to one float) can put the
+    # first maximum earlier in the run of splits that share FN count f.
+    tn = _tie_run(w, wo, f)
+    j = int(tn[np.argmax(band_mu(wo.size - tn, np.full(tn.size, f)) == mu.max())])
+    bounds = ErrorBounds(
+        alpha_bar=float(band_upper_bound_array(np.array([wo.size - j]), wo.size, confidence)[0]),
+        beta_bar=float(band_upper_bound_array(np.array([f]), w.size, confidence)[0]),
+        confidence=confidence,
+    )
+    counts = AttackCounts(true_positives=w.size - f, false_positives=wo.size - j,
+                          false_negatives=f, true_negatives=j)
+    # the split's neighbours: the largest statistic at or below it, the smallest above
+    lower = [float(arm[k - 1]) for arm, k in ((w, f), (wo, j)) if k > 0]
+    upper = [float(arm[k]) for arm, k in ((w, f), (wo, j)) if k < arm.size]
+    return _split_tau(max(lower, default=None), min(upper, default=None)), counts, bounds
 
 
 def sweep_threshold(
@@ -246,9 +296,9 @@ def sweep_threshold(
     """Pick the tau maximizing the mu lower bound, for the attack that says
     "canary in" above tau.
 
-    The candidates are the splits of the pooled statistics, counted by one
-    merge of the two sorted arms (``_split_counts``). Each error rate is
-    bounded by a one-sided DKW band, min(rate + e, 1)
+    The candidates are the splits of the pooled statistics: between adjacent
+    distinct values, and both ends (accept-all / reject-all). Each error
+    rate is bounded by a one-sided DKW band, min(rate + e, 1)
     (``stats.band_upper_bound_array``), which holds at every split at once
     with probability ``confidence``; mu is ranked unclamped by
     ``gdp.mu_from_bounds``, so a saturated bound ranks at -inf. Ties break
@@ -257,50 +307,19 @@ def sweep_threshold(
     Along the splits FN never falls and FP never rises, and mu never rises
     when either count does. So the first maximum shares its FN count with a
     corner, a split entered by a step that lowers FP and left by one that
-    raises FN. mu is ranked at the corners first (about a seventh of the
-    splits on the A1 channel), then again along the winning corner's run of
-    equal FN, whose first split of the same mu is the first maximum over
-    every split. tau is computed at that split only (``_split_tau``).
-    Returns tau, the attack's counts at tau and the band's bounds there.
+    raises FN. The arms are never merged: each is sorted, and one binary
+    search of the without-arm for every with-arm statistic gives the corners
+    and their counts (``_corners``). mu is ranked at the corners first (about
+    a seventh of the splits on the A1 channel), then again along the winning
+    corner's run of equal FN (``_tie_run``), whose first split of the same
+    mu is the first maximum over every split. tau is computed at that split
+    only, from its neighbours in the two arms (``_split_tau``). The sweep
+    sorts copies of its inputs, never the caller's arrays; the audit sorts
+    the arms it owns in place. Returns tau, the attack's counts at tau and
+    the band's bounds there.
     """
-    w = np.asarray(stats_with, dtype=np.float64)
-    wo = np.asarray(stats_without, dtype=np.float64)
-    if w.size == 0 or wo.size == 0:
-        raise ValueError("both statistic lists must be non-empty")
-    if not (np.isfinite(w).all() and np.isfinite(wo).all()):
-        raise ValueError("statistics must be finite")
-
-    pooled, fn, fp = _split_counts(w, wo)
-
-    def band_mu(at) -> np.ndarray:
-        return mu_from_bounds(band_upper_bound_array(fp[at], wo.size, confidence),
-                              band_upper_bound_array(fn[at], w.size, confidence))
-
-    # The corners: entered by a step that lowers fp (or split 0), left by one
-    # that raises fn (or the last split). A mixed step does both.
-    corner = np.ones(fn.size, dtype=bool)
-    np.less(fp[1:], fp[:-1], out=corner[1:])
-    corner[:-1] &= fn[1:] > fn[:-1]
-    corners = np.flatnonzero(corner)
-    mu = band_mu(corners)
-    last = int(corners[np.argmax(mu)])
-    # A tie (saturated -inf, or two bounds rounding to one float) can put the
-    # first maximum earlier in the run of splits that share fn[last].
-    first = int(np.searchsorted(fn, fn[last]))
-    best = first + int(np.argmax(band_mu(slice(first, last + 1)) == mu.max()))
-    at_best = slice(best, best + 1)
-    bounds = ErrorBounds(
-        alpha_bar=float(band_upper_bound_array(fp[at_best], wo.size, confidence)[0]),
-        beta_bar=float(band_upper_bound_array(fn[at_best], w.size, confidence)[0]),
-        confidence=confidence,
-    )
-    counts = AttackCounts(
-        true_positives=int(w.size - fn[best]),
-        false_positives=int(fp[best]),
-        false_negatives=int(fn[best]),
-        true_negatives=int(wo.size - fp[best]),
-    )
-    return _split_tau(pooled, counts.false_negatives + counts.true_negatives), counts, bounds
+    return _sweep_in_place(np.array(stats_with, dtype=np.float64),
+                           np.array(stats_without, dtype=np.float64), confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +414,10 @@ def bootstrap_audit(
     yes - no, the black-box release and the answer class of each output it
     can release. One kernel then maps each trial block of either arm, of
     either task, to its decision tally and non-signal count (black-box) or
-    its projection on the direction (white-box); the blocks of both arms run
-    on ``workers`` threads, and no arm's trials are ever held whole.
+    writes its projection on the direction into the block's slice of the
+    arm's statistics (white-box), which the sweep then sorts in place; the
+    blocks of both arms run on ``workers`` threads, each writing its own
+    slice, and no arm's trials are ever held whole.
     Non-signal releases warn once per audit, with their count.
     """
     start = time.perf_counter()
@@ -413,23 +434,25 @@ def bootstrap_audit(
         release = functools.partial(mechanisms.esa_select, candidates=outputs)
     classes = _answer_classes(answers, outputs)
     sizes = _block_sizes(config.n_sample)
+    stats = [] if black_box else [np.empty(config.n_sample) for _ in arms]  # white-box, per arm
 
     def kernel(block: tuple[int, int]):
         arm, index = block
         noisy = _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index])
         if not black_box:
-            return mechanisms.project(noisy, direction)
+            first = index * _TRIAL_BLOCK
+            mechanisms.project(noisy, direction, out=stats[arm][first:first + sizes[index]])
+            return None
         picked = classes[release(noisy)]
         return int(np.count_nonzero(picked == 1)), int(np.count_nonzero(picked < 0))
 
     results = map_in_order(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
                                     for index in range(len(sizes))], workers)
-    with_blocks, without_blocks = results[:len(sizes)], results[len(sizes):]
 
     tau: Optional[float] = None
     if black_box:
-        tp = sum(positives for positives, _ in with_blocks)
-        fp = sum(positives for positives, _ in without_blocks)
+        tp = sum(positives for positives, _ in results[:len(sizes)])
+        fp = sum(positives for positives, _ in results[len(sizes):])
         non_signal = sum(count for _, count in results)
         if non_signal:
             warnings.warn(f"{non_signal} trials selected a non-signal candidate; "
@@ -442,8 +465,7 @@ def bootstrap_audit(
         )
         estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     else:
-        tau, counts, bounds = sweep_threshold(np.concatenate(with_blocks),
-                                              np.concatenate(without_blocks), config.confidence)
+        tau, counts, bounds = _sweep_in_place(*stats, config.confidence)
         estimate = estimate_from_bounds(bounds, config.delta_target)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate,

@@ -222,14 +222,20 @@ def vote_select(noisy: np.ndarray) -> np.ndarray:
     return np.argmax(noisy, axis=1)
 
 
-def project(points: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def project(points: np.ndarray, direction: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Each row of ``points`` projected on ``direction``: the one linear
-    score kernel, read by the white-box statistic and by ``esa_select``."""
+    score kernel, read by the white-box statistic and by ``esa_select``.
+
+    Written into ``out`` (a float64 vector of one value per row) when it is
+    given, and returned; the audit passes each trial block's slice of its
+    arm's statistics, so no block keeps an array of its own.
+    """
     # The audit's pool threads call this, not the public whitebox_statistic
     # a tracer may wrap. einsum sums each row in one C loop: bit for bit
     # noisy[:, yes] - noisy[:, no] on a one-hot difference, and no BLAS
     # threads to contend with the pool's, as `@` does at d=16.
-    return np.einsum("ij,j->i", points, direction)
+    return np.einsum("ij,j->i", points, direction, out=out)
 
 
 def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:

@@ -349,10 +349,27 @@ class ReplayOracle:
         return self._responses[latest].reshape(n_llm, num_partitions, *self._responses.shape[1:])
 
 
-def _trial_rng(seed: int, ctx: str, trial: int, attempt: int) -> np.random.Generator:
+class _LazyRng:
+    """A generator built from its seed key on the first attribute access,
+    which it then serves: a trial whose oracle never draws builds none."""
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, key: list[int]):
+        self._key = key
+        self._rng: Optional[np.random.Generator] = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._key)
+        return getattr(self._rng, name)
+
+
+def _trial_rng(seed: int, ctx: str, trial: int, attempt: int) -> _LazyRng:
     # Counter-style derivation: the stream depends only on these coordinates,
-    # never on scheduling, so parallel collection stays reproducible.
-    return np.random.default_rng([seed, _ARM_CODES[ctx], trial, attempt])
+    # never on scheduling, so parallel collection stays reproducible. Built
+    # on the first draw, as a flip-free canary detector never draws.
+    return _LazyRng([seed, _ARM_CODES[ctx], trial, attempt])
 
 
 def collect(

@@ -3,10 +3,12 @@
 Each function here deliberately avoids the package's own code path for the
 quantity it checks: quadrature instead of erfc, bisection on the CDF instead
 of ndtri, exact combinatorial tail sums instead of beta inversion, grid scans
-instead of bisection, a threshold sweep that counts each arm by binary search
-at every candidate instead of merging the arms, a bootstrap audit that holds
-each arm's noisy trials and candidate distances whole instead of streaming
-trial blocks, and a replay that parses one record per line into a dict store,
+instead of bisection, a threshold sweep that counts both arms by binary search
+at every split of the pooled distinct values and bounds every split, instead
+of searching one arm for the other's statistics and bounding the corners
+only, a bootstrap audit that holds each arm's noisy trials and candidate
+distances whole instead of streaming trial blocks into one statistic array
+per arm, and a replay that parses one record per line into a dict store,
 looks up each (ctx, trial, partition) key in turn and clips each embedding
 alone instead of gathering and clipping arrays.
 """

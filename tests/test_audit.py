@@ -352,14 +352,22 @@ class TestSweepMatchesBruteForce:
 
     @settings(max_examples=150, deadline=None)
     @given(sweep_inputs(max_trials=3000))
+    @with_edge_cases
     def test_candidate_counts_match_the_reference(self, case):
-        # the merged counts equal a binary search of each arm at every split
-        w, wo, _ = case
-        pooled, fn, fp = audit._split_counts(w, wo)
+        # the corners, and the runs of equal FN that end at them, hold the
+        # counts a binary search of each arm gives at those splits
+        w, wo = np.sort(case[0]), np.sort(case[1])
         _, tp_ref, fp_ref = split_counts_bruteforce(w, wo)
-        assert np.array_equal(pooled, np.sort(np.concatenate([w, wo])))
-        assert np.array_equal(w.size - fn, tp_ref)
-        assert np.array_equal(fp, fp_ref)
+        fn_ref = w.size - tp_ref
+        entered = np.concatenate([[True], fp_ref[1:] < fp_ref[:-1]])
+        left = np.concatenate([fn_ref[1:] > fn_ref[:-1], [True]])
+        fn, fp = audit._corners(w, wo)
+        assert fn.tolist() == fn_ref[entered & left].tolist()
+        assert fp.tolist() == fp_ref[entered & left].tolist()
+        # the first and last corners' runs, and evenly spaced ones between
+        for f in np.unique(np.append(fn[::max(1, fn.size // 16)], fn[-1])).tolist():
+            tn = audit._tie_run(w, wo, f)
+            assert (wo.size - tn).tolist() == fp_ref[fn_ref == f].tolist()
 
     @pytest.mark.parametrize("without", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0]])
     def test_signed_zero_threshold(self, without):
@@ -383,9 +391,9 @@ class TestSweepMatchesBruteForce:
             got = sweep_threshold(w, wo, 0.95)
         assert np.isfinite(got[0])
         assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
-        pooled = np.sort(sign * np.array([1.7e308, 1.8e308]))
-        tau = audit._split_tau(pooled, 1)
-        assert pooled[0] <= tau < pooled[1]
+        below, above = sorted(sign * np.array([1.7e308, 1.8e308]))
+        tau = audit._split_tau(float(below), float(above))
+        assert below <= tau < above
 
     def test_bound_below_rounding_at_tiny_confidence(self):
         # near zero confidence the band is at its narrowest, sqrt(ln 2 / 2n);
@@ -413,9 +421,8 @@ class TestSweepGrids:
     """The sweep's memory and work."""
 
     def test_memory_at_200k_trials_per_arm(self):
-        # the band is computed at the corner splits only, so the peak is the
-        # merge's; 16.1 MB when every split was bounded, 27.5 MB before the
-        # counts came from one merge
+        # the sorted copies of the arms, the binary search's ranks and the
+        # corners' counts: 7.4 MB
         rng = np.random.default_rng(0)
         w, wo = rng.normal(0.3, 1.0, 200_000), rng.normal(0.0, 1.0, 200_000)
         tracemalloc.start()
@@ -424,7 +431,15 @@ class TestSweepGrids:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15e6
+        assert peak <= 10e6
+
+    def test_inputs_are_left_unchanged(self):
+        # the sweep sorts copies; the audit alone sorts the arms it owns
+        rng = np.random.default_rng(4)
+        w, wo = rng.normal(0.3, 1.0, 5_000), rng.normal(0.0, 1.0, 4_000)
+        before = w.tobytes(), wo.tobytes()
+        sweep_threshold(w, wo, 0.95)
+        assert (w.tobytes(), wo.tobytes()) == before
 
     def test_ranks_only_corners_and_one_tie_run(self):
         # mu is computed at the splits entered by an FP step and left by an
@@ -436,7 +451,8 @@ class TestSweepGrids:
         with mock.patch.object(audit, "mu_from_bounds", wraps=audit.mu_from_bounds) as spy:
             _, counts, _ = sweep_threshold(w, wo, 0.95)
         evaluated = sum(call.args[0].size for call in spy.call_args_list)
-        _, fn, fp = audit._split_counts(w, wo)
+        _, tp, fp = split_counts_bruteforce(w, wo)
+        fn = w.size - tp
         entered = np.concatenate([[True], fp[1:] < fp[:-1]])
         left = np.concatenate([fn[1:] > fn[:-1], [True]])
         tie_run = np.count_nonzero(fn == counts.false_negatives)
@@ -596,6 +612,18 @@ class TestBootstrapAudit:
             small, large = peak(4 * SMALL_BLOCK), peak(16 * SMALL_BLOCK)
         # at most two float64 per extra trial and arm; one n x d arm is 16
         assert large - small <= 2 * 2 * 8 * (16 - 4) * SMALL_BLOCK
+
+    def test_whitebox_memory_at_400k_trials(self):
+        # each block's projections are written into one array per arm, which
+        # the sweep sorts in place: 12.0 MB
+        config = vote_config("white_box", eps_theory=8.0, n_sample=400_000, seed=1, n_llm=2)
+        tracemalloc.start()
+        try:
+            bootstrap_audit([(1, 3), (2, 2)], [(0, 4)], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_signal_picks_warn_once_with_their_count(self, workers):

@@ -5,12 +5,14 @@ import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpicl_audit import oracles
 from dpicl_audit.audit import _clean_matrix
 from dpicl_audit.mechanisms import Exemplar, NeighboringPair
 from dpicl_audit.oracles import (
@@ -182,6 +184,63 @@ class TestCollect:
         c = collect(oracle, PAIR, "CANARY", 5, 20, seed=78)
         assert a.clean_with.tolist() == b.clean_with.tolist()
         assert a.clean_with.tolist() != c.clean_with.tolist()
+
+    @staticmethod
+    def counting_generators(built: list):
+        """``np.random.default_rng`` as ``oracles`` sees it, recording each key."""
+        default_rng = np.random.default_rng
+
+        def counting(key):
+            built.append(tuple(key))
+            return default_rng(key)
+
+        return mock.patch.object(oracles.np.random, "default_rng", counting)
+
+    def test_trial_generators_are_built_on_first_draw(self, tmp_path):
+        # a flip-free detector never draws and builds no generator; one that
+        # flips builds one per trial and arm, and draws what default_rng
+        # gives for the trial's (seed, arm code, trial, attempt 0)
+        pair, n_llm, seed, built = make_pair(8), 30, 5, []
+        with self.counting_generators(built):
+            collect(vote_detector(), pair, "CANARY", 4, n_llm, seed=seed)
+            assert built == []
+            got = collect(vote_detector(0.1), pair, "CANARY", 4, n_llm, seed=seed,
+                          records_path=tmp_path / "records.jsonl")
+        codes = {CTX_WITH: 101, CTX_WITHOUT: 102}
+        assert built == [(seed, codes[ctx], trial, 0) for ctx in codes for trial in range(n_llm)]
+        oracle, records = vote_detector(0.1), []
+        for (ctx, code), subsets in zip(codes.items(), pair.partitions(4)):
+            votes = []
+            for trial in range(n_llm):
+                rng = np.random.default_rng([seed, code, trial, 0])
+                votes.append([oracle.respond(subset, "CANARY", rng) for subset in subsets])
+            counts = np.array([np.bincount(row, minlength=2) for row in votes])
+            clean = got.clean_with if ctx == CTX_WITH else got.clean_without
+            assert got.responses[ctx].tobytes() == np.array(votes, dtype=np.int64).tobytes()
+            assert clean.tobytes() == counts.tobytes()
+            records += [{"ctx": ctx, "trial": trial, "part": part, "vote": vote}
+                        for trial, row in enumerate(votes) for part, vote in enumerate(row)]
+        assert (tmp_path / "records.jsonl").read_bytes() == record_lines(records).encode()
+
+    def test_retries_draw_from_the_next_attempt(self):
+        # the first call draws and fails; its trial is retried with attempt 1
+        class FailsOnce(CanaryDetector):
+            failed = False
+
+            def respond(self, subset, query, rng):
+                answer = super().respond(subset, query, rng)
+                if not self.failed:
+                    self.failed = True
+                    raise OracleError("transient")
+                return answer
+
+        built = []
+        with self.counting_generators(built):
+            got = collect(FailsOnce((1, 0), num_classes=2, flip_probability=0.1), make_pair(8),
+                          "CANARY", 4, 2, seed=5, retry_budget=1)
+        assert got.failures == 1
+        assert built == [(5, 101, 0, 0), (5, 101, 0, 1), (5, 101, 1, 0),
+                         (5, 102, 0, 0), (5, 102, 1, 0)]
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         oracle = vote_detector(flip_probability=0.2)
