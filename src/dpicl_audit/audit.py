@@ -18,10 +18,11 @@ merged: one binary search of the without-arm for each with-arm statistic
 finds every corner and its counts.
 
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
-releases it through the mechanism and reduces it at once to a decision tally
-or a 1-D statistic, written straight into its slice of the arm's one
-statistic array, so no arm's noisy responses are ever held whole, and
-``workers`` threads run whole blocks. All randomness is derived from (seed,
+releases it through the mechanism a chunk of rows at a time and reduces each
+chunk at once to a decision tally or a 1-D statistic, written straight into
+its slice of the arm's one statistic array, so a worker holds at most one
+chunk of noisy responses, whatever the embedding dimension, and ``workers``
+threads run whole blocks. All randomness is derived from (seed,
 hypothesis, trial block), so a report is a pure function of its config and
 identical across worker counts.
 """
@@ -38,7 +39,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,6 +71,11 @@ THREAT_MODELS = ("black_box", "white_box")
 # Trials are generated in fixed-size blocks, each with its own derived
 # generator; block boundaries are independent of the worker count.
 _TRIAL_BLOCK = 1 << 16
+
+# Byte budget of the float64 noise one release call draws (at least one row):
+# each block is released and reduced a chunk at a time, so a worker's noise
+# and gathered clean rows stay a few chunks, not a block of n x d.
+_RELEASE_CHUNK_BYTES = 1 << 18
 
 _ARM_WITH = 0
 _ARM_WITHOUT = 1
@@ -340,13 +346,23 @@ def _block_sizes(n_sample: int) -> list[int]:
 
 
 def _block_noise(clean: np.ndarray, sigma: float, seed: int, arm: int, index: int,
-                 size: int) -> np.ndarray:
-    """Trial block ``index`` of an arm: resampled clean rows, released by the mechanism."""
+                 size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Trial block ``index`` of an arm: resampled clean rows, released by the
+    mechanism a chunk of rows at a time. Yields each chunk's first trial in
+    the arm and its noisy rows.
+
+    All rows are drawn before any noise, then the noise in row order from
+    the same generator; ``Generator.normal`` keeps no state between calls,
+    so the chunks are bit for bit the rows of one whole-block release.
+    """
     rng = np.random.default_rng([seed, arm, index])
     rows = rng.integers(0, clean.shape[0], size=size)
-    # looked up on the module at each call, so the mechanism audited is the
-    # one ``mechanisms`` holds, substitutes included
-    return mechanisms.gaussian_release(clean, rows, sigma, rng)
+    step = max(1, _RELEASE_CHUNK_BYTES // (8 * max(1, clean.shape[1])))
+    for start in range(0, size, step):
+        # looked up on the module at each call, so the mechanism audited is
+        # the one ``mechanisms`` holds, substitutes included
+        yield (index * _TRIAL_BLOCK + start,
+               mechanisms.gaussian_release(clean, rows[start:start + step], sigma, rng))
 
 
 def generate_noisy_samples(
@@ -357,14 +373,20 @@ def generate_noisy_samples(
 ) -> np.ndarray:
     """The bootstrap sampling stage: n_sample resampled-and-perturbed responses.
 
-    These are the trial blocks that ``bootstrap_audit`` streams, stacked.
+    These are the chunks of the trial blocks that ``bootstrap_audit``
+    streams, stacked.
     """
     matrix = _clean_matrix(clean)
     sigma = noise_scale(config.mechanism)
     sizes = _block_sizes(config.n_sample)
-    return np.concatenate(map_in_order(
-        lambda index: _block_noise(matrix, sigma, config.seed, arm, index, sizes[index]),
-        range(len(sizes)), workers))
+    noisy = np.empty((config.n_sample, matrix.shape[1]))
+
+    def fill(index: int) -> None:
+        for first, chunk in _block_noise(matrix, sigma, config.seed, arm, index, sizes[index]):
+            noisy[first:first + len(chunk)] = chunk
+
+    map_in_order(fill, range(len(sizes)), workers)
+    return noisy
 
 
 def _answers(config: AuditConfig, signal_pair: Optional[SignalPair], width: int) -> np.ndarray:
@@ -412,12 +434,15 @@ def bootstrap_audit(
 
     The no and yes answers are set once per audit: the white-box direction
     yes - no, the black-box release and the answer class of each output it
-    can release. One kernel then maps each trial block of either arm, of
-    either task, to its decision tally and non-signal count (black-box) or
-    writes its projection on the direction into the block's slice of the
-    arm's statistics (white-box), which the sweep then sorts in place; the
-    blocks of both arms run on ``workers`` threads, each writing its own
-    slice, and no arm's trials are ever held whole.
+    can release. A candidate pool is scored over its distinct rows, each at
+    its first occurrence: a repeat scores what its first occurrence does and
+    never wins, so the picks' classes are the same. One kernel then releases
+    each trial block of either arm, of either task, a chunk at a time, and
+    adds each chunk's yes and non-signal releases to the block's tally
+    (black-box) or writes its projection on the direction into the chunk's
+    slice of the arm's statistics (white-box), which the sweep then sorts in
+    place; the blocks of both arms run on ``workers`` threads, each writing
+    its own slice, and each holds one chunk of trials at a time.
     Non-signal releases warn once per audit, with their count.
     """
     start = time.perf_counter()
@@ -430,21 +455,27 @@ def bootstrap_audit(
         outputs = np.eye(arms[0].shape[1])  # class k releases the one-hot row e_k
         release = mechanisms.vote_select
     else:
-        outputs = candidates if candidates is not None else answers[::-1]  # y1, then y0
+        distinct = {}
+        for candidate in candidates if candidates is not None else answers[::-1]:  # y1, y0
+            row = np.asarray(candidate, dtype=np.float64)
+            distinct.setdefault((row.shape, row.tobytes()), row)
+        outputs = list(distinct.values())
         release = functools.partial(mechanisms.esa_select, candidates=outputs)
     classes = _answer_classes(answers, outputs)
     sizes = _block_sizes(config.n_sample)
     stats = [] if black_box else [np.empty(config.n_sample) for _ in arms]  # white-box, per arm
 
-    def kernel(block: tuple[int, int]):
+    def kernel(block: tuple[int, int]) -> tuple[int, int]:
         arm, index = block
-        noisy = _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index])
-        if not black_box:
-            first = index * _TRIAL_BLOCK
-            mechanisms.project(noisy, direction, out=stats[arm][first:first + sizes[index]])
-            return None
-        picked = classes[release(noisy)]
-        return int(np.count_nonzero(picked == 1)), int(np.count_nonzero(picked < 0))
+        yes = non_signal = 0
+        for first, noisy in _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index]):
+            if black_box:
+                picked = classes[release(noisy)]
+                yes += int(np.count_nonzero(picked == 1))
+                non_signal += int(np.count_nonzero(picked < 0))
+            else:
+                mechanisms.project(noisy, direction, out=stats[arm][first:first + len(noisy)])
+        return yes, non_signal
 
     results = map_in_order(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
                                     for index in range(len(sizes))], workers)

@@ -8,8 +8,9 @@ nearest candidate.
 
 Both release in three stages: aggregate, noise, select. `aggregate` turns
 each trial's per-partition responses into its clean aggregate (vote counts,
-or the mean of the clipped embeddings); `gaussian_release` perturbs a block
-of clean aggregates; voting then takes each row's argmax (`vote_select`) and
+or the mean of the clipped embeddings); `gaussian_release` perturbs the
+clean aggregates of the rows it is given, which the audit passes one chunk of
+a trial block at a time; voting then takes each row's argmax (`vote_select`) and
 embedding aggregation each row's nearest candidate (`esa_select`), the
 candidate of highest score on the one projection kernel (`project`) that
 also computes the white-box statistic.
@@ -37,11 +38,6 @@ SENSITIVITY_MODES = {"paper_voting": "classification", "esa_tight": "generation"
                      "esa_legacy": "generation"}
 
 VOTING_SENSITIVITY = 2.0  # one exemplar can move two histogram coordinates by 1 each
-
-# Byte budget of the clean rows ``gaussian_release`` gathers at once (at
-# least one row), each copied whole by ``np.take``, so its only temporary
-# beside the released block is one chunk, not a second block.
-_RELEASE_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -204,12 +200,9 @@ def gaussian_release(clean: np.ndarray, rows: np.ndarray, sigma: float,
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     noisy = rng.normal(0.0, sigma, size=(len(rows), clean.shape[1]))
-    # The same sums as clean[rows] + noise, with the rows gathered a chunk at
-    # a time. np.take copies each row whole; clean[rows] pays a per-row
-    # indexing cost, 8x the gather's time at d = 2.
-    step = max(1, _RELEASE_CHUNK_BYTES // (max(1, clean.shape[1]) * noisy.itemsize))
-    for start in range(0, len(rows), step):
-        noisy[start:start + step] += np.take(clean, rows[start:start + step], axis=0)
+    # The same sums as clean[rows] + noise. np.take copies each row whole;
+    # clean[rows] pays a per-row indexing cost, 8x the gather's time at d = 2.
+    noisy += np.take(clean, rows, axis=0)
     return noisy
 
 
@@ -245,15 +238,14 @@ def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarra
     Since |x - c|^2 = |x|^2 - 2 (x.c - |c|^2 / 2), the nearest candidate is
     the one of highest linear score ``project(x, c) - |c|^2 / 2``. A running
     maximum takes the candidates in pool order and moves a pick only on a
-    strictly higher score, so the first maximum wins. A zero-shot pool
-    often repeats itself, so only its distinct candidates are scored, each
-    at its first occurrence: a repeat scores what its first occurrence does
-    and could never win. The temporaries are a few row-length vectors,
-    whatever the pool size or the dimension.
+    strictly higher score, so the first maximum wins, and a repeated
+    candidate, which scores what its first occurrence does, never does: the
+    audit scores each distinct candidate once (``audit.bootstrap_audit``).
+    The temporaries are a few row-length vectors, whatever the pool size or
+    the dimension.
     """
     if len(candidates) == 0:
         raise ValueError("candidate pool is empty")
-    seen: set[bytes] = set()
     picks = np.zeros(noisy.shape[0], dtype=np.intp)
     best: Optional[np.ndarray] = None  # the picks' scores
     for index, candidate in enumerate(candidates):
@@ -261,10 +253,6 @@ def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarra
         if row.shape != noisy.shape[1:]:
             raise ValueError(f"candidate dimension {row.shape} does not match "
                              f"the noisy mean's {noisy.shape[1:]}")
-        key = row.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
         score = project(noisy, row)
         score -= 0.5 * float(row @ row)
         if best is None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpicl_audit import audit
+from dpicl_audit import audit, mechanisms
 from dpicl_audit.audit import (
     AuditConfig,
     AuditReport,
@@ -80,11 +80,13 @@ def signal_classes(signal, pool):
     return _answer_classes(np.stack([signal.y0_embedding, signal.y1_embedding]), pool)
 
 
-# Test trial blocks: three full blocks plus a partial one. A pool of 10
-# distinct 16-d float64 candidates puts 1638 rows in a nearest-candidate
-# chunk (5 distinct: 3276), so each block spans chunks.
+# Test trial blocks: three full blocks plus a partial one. A release chunk
+# holds 2048 16-d rows, so each full block spans two chunks; at 7 rows a
+# chunk, the last chunk of every block is ragged (4096 = 585 * 7 + 1,
+# 1234 = 176 * 7 + 2).
 SMALL_BLOCK = 4096
 SPANNING_N = 3 * SMALL_BLOCK + 1234
+RAGGED_CHUNK_ROWS = 7
 
 
 def generation_pool(signal, near, far=0):
@@ -113,12 +115,14 @@ def full_pool_non_signal(clean_with, clean_without, config, signal_pair, candida
     return count
 
 
-def audit_cell(task, threat):
-    """Clean lists, config and keyword arguments for one {task} x {threat} audit."""
+def audit_cell(task, threat, width=None):
+    """Clean lists, config and keyword arguments for one {task} x {threat}
+    audit: 2-class votes and 16-d embeddings, or ``width`` of either."""
     if task == "classification":
         config = vote_config(threat, n_sample=SPANNING_N, seed=9)
-        return [(1, 3), (2, 2)], [(0, 4)], config, {}
-    signal = SignalPair.synthetic(0.7476, 16)
+        pad = (0,) * ((width or 2) - 2)
+        return [(1, 3, *pad), (2, 2, *pad)], [(0, 4, *pad)], config, {}
+    signal = SignalPair.synthetic(0.7476, width or 16)
     clean_with = [(signal.y1_embedding + k * signal.y0_embedding) / (k + 1) for k in (3, 7)]
     config = generation_config(threat, n_sample=SPANNING_N, seed=9)
     extra = {"signal_pair": signal}
@@ -591,6 +595,103 @@ class TestBootstrapAudit:
             want = _noisy_matrix(np.stack(clean_with), noise_scale(config.mechanism),
                                  config.n_sample, config.seed, 1)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [3, 16])
+    @pytest.mark.parametrize("threat", audit.THREAT_MODELS)
+    @pytest.mark.parametrize("task", audit.TASKS)
+    def test_ragged_chunks_give_the_full_matrix_report(self, task, threat, width):
+        # blocks released 7 rows at a time give the whole-arm report
+        clean_with, clean_without, config, extra = audit_cell(task, threat, width)
+        budget = RAGGED_CHUNK_ROWS * 8 * width
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK), \
+                mock.patch.object(audit, "_RELEASE_CHUNK_BYTES", budget), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports = [bootstrap_audit(clean_with, clean_without, config, workers=workers, **extra)
+                       for workers in (1, 2, 8)]
+            full = bootstrap_audit_full_matrix(clean_with, clean_without, config, **extra)
+        assert [report.to_json() for report in reports] == [full.to_json()] * 3
+        assert 0 < full.counts.true_positives < config.n_sample
+
+    @pytest.mark.parametrize("width", [3, 16])
+    def test_noisy_samples_stack_ragged_chunks(self, width):
+        clean_with, _, config, _ = audit_cell("generation", "white_box", width)
+        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK), \
+                mock.patch.object(audit, "_RELEASE_CHUNK_BYTES", RAGGED_CHUNK_ROWS * 8 * width):
+            got = generate_noisy_samples(clean_with, config, arm=0, workers=2)
+            want = _noisy_matrix(np.stack(clean_with), noise_scale(config.mechanism),
+                                 config.n_sample, config.seed, 0)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 17), st.lists(st.integers(0, 40), max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_ragged_normal_draws_are_one_draw(self, d, chunks, seed):
+        # the generator keeps no state between normal draws, so a block's
+        # noise drawn chunk by chunk in row order is its one whole draw
+        whole = np.random.default_rng(seed).normal(0.0, 0.9, size=(sum(chunks), d))
+        rng = np.random.default_rng(seed)
+        parts = [rng.normal(0.0, 0.9, size=(rows, d)) for rows in chunks]
+        assert np.concatenate([np.empty((0, d)), *parts]).tobytes() == whole.tobytes()
+
+    def test_scores_each_distinct_candidate_once(self):
+        # a pool of 19 rows, 5 of them distinct: every release call gets the
+        # 5, in the order of their first occurrences
+        clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
+        signal = extra["signal_pair"]
+        near = generation_pool(signal, near=3)[2:]
+        candidates = [signal.y0_embedding, signal.y1_embedding, signal.y0_embedding,
+                      *near, *near[::-1], *near, *[signal.y1_embedding] * 4]
+        pools = []
+        select = mechanisms.esa_select
+
+        def recording(noisy, candidates):
+            pools.append([row.tobytes() for row in candidates])
+            return select(noisy, candidates)
+
+        with mock.patch.object(mechanisms, "esa_select", recording), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bootstrap_audit(clean_with, clean_without, replace(config, n_sample=100),
+                            signal_pair=signal, candidates=candidates)
+        distinct = [row.tobytes() for row in (signal.y0_embedding, signal.y1_embedding, *near)]
+        assert pools and all(pool == distinct for pool in pools)
+
+    def test_one_block_holds_its_rows_plus_three_chunks(self):
+        # a full (65536, 16) trial block, 8 MiB whole: besides its resampled
+        # row indices, the kernel holds the chunk its caller still reads,
+        # the next chunk's noise and its gathered clean rows
+        clean = np.random.default_rng(1).normal(size=(200, 16))
+        want = _noisy_matrix(clean, 0.7, 65536, 3, 0)
+        matches = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for start, chunk in audit._block_noise(clean, 0.7, 3, 0, 0, 65536):
+                matches.append(np.array_equal(chunk, want[start:start + len(chunk)]))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(matches) == 65536 * 16 * 8 // audit._RELEASE_CHUNK_BYTES and all(matches)
+        # the rows' int64 indices, and some KiB of interpreter bookkeeping
+        assert peak <= 65536 * 8 + 3 * audit._RELEASE_CHUNK_BYTES + (1 << 16)
+
+    @pytest.mark.parametrize("threat", audit.THREAT_MODELS)
+    def test_one_block_memory_flat_in_dimension(self, threat):
+        # a one-block generation audit: a whole block of noise is 8 MiB at
+        # d = 16 and 128 MiB at d = 256, a chunk is the same at both
+
+        def peak(d):
+            signal = SignalPair.synthetic(0.7476, d)
+            config = generation_config(threat, n_sample=audit._TRIAL_BLOCK)
+            tracemalloc.start()
+            try:
+                bootstrap_audit([(signal.y1_embedding + 7 * signal.y0_embedding) / 8.0],
+                                [signal.y0_embedding], config, signal_pair=signal)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(256) - peak(16)) <= 1 << 20
 
     def test_memory_flat_in_n_sample(self):
         # generation black-box, pool 10, d=16: whole arms would hold n x d

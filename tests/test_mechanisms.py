@@ -232,30 +232,12 @@ class TestGaussianRelease:
         pytest.param(np.random.default_rng(5).normal(size=(30, 2)), 0, id="zero-rows"),
     ])
     def test_gather_matches_clean_rows_plus_noise(self, clean, trials):
-        # 40k rows span several gather chunks at d = 16
         rows = np.random.default_rng(6).integers(0, clean.shape[0], size=trials)
         got = gaussian_release(clean, rows, 0.9, np.random.default_rng(7))
         want = clean[rows] + np.random.default_rng(7).normal(0.0, 0.9, size=(trials, clean.shape[1]))
         assert got.shape == want.shape
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
-
-    def test_one_block_holds_its_output_plus_one_chunk(self):
-        # a full (65536, 16) trial block: the clean rows are added a chunk at
-        # a time, with the sums of clean[rows] + noise
-        clean = np.random.default_rng(1).normal(size=(200, 16))
-        rows = np.random.default_rng(2).integers(0, 200, size=65536)
-        want = clean[rows] + np.random.default_rng(3).normal(0.0, 0.7, size=(65536, 16))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            got = gaussian_release(clean, rows, 0.7, np.random.default_rng(3))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert got.tobytes() == want.tobytes()
-        # a few KiB of interpreter bookkeeping on top
-        assert peak <= got.nbytes + mechanisms._RELEASE_CHUNK_BYTES + (1 << 14)
 
 
 class TestPrivateVote:
