@@ -28,11 +28,9 @@ from .mechanisms import (
     Exemplar,
     MechanismConfig,
     NeighboringPair,
-    esa_select,
     esa_sensitivity,
     gaussian_release,
     noise_scale,
-    vote_select,
     voting_noise_scale,
 )
 from .oracles import (
@@ -69,7 +67,6 @@ __all__ = [
     "eps_emp_analytic",
     "eps_emp_dp",
     "eps_from_mu_delta",
-    "esa_select",
     "esa_sensitivity",
     "gaussian_release",
     "mu_from_eps_delta",
@@ -79,6 +76,5 @@ __all__ = [
     "run_audit",
     "std_normal_cdf",
     "sweep_threshold",
-    "vote_select",
     "voting_noise_scale",
 ]

@@ -4,8 +4,8 @@ Both tasks reduce to one binary decision between a no and a yes answer, two
 rows in aggregate space: the one-hot votes e_no and e_yes, or the signal
 pair's embeddings y0 and y1. For each of n_sample trials per hypothesis a
 clean response is resampled with replacement and the shipped mechanism
-perturbs it (``mechanisms.gaussian_release``). The black-box attack says
-"canary in" when the release (``vote_select`` or ``esa_select``) is the yes
+perturbs it with N(0, sigma^2 I_d). The black-box attack says "canary in"
+when the release, the output nearest to the noisy aggregate, is the yes
 answer; the white-box attack when the noisy aggregate's projection on
 yes - no, the Neyman-Pearson statistic for a Gaussian mean shift, exceeds
 the tau maximizing the mu lower bound. That bound comes from a confidence
@@ -17,20 +17,27 @@ broken. The arms are sorted, in place when the audit owns them, and never
 merged: one binary search of the without-arm for each with-arm statistic
 finds every corner and its counts.
 
+Either decision reads the noisy aggregate only through a few linear
+scores: the projection on yes - no, or each releasable output's score
+relative to the first (``_score_space``). So the audit releases the
+scores, not the aggregate: each arm's clean scores are computed once, and
+a trial's noisy scores are its clean scores plus g @ F, where
+``mechanisms.gaussian_score_factor`` gives F and g holds r standard
+normals, one for white-box and for any two-answer release. That is the
+noise's exact law in score space, whatever the embedding dimension.
+
 Trials are streamed in fixed-size blocks: one kernel resamples a block,
-releases it through the mechanism a chunk of rows at a time and reduces each
-chunk at once to a decision tally or a 1-D statistic, written straight into
-its slice of the arm's one statistic array, so a worker holds at most one
-chunk of noisy responses, whatever the embedding dimension, and ``workers``
-threads run whole blocks. All randomness is derived from (seed,
-hypothesis, trial block), so a report is a pure function of its config and
-identical across worker counts.
+releases its scores a chunk of rows at a time and reduces each chunk at
+once to a tally of releases or writes it straight into its slice of the
+arm's one statistic array, so a worker holds a few chunks of scores,
+and ``workers`` threads run whole blocks. All randomness is derived from
+(seed, hypothesis, trial block), so a report is a pure function of its
+config and identical across worker counts.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -39,7 +46,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,9 +79,9 @@ THREAT_MODELS = ("black_box", "white_box")
 # generator; block boundaries are independent of the worker count.
 _TRIAL_BLOCK = 1 << 16
 
-# Byte budget of the float64 noise one release call draws (at least one row):
-# each block is released and reduced a chunk at a time, so a worker's noise
-# and gathered clean rows stay a few chunks, not a block of n x d.
+# Byte budget of the float64 scores one release call makes (at least one
+# row): each block is released and reduced a chunk at a time, so a worker's
+# scores and gathered clean scores stay a few chunks, not a block.
 _RELEASE_CHUNK_BYTES = 1 << 18
 
 _ARM_WITH = 0
@@ -345,24 +352,12 @@ def _block_sizes(n_sample: int) -> list[int]:
     return [min(_TRIAL_BLOCK, n_sample - start) for start in range(0, n_sample, _TRIAL_BLOCK)]
 
 
-def _block_noise(clean: np.ndarray, sigma: float, seed: int, arm: int, index: int,
-                 size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Trial block ``index`` of an arm: resampled clean rows, released by the
-    mechanism a chunk of rows at a time. Yields each chunk's first trial in
-    the arm and its noisy rows.
-
-    All rows are drawn before any noise, then the noise in row order from
-    the same generator; ``Generator.normal`` keeps no state between calls,
-    so the chunks are bit for bit the rows of one whole-block release.
-    """
+def _block_rows(n_rows: int, seed: int, arm: int, index: int,
+                size: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Trial block ``index`` of an arm: its generator and the clean rows it
+    resamples, drawn before any noise."""
     rng = np.random.default_rng([seed, arm, index])
-    rows = rng.integers(0, clean.shape[0], size=size)
-    step = max(1, _RELEASE_CHUNK_BYTES // (8 * max(1, clean.shape[1])))
-    for start in range(0, size, step):
-        # looked up on the module at each call, so the mechanism audited is
-        # the one ``mechanisms`` holds, substitutes included
-        yield (index * _TRIAL_BLOCK + start,
-               mechanisms.gaussian_release(clean, rows[start:start + step], sigma, rng))
+    return rng, rng.integers(0, n_rows, size=size)
 
 
 def generate_noisy_samples(
@@ -371,10 +366,10 @@ def generate_noisy_samples(
     arm: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """The bootstrap sampling stage: n_sample resampled-and-perturbed responses.
-
-    These are the chunks of the trial blocks that ``bootstrap_audit``
-    streams, stacked.
+    """The bootstrap sampling stage in aggregate space: n_sample resampled
+    responses, each trial block's rows drawn as ``bootstrap_audit`` draws
+    them and then perturbed in all d coordinates by one
+    ``mechanisms.gaussian_release`` call.
     """
     matrix = _clean_matrix(clean)
     sigma = noise_scale(config.mechanism)
@@ -382,8 +377,9 @@ def generate_noisy_samples(
     noisy = np.empty((config.n_sample, matrix.shape[1]))
 
     def fill(index: int) -> None:
-        for first, chunk in _block_noise(matrix, sigma, config.seed, arm, index, sizes[index]):
-            noisy[first:first + len(chunk)] = chunk
+        rng, rows = _block_rows(matrix.shape[0], config.seed, arm, index, sizes[index])
+        first = index * _TRIAL_BLOCK
+        noisy[first:first + sizes[index]] = mechanisms.gaussian_release(matrix, rows, sigma, rng)
 
     map_in_order(fill, range(len(sizes)), workers)
     return noisy
@@ -405,7 +401,45 @@ def whitebox_statistic(noisy: np.ndarray, config: AuditConfig,
     """The 1-D statistic the white-box threshold test reads: each noisy
     aggregate projected on the yes answer minus the no answer."""
     no, yes = _answers(config, signal_pair, noisy.shape[1])
-    return mechanisms.project(noisy, yes - no)
+    return np.einsum("ij,j->i", noisy, yes - no)
+
+
+def _score_space(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns a_j - a_0 and offsets -(|a_j|^2 - |a_0|^2) / 2, j >= 1,
+    of the releasable outputs a_0..a_{m-1} (one per row): x is nearest to
+    a_j where j is the first maximum of [0, s_1, ...], with s_j = x.(a_j -
+    a_0) plus its offset. One-hot vote rows have offset 0, so that is the
+    vote argmax, ties to the lowest class."""
+    norms = np.einsum("ij,ij->i", outputs, outputs)
+    return (outputs[1:] - outputs[0]).T, -0.5 * (norms[1:] - norms[0])
+
+
+def _release_scores(clean_scores: np.ndarray, factor: np.ndarray, rows: np.ndarray,
+                    rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``out`` set to the noisy scores of the trials that resample ``rows``,
+    clean_scores[rows] + g @ factor with g ~ N(0, I_r) drawn from ``rng`` in
+    row order, and returned; one normal per trial is drawn straight into
+    ``out``. einsum, not ``@``: no BLAS threads contend with the pool's, and
+    a row's sum does not depend on how many rows a chunk holds."""
+    if factor.shape == (1, 1):
+        rng.standard_normal(out=out)
+        out *= factor[0, 0]
+    else:
+        np.einsum("ij,jk->ik", rng.standard_normal((len(rows), factor.shape[0])), factor,
+                  out=out)
+    out += np.take(clean_scores, rows, axis=0)
+    return out
+
+
+def _tally(scores: np.ndarray, outputs: int) -> np.ndarray:
+    """How many rows of ``scores`` release each of ``outputs`` outputs: the
+    first maximum of [0, s_1, ...], so a tie goes to the lower index."""
+    if scores.shape[1] == 1:
+        upper = int(np.count_nonzero(scores > 0))
+        return np.array([len(scores) - upper, upper])
+    picks = scores.argmax(axis=1) + 1
+    picks[scores.max(axis=1) <= 0] = 0
+    return np.bincount(picks, minlength=outputs)
 
 
 def _answer_classes(answers: np.ndarray, outputs: Sequence[np.ndarray]) -> np.ndarray:
@@ -432,59 +466,78 @@ def bootstrap_audit(
 ) -> AuditReport:
     """Resample, perturb, decide, tally, convert. Deterministic given config.seed.
 
-    The no and yes answers are set once per audit: the white-box direction
-    yes - no, the black-box release and the answer class of each output it
-    can release. A candidate pool is scored over its distinct rows, each at
-    its first occurrence: a repeat scores what its first occurrence does and
-    never wins, so the picks' classes are the same. One kernel then releases
-    each trial block of either arm, of either task, a chunk at a time, and
-    adds each chunk's yes and non-signal releases to the block's tally
-    (black-box) or writes its projection on the direction into the chunk's
-    slice of the arm's statistics (white-box), which the sweep then sorts in
-    place; the blocks of both arms run on ``workers`` threads, each writing
-    its own slice, and each holds one chunk of trials at a time.
-    Non-signal releases warn once per audit, with their count.
+    The no and yes answers are set once per audit, and with them the
+    scores the decision reads (``_score_space``): white-box, the one
+    column yes - no; black-box, each releasable output's score relative to
+    the first, with the answer class of each output. A candidate pool is
+    scored over its distinct rows, each at its first occurrence: a repeat
+    scores what its first occurrence does and never wins, so the picks'
+    classes are the same. Each arm's clean scores are computed once. One
+    kernel then resamples each trial block of either arm, of either task,
+    and releases its scores a chunk at a time: it adds each chunk's
+    releases to the block's tally (black-box) or writes the chunk into its
+    slice of the arm's statistics (white-box), which the sweep then sorts
+    in place. The blocks of both arms run on ``workers`` threads, each
+    writing its own slice. A pool of one distinct answer releases it in
+    every trial, with no draw. Non-signal releases warn once per audit,
+    with their count.
     """
     start = time.perf_counter()
     black_box = config.threat_model == "black_box"
     sigma = noise_scale(config.mechanism)
     arms = (_clean_matrix(clean_with), _clean_matrix(clean_without))
     answers = _answers(config, signal_pair, arms[0].shape[1])
-    direction = answers[1] - answers[0]
-    if config.task == "classification":
-        outputs = np.eye(arms[0].shape[1])  # class k releases the one-hot row e_k
-        release = mechanisms.vote_select
+    if not black_box:
+        columns, offsets = (answers[1] - answers[0])[:, None], 0.0
     else:
-        distinct = {}
-        for candidate in candidates if candidates is not None else answers[::-1]:  # y1, y0
-            row = np.asarray(candidate, dtype=np.float64)
-            distinct.setdefault((row.shape, row.tobytes()), row)
-        outputs = list(distinct.values())
-        release = functools.partial(mechanisms.esa_select, candidates=outputs)
-    classes = _answer_classes(answers, outputs)
+        if config.task == "classification":
+            outputs = np.eye(arms[0].shape[1])  # class k releases the one-hot row e_k
+        else:
+            distinct = {}
+            for candidate in candidates if candidates is not None else answers[::-1]:  # y1, y0
+                row = np.asarray(candidate, dtype=np.float64)
+                distinct.setdefault((row.shape, row.tobytes()), row)
+            if not distinct:
+                raise ValueError("candidate pool is empty")
+            outputs = np.stack(list(distinct.values()))
+        classes = _answer_classes(answers, outputs)
+        columns, offsets = _score_space(outputs)
+    width = columns.shape[1]
+    if width:
+        factor = mechanisms.gaussian_score_factor(columns, sigma)
+        clean_scores = [np.einsum("ij,jk->ik", arm, columns) + offsets for arm in arms]
+        step = max(1, _RELEASE_CHUNK_BYTES // (8 * width))
     sizes = _block_sizes(config.n_sample)
     stats = [] if black_box else [np.empty(config.n_sample) for _ in arms]  # white-box, per arm
 
-    def kernel(block: tuple[int, int]) -> tuple[int, int]:
+    def kernel(block: tuple[int, int]):
         arm, index = block
-        yes = non_signal = 0
-        for first, noisy in _block_noise(arms[arm], sigma, config.seed, arm, index, sizes[index]):
+        if not width:  # one releasable output
+            return np.array([sizes[index]])
+        rng, rows = _block_rows(arms[arm].shape[0], config.seed, arm, index, sizes[index])
+        tally = 0
+        if black_box:
+            scores = np.empty((min(step, rows.size), width))
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo:lo + step]
             if black_box:
-                picked = classes[release(noisy)]
-                yes += int(np.count_nonzero(picked == 1))
-                non_signal += int(np.count_nonzero(picked < 0))
+                released = _release_scores(clean_scores[arm], factor, chunk, rng,
+                                           scores[:chunk.size])
+                tally = tally + _tally(released, len(outputs))
             else:
-                mechanisms.project(noisy, direction, out=stats[arm][first:first + len(noisy)])
-        return yes, non_signal
+                first = index * _TRIAL_BLOCK + lo
+                _release_scores(clean_scores[arm], factor, chunk, rng,
+                                stats[arm][first:first + chunk.size, None])
+        return tally
 
     results = map_in_order(kernel, [(arm, index) for arm in (_ARM_WITH, _ARM_WITHOUT)
                                     for index in range(len(sizes))], workers)
 
     tau: Optional[float] = None
     if black_box:
-        tp = sum(positives for positives, _ in results[:len(sizes)])
-        fp = sum(positives for positives, _ in results[len(sizes):])
-        non_signal = sum(count for _, count in results)
+        tallies = sum(results[:len(sizes)]), sum(results[len(sizes):])
+        tp, fp = (int(tally[classes == 1].sum()) for tally in tallies)
+        non_signal = sum(int(tally[classes < 0].sum()) for tally in tallies)
         if non_signal:
             warnings.warn(f"{non_signal} trials selected a non-signal candidate; "
                           "counted as canary-absent", stacklevel=2)

@@ -8,15 +8,21 @@ nearest candidate.
 
 Both release in three stages: aggregate, noise, select. `aggregate` turns
 each trial's per-partition responses into its clean aggregate (vote counts,
-or the mean of the clipped embeddings); `gaussian_release` perturbs the
-clean aggregates of the rows it is given, which the audit passes one chunk of
-a trial block at a time; voting then takes each row's argmax (`vote_select`) and
-embedding aggregation each row's nearest candidate (`esa_select`), the
-candidate of highest score on the one projection kernel (`project`) that
-also computes the white-box statistic.
+or the mean of the clipped embeddings), the noise is N(0, sigma^2 I_d) on
+that aggregate, and the release is the output nearest to the noisy
+aggregate x: the vote argmax is the nearest one-hot row, and embedding
+aggregation releases the nearest candidate. The nearest of outputs
+a_0..a_{m-1} is the first maximum of the scores x.(a_j - a_0) -
+(|a_j|^2 - |a_0|^2) / 2, with 0 for a_0, so the release reads x only
+through the linear map A = [a_1 - a_0, ...]. The audit therefore releases
+in that score space: `gaussian_score_factor` gives the factor F with
+z @ A ~ g @ F for g ~ N(0, I_r), the exact law of the noise as the scores
+see it, and the audit's trial kernel adds g @ F to each trial's clean
+scores. `gaussian_release` is the release in the aggregate's own d
+coordinates, which `audit.generate_noisy_samples` stacks.
 `oracles.collect` aggregates with the first, and the audit's trial kernel
-calls the others and nothing else to noise and release, so a fault here
-moves its reports.
+draws its noise through `gaussian_score_factor` and nothing else, so a
+fault here moves its reports.
 
 Noise calibration follows sigma = Delta * sqrt(log(1.25/delta)) / eps with a
 natural logarithm. Note the classical Gaussian-mechanism calibration carries
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -194,8 +200,7 @@ def gaussian_release(clean: np.ndarray, rows: np.ndarray, sigma: float,
     embeddings, one per row), each coordinate perturbed with independent
     N(0, sigma^2) drawn from ``rng`` as one (rows, d) block.
 
-    The result is released as-is, not re-normalized: ``vote_select`` and
-    ``esa_select`` read the raw noisy aggregates.
+    The result is released as-is, not re-normalized.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
@@ -206,58 +211,19 @@ def gaussian_release(clean: np.ndarray, rows: np.ndarray, sigma: float,
     return noisy
 
 
-def vote_select(noisy: np.ndarray) -> np.ndarray:
-    """The class private voting releases for each noisy histogram: its argmax.
+def gaussian_score_factor(columns: np.ndarray, sigma: float) -> np.ndarray:
+    """The release's noise as the linear scores ``columns`` (A, d x k) see
+    it: a factor F (r x k) with F^T F = sigma^2 A^T A, so that for
+    z ~ N(0, sigma^2 I_d) the scores' noise z @ A has exactly the law of
+    g @ F, g ~ N(0, I_r).
 
-    Ties break toward the lowest class index (measure-zero under continuous
-    noise; determinism matters for sigma = 0).
+    One column is scaled by sigma |a|: one normal per trial. More columns
+    take sigma R from A = QR, whose r = min(d, k) rows are the normals a
+    trial needs.
     """
-    return np.argmax(noisy, axis=1)
-
-
-def project(points: np.ndarray, direction: np.ndarray,
-            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each row of ``points`` projected on ``direction``: the one linear
-    score kernel, read by the white-box statistic and by ``esa_select``.
-
-    Written into ``out`` (a float64 vector of one value per row) when it is
-    given, and returned; the audit passes each trial block's slice of its
-    arm's statistics, so no block keeps an array of its own.
-    """
-    # The audit's pool threads call this, not the public whitebox_statistic
-    # a tracer may wrap. einsum sums each row in one C loop: bit for bit
-    # noisy[:, yes] - noisy[:, no] on a one-hot difference, and no BLAS
-    # threads to contend with the pool's, as `@` does at d=16.
-    return np.einsum("ij,j->i", points, direction, out=out)
-
-
-def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Per noisy mean x, the index in ``candidates`` of the nearest
-    (Euclidean) candidate; ties -> lowest.
-
-    Since |x - c|^2 = |x|^2 - 2 (x.c - |c|^2 / 2), the nearest candidate is
-    the one of highest linear score ``project(x, c) - |c|^2 / 2``. A running
-    maximum takes the candidates in pool order and moves a pick only on a
-    strictly higher score, so the first maximum wins, and a repeated
-    candidate, which scores what its first occurrence does, never does: the
-    audit scores each distinct candidate once (``audit.bootstrap_audit``).
-    The temporaries are a few row-length vectors, whatever the pool size or
-    the dimension.
-    """
-    if len(candidates) == 0:
-        raise ValueError("candidate pool is empty")
-    picks = np.zeros(noisy.shape[0], dtype=np.intp)
-    best: Optional[np.ndarray] = None  # the picks' scores
-    for index, candidate in enumerate(candidates):
-        row = np.asarray(candidate, dtype=np.float64)
-        if row.shape != noisy.shape[1:]:
-            raise ValueError(f"candidate dimension {row.shape} does not match "
-                             f"the noisy mean's {noisy.shape[1:]}")
-        score = project(noisy, row)
-        score -= 0.5 * float(row @ row)
-        if best is None:
-            best = score
-        else:
-            np.putmask(picks, score > best, index)
-            np.maximum(best, score, out=best)
-    return picks
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if columns.shape[1] == 1:
+        # not np.linalg.norm, whose dot product would start the BLAS threads
+        return np.array([[sigma * math.sqrt(np.einsum("ij,ij->", columns, columns))]])
+    return sigma * np.linalg.qr(columns, mode="r")

@@ -7,7 +7,7 @@ and shut down per call lets its threads start while the previous pool's
 threads, already joined, have not yet released their malloc arenas; glibc
 then opens one more arena, whose heap stays resident, and the process's peak
 RSS steps up by the new arena's high-water mark, a few of the audit's
-release chunks, each time that happens.
+chunks of released scores, each time that happens.
 """
 
 from __future__ import annotations

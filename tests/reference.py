@@ -6,11 +6,14 @@ of ndtri, exact combinatorial tail sums instead of beta inversion, grid scans
 instead of bisection, a threshold sweep that counts both arms by binary search
 at every split of the pooled distinct values and bounds every split, instead
 of searching one arm for the other's statistics and bounding the corners
-only, a bootstrap audit that holds each arm's noisy trials and candidate
-distances whole instead of streaming trial blocks into one statistic array
-per arm, and a replay that parses one record per line into a dict store,
-looks up each (ctx, trial, partition) key in turn and clips each embedding
-alone instead of gathering and clipping arrays.
+only, a bootstrap audit that releases the aggregate in all d coordinates
+instead of in the decision's score space (the mechanism's specification,
+with the vote argmax and the nearest-candidate search), one that holds
+each arm's scores whole and picks over the whole pool instead of streaming
+trial blocks over the distinct pool rows, and a replay that parses one
+record per line into a dict store, looks up each (ctx, trial, partition)
+key in turn and clips each embedding alone instead of gathering and
+clipping arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 from scipy import integrate, special
 
-from dpicl_audit import audit
+from dpicl_audit import audit, mechanisms
 from dpicl_audit.audit import AuditConfig, AuditReport, _clean_matrix, sweep_threshold
 from dpicl_audit.gdp import (
     AttackCounts,
@@ -231,57 +234,153 @@ def _noisy_matrix(clean: np.ndarray, sigma: float, n_sample: int, seed: int,
     return out
 
 
-def _whitebox_statistic_full(noisy: np.ndarray, config: AuditConfig,
-                             signal_pair: Optional[SignalPair] = None) -> np.ndarray:
-    """Each noisy aggregate projected on yes - no: the vote difference, or
-    the product sum with y1 - y0, over whole arms."""
+def vote_select(noisy: np.ndarray) -> np.ndarray:
+    """The class private voting releases for each noisy histogram: its argmax.
+
+    Ties break toward the lowest class index (measure-zero under continuous
+    noise; determinism matters for sigma = 0).
+    """
+    return np.argmax(noisy, axis=1)
+
+
+def esa_select(noisy: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
+    """Per noisy mean x, the index in ``candidates`` of the nearest
+    (Euclidean) candidate; ties -> lowest.
+
+    Since |x - c|^2 = |x|^2 - 2 (x.c - |c|^2 / 2), the nearest candidate is
+    the one of highest linear score x.c - |c|^2 / 2. A running maximum
+    takes the candidates in pool order and moves a pick only on a strictly
+    higher score, so the first maximum wins, and a repeated candidate,
+    which scores what its first occurrence does, never does. The
+    temporaries are a few row-length vectors, whatever the pool size or the
+    dimension.
+    """
+    if len(candidates) == 0:
+        raise ValueError("candidate pool is empty")
+    picks = np.zeros(noisy.shape[0], dtype=np.intp)
+    best: Optional[np.ndarray] = None  # the picks' scores
+    for index, candidate in enumerate(candidates):
+        row = np.asarray(candidate, dtype=np.float64)
+        if row.shape != noisy.shape[1:]:
+            raise ValueError(f"candidate dimension {row.shape} does not match "
+                             f"the noisy mean's {noisy.shape[1:]}")
+        score = np.einsum("ij,j->i", noisy, row)
+        score -= 0.5 * float(row @ row)
+        if best is None:
+            best = score
+        else:
+            np.putmask(picks, score > best, index)
+            np.maximum(best, score, out=best)
+    return picks
+
+
+def _signal_pool(config: AuditConfig, signal_pair: Optional[SignalPair],
+                 candidates: Optional[Sequence[np.ndarray]], width: int):
+    """The no and yes answers, the releasable outputs (the one-hot rows, or
+    the pool as given, repeats included) and each output's answer class:
+    1 yes, 0 no, -1 other."""
     if config.task == "classification":
-        return noisy[:, config.yes_index] - noisy[:, config.no_index]
-    if signal_pair is None:
-        raise ValueError("generation audits need a signal pair")
-    return np.einsum("ij,j->i", noisy, signal_pair.y1_embedding - signal_pair.y0_embedding)
+        outputs = np.eye(width)
+        answers = outputs[[config.no_index, config.yes_index]]
+    else:
+        if signal_pair is None:
+            raise ValueError("generation audits need a signal pair")
+        answers = np.stack([signal_pair.y0_embedding, signal_pair.y1_embedding])
+        pool = candidates if candidates is not None else answers[::-1]
+        outputs = np.stack([np.asarray(c, dtype=np.float64) for c in pool])
+    classes = np.where((outputs == answers[1]).all(axis=1), 1,
+                       np.where((outputs == answers[0]).all(axis=1), 0, -1))
+    return answers, outputs, classes
 
 
-def _blackbox_bits_full(noisy: np.ndarray, config: AuditConfig,
-                        signal_pair: Optional[SignalPair],
-                        candidates: Optional[Sequence[np.ndarray]]) -> np.ndarray:
-    if config.task == "classification":
-        winners = np.argmax(noisy, axis=1)
-        return winners == config.yes_index
-    if signal_pair is None:
-        raise ValueError("generation audits need a signal pair")
-    pool = candidates if candidates is not None else [signal_pair.y1_embedding,
-                                                      signal_pair.y0_embedding]
-    stacked = np.stack([np.asarray(c, dtype=np.float64) for c in pool])
-    distances = np.linalg.norm(noisy[:, None, :] - stacked[None, :, :], axis=2)
-    selected = stacked[np.argmin(distances, axis=1)]
-    is_y1 = (selected == signal_pair.y1_embedding).all(axis=1)
-    if np.any(~is_y1 & ~(selected == signal_pair.y0_embedding).all(axis=1)):
-        warnings.warn("non-signal candidates selected; counted as canary-absent", stacklevel=2)
-    return is_y1
-
-
-def bootstrap_audit_full_matrix(
-    clean_with: Sequence,
-    clean_without: Sequence,
-    config: AuditConfig,
-    *,
-    signal_pair: Optional[SignalPair] = None,
-    candidates: Optional[Sequence[np.ndarray]] = None,
-    workers: int = 1,
-) -> AuditReport:
-    """The audit on whole arms: every noisy trial, then every decision."""
-    start = time.perf_counter()
+def dimensional_decisions(clean: Sequence, config: AuditConfig, arm: int, *,
+                          signal_pair: Optional[SignalPair] = None,
+                          candidates: Optional[Sequence[np.ndarray]] = None,
+                          rows_per_draw: int = 4096) -> np.ndarray:
+    """One arm's trials released in all d coordinates of the aggregate:
+    each trial block's resampled rows, then its N(0, sigma^2) noise drawn
+    ``rows_per_draw`` rows at a time from the block's generator, reduced to
+    the white-box projection on yes - no, or to the answer class of the
+    black-box release (the vote argmax, or the first nearest of the pool,
+    repeats included). The draws are those of one whole (block, d) draw, so
+    memory stays a few draws whatever n_sample or d."""
+    matrix = _clean_matrix(clean)
     sigma = noise_scale(config.mechanism)
-    noisy_with = _noisy_matrix(_clean_matrix(clean_with), sigma, config.n_sample,
-                               config.seed, 0, workers)
-    noisy_without = _noisy_matrix(_clean_matrix(clean_without), sigma,
-                                  config.n_sample, config.seed, 1, workers)
+    answers, outputs, classes = _signal_pool(config, signal_pair, candidates, matrix.shape[1])
+    out = np.empty(config.n_sample, dtype=np.float64 if config.threat_model == "white_box"
+                   else np.int64)
+    for index, start in enumerate(range(0, config.n_sample, audit._TRIAL_BLOCK)):
+        stop = min(start + audit._TRIAL_BLOCK, config.n_sample)
+        rng = np.random.default_rng([config.seed, arm, index])
+        rows = rng.integers(0, matrix.shape[0], size=stop - start)
+        for lo in range(0, stop - start, rows_per_draw):
+            chunk = rows[lo:lo + rows_per_draw]
+            noisy = matrix[chunk] + rng.normal(0.0, sigma, size=(chunk.size, matrix.shape[1]))
+            if config.threat_model == "white_box" and config.task == "classification":
+                decided = noisy[:, config.yes_index] - noisy[:, config.no_index]
+            elif config.threat_model == "white_box":
+                decided = np.einsum("ij,j->i", noisy, answers[1] - answers[0])
+            elif config.task == "classification":
+                decided = classes[vote_select(noisy)]
+            else:
+                decided = classes[esa_select(noisy, outputs)]
+            out[start + lo:start + lo + chunk.size] = decided
+    return out
 
+
+def score_decisions(clean: Sequence, config: AuditConfig, arm: int, *,
+                    signal_pair: Optional[SignalPair] = None,
+                    candidates: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+    """One arm's trials released in score space, whole: per trial block, the
+    resampled rows, then all the block's standard normals g (one row of r
+    per trial) at once; the scores clean_scores[rows] + g @ F, with F from
+    ``mechanisms.gaussian_score_factor``, relative to the pool's first row.
+    White-box returns the projection on yes - no; black-box the answer
+    class of the first maximum of every pool row's score, repeats included,
+    each scoring what the first row equal to it scores."""
+    matrix = _clean_matrix(clean)
+    sigma = noise_scale(config.mechanism)
+    answers, outputs, classes = _signal_pool(config, signal_pair, candidates, matrix.shape[1])
+    if config.threat_model == "white_box":
+        columns, offsets = (answers[1] - answers[0])[:, None], 0.0
+    else:
+        first = [next(j for j in range(len(outputs)) if np.array_equal(outputs[j], row))
+                 for row in outputs]
+        distinct = sorted(set(first))
+        columns = (outputs[distinct[1:]] - outputs[distinct[0]]).T
+        norms = np.einsum("ij,ij->i", outputs[distinct], outputs[distinct])
+        offsets = -0.5 * (norms[1:] - norms[0])
+    scores = np.zeros((config.n_sample, columns.shape[1]))
+    if columns.shape[1]:
+        factor = mechanisms.gaussian_score_factor(columns, sigma)
+        clean_scores = np.einsum("ij,jk->ik", matrix, columns) + offsets
+        for index, start in enumerate(range(0, config.n_sample, audit._TRIAL_BLOCK)):
+            stop = min(start + audit._TRIAL_BLOCK, config.n_sample)
+            rng = np.random.default_rng([config.seed, arm, index])
+            rows = rng.integers(0, matrix.shape[0], size=stop - start)
+            g = rng.standard_normal((stop - start, factor.shape[0]))
+            noise = g * factor[0, 0] if factor.shape == (1, 1) else np.einsum("ij,jk->ik", g, factor)
+            scores[start:stop] = clean_scores[rows] + noise
+    if config.threat_model == "white_box":
+        return scores[:, 0]
+    with_first = np.concatenate([np.zeros((config.n_sample, 1)), scores], axis=1)
+    pool_scores = with_first[:, [distinct.index(j) for j in first]]
+    return classes[np.argmax(pool_scores, axis=1)]
+
+
+def _report(decide, clean_with: Sequence, clean_without: Sequence, config: AuditConfig,
+            **extra) -> AuditReport:
+    """The audit's report from each arm's decisions as ``decide`` makes them."""
+    start = time.perf_counter()
+    with_arm = decide(clean_with, config, 0, **extra)
+    without_arm = decide(clean_without, config, 1, **extra)
     tau: Optional[float] = None
     if config.threat_model == "black_box":
-        tp = int(np.count_nonzero(_blackbox_bits_full(noisy_with, config, signal_pair, candidates)))
-        fp = int(np.count_nonzero(_blackbox_bits_full(noisy_without, config, signal_pair, candidates)))
+        non_signal = int(np.count_nonzero(with_arm < 0) + np.count_nonzero(without_arm < 0))
+        if non_signal:
+            warnings.warn(f"{non_signal} trials selected a non-signal candidate; "
+                          "counted as canary-absent", stacklevel=3)
+        tp, fp = int(np.count_nonzero(with_arm == 1)), int(np.count_nonzero(without_arm == 1))
         counts = AttackCounts(
             true_positives=tp,
             false_positives=fp,
@@ -290,15 +389,32 @@ def bootstrap_audit_full_matrix(
         )
         estimate = audit_epsilon(counts, config.confidence, config.delta_target)
     else:
-        tau, counts, bounds = sweep_threshold(
-            _whitebox_statistic_full(noisy_with, config, signal_pair),
-            _whitebox_statistic_full(noisy_without, config, signal_pair),
-            config.confidence)
+        tau, counts, bounds = sweep_threshold(with_arm, without_arm, config.confidence)
         estimate = estimate_from_bounds(bounds, config.delta_target)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AuditReport(counts=counts, estimate=estimate,
                        eps_emp_point=eps_emp_dp(counts.tpr, counts.fpr),
                        config=config, tau=tau, wall_ms=wall_ms)
+
+
+def bootstrap_audit_full_matrix(clean_with: Sequence, clean_without: Sequence,
+                                config: AuditConfig, *, signal_pair: Optional[SignalPair] = None,
+                                candidates: Optional[Sequence[np.ndarray]] = None) -> AuditReport:
+    """The audit released in all d coordinates of the aggregate
+    (``dimensional_decisions``): the mechanism as specified, against which
+    the score release is checked in distribution."""
+    return _report(dimensional_decisions, clean_with, clean_without, config,
+                   signal_pair=signal_pair, candidates=candidates)
+
+
+def bootstrap_audit_score_matrix(clean_with: Sequence, clean_without: Sequence,
+                                 config: AuditConfig, *, signal_pair: Optional[SignalPair] = None,
+                                 candidates: Optional[Sequence[np.ndarray]] = None) -> AuditReport:
+    """The audit on whole arms of scores (``score_decisions``): every trial's
+    noisy scores, then every decision. The streamed audit must give its
+    report byte for byte."""
+    return _report(score_decisions, clean_with, clean_without, config,
+                   signal_pair=signal_pair, candidates=candidates)
 
 
 def read_records(path: Union[str, Path]) -> list[dict]:

@@ -13,8 +13,9 @@ import numpy as np
 import yaml
 from scipy.stats import ks_2samp
 
+from dpicl_audit import audit as audit_module
 from dpicl_audit import mechanisms
-from dpicl_audit.audit import AuditConfig, bootstrap_audit, generate_noisy_samples, run_audit, whitebox_statistic
+from dpicl_audit.audit import AuditConfig, bootstrap_audit, run_audit
 from dpicl_audit.cli import main
 from dpicl_audit.gaussian_model import VotePattern, eps_emp_analytic, sweep
 from dpicl_audit.gdp import delta_from_eps_mu, eps_from_mu_delta, mu_from_bounds
@@ -180,9 +181,12 @@ def test_a7_bootstrap_fidelity():
                              n_llm=1, n_sample=100_000, seed=20240807)
         sigma = voting_noise_scale(2.0, 1e-5)
         direct_rng = np.random.default_rng(987654321)
+        # the kernel's statistics, as the audit hands them to its sweep
+        with mock.patch.object(audit_module, "_sweep_in_place",
+                               wraps=audit_module._sweep_in_place) as sweep_spy:
+            bootstrap_audit([(1, 3)], [(0, 4)], config)
         for arm, counts in ((0, (1, 3)), (1, (0, 4))):
-            noisy = generate_noisy_samples([counts], config, arm=arm)
-            stat = whitebox_statistic(noisy, config)
+            stat = sweep_spy.call_args.args[arm]
             direct = (counts[0] - counts[1]) + direct_rng.normal(
                 0.0, sigma * math.sqrt(2.0), size=config.n_sample
             )
@@ -231,9 +235,10 @@ def test_a9_deterministic_reports(tmp_path):
         assert report_path.read_bytes() == first
 
 
-def shared_draw_release(clean, rows, sigma, rng):
-    """A broken release: one noise draw per row, shared by every coordinate."""
-    return clean[rows] + rng.normal(0.0, sigma, size=(len(rows), 1))
+def shared_draw_factor(columns, sigma):
+    """A broken release, one noise draw per row shared by every coordinate
+    (z = g 1), as the scores see it: z @ A = g (1^T A), the factor sigma 1^T A."""
+    return sigma * columns.sum(axis=0, keepdims=True)
 
 
 def unclipped_aggregate(responses, num_classes):
@@ -262,7 +267,7 @@ def test_a10_broken_mechanisms_are_caught(tmp_path):
         # a shared draw leaves the white-box vote difference noise-free; the
         # release is then the clean argmax, "no" in both worlds, so the
         # black-box audit rightly certifies nothing
-        with mock.patch.object(mechanisms, "gaussian_release", shared_draw_release):
+        with mock.patch.object(mechanisms, "gaussian_score_factor", shared_draw_factor):
             assert audit("white_box") > mech.eps_theory
             assert audit("black_box") == 0.0
 

@@ -29,9 +29,7 @@ from dpicl_audit.mechanisms import (
     Exemplar,
     MechanismConfig,
     NeighboringPair,
-    esa_select,
     noise_scale,
-    vote_select,
     voting_noise_scale,
 )
 from dpicl_audit.oracles import (
@@ -48,8 +46,13 @@ from reference import (
     _noisy_matrix,
     band_mu_bruteforce,
     bootstrap_audit_full_matrix,
+    bootstrap_audit_score_matrix,
+    dimensional_decisions,
+    esa_select,
+    score_decisions,
     split_counts_bruteforce,
     sweep_threshold_bruteforce,
+    vote_select,
 )
 
 
@@ -81,7 +84,7 @@ def signal_classes(signal, pool):
 
 
 # Test trial blocks: three full blocks plus a partial one. A release chunk
-# holds 2048 16-d rows, so each full block spans two chunks; at 7 rows a
+# holds 32768 one-column scores, so each block is one chunk; at 7 rows a
 # chunk, the last chunk of every block is ragged (4096 = 585 * 7 + 1,
 # 1234 = 176 * 7 + 2).
 SMALL_BLOCK = 4096
@@ -102,17 +105,11 @@ def generation_pool(signal, near, far=0):
 
 
 def full_pool_non_signal(clean_with, clean_without, config, signal_pair, candidates):
-    """Non-signal picks of both arms by argmin over the whole pool, repeats
-    included, on the whole-arm noise."""
-    sigma = noise_scale(config.mechanism)
-    stacked = np.stack(candidates)
-    classes = signal_classes(signal_pair, candidates)
-    count = 0
-    for arm, clean in enumerate((clean_with, clean_without)):
-        noisy = _noisy_matrix(np.stack(clean), sigma, config.n_sample, config.seed, arm)
-        picks = np.argmin(np.linalg.norm(noisy[:, None, :] - stacked[None], axis=2), axis=1)
-        count += int(np.count_nonzero(classes[picks] < 0))
-    return count
+    """Non-signal picks of both arms by the first maximum over the whole
+    pool, repeats included, on the whole-arm scores."""
+    return sum(int(np.count_nonzero(score_decisions(clean, config, arm, signal_pair=signal_pair,
+                                                    candidates=candidates) < 0))
+               for arm, clean in enumerate((clean_with, clean_without)))
 
 
 def audit_cell(task, threat, width=None):
@@ -235,6 +232,23 @@ class TestDecisionRules:
         # DP mean -0.2 against the pool {-1, +1} selects the target string
         picks = esa_select(np.array([[-0.2]]), PAIR_POOL)
         assert (signal_classes(ONE_D_PAIR, PAIR_POOL)[picks] == 1).tolist() == [True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_score_release_is_the_nearest_output(self, d, m, votes, seed):
+        # the first maximum of [0, s_1, ...] over the scores relative to the
+        # first output releases what the nearest-candidate search and the
+        # vote argmax release from the noisy aggregate itself
+        rng = np.random.default_rng(seed)
+        outputs = np.eye(d) if votes else rng.normal(0.0, 1.0, (m, d))
+        noisy = rng.normal(0.0, 1.0, (500, d))
+        columns, offsets = audit._score_space(outputs)
+        scores = np.einsum("ij,jk->ik", noisy, columns) + offsets
+        want = vote_select(noisy) if votes else esa_select(noisy, list(outputs))
+        if not columns.shape[1]:
+            return  # one output: every trial releases it, no score is drawn
+        assert audit._tally(scores, len(outputs)).tolist() == \
+            np.bincount(want, minlength=len(outputs)).tolist()
 
     def test_threshold_must_be_finite(self):
         # tau lies between or beside the statistics, so they must be finite
@@ -549,21 +563,21 @@ class TestBootstrapAudit:
     @pytest.mark.parametrize("threat", audit.THREAT_MODELS)
     @pytest.mark.parametrize("task", audit.TASKS)
     def test_deterministic_across_worker_counts(self, task, threat):
-        # streamed blocks give the report of the whole-arm path at any
+        # streamed blocks give the report of the whole-arm score path at any
         # worker count; generation black-box also picks non-signal candidates
         clean_with, clean_without, config, extra = audit_cell(task, threat)
         with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = [bootstrap_audit(clean_with, clean_without, config, workers=workers, **extra)
                        for workers in (1, 2, 8)]
-            full = bootstrap_audit_full_matrix(clean_with, clean_without, config, **extra)
+            full = bootstrap_audit_score_matrix(clean_with, clean_without, config, **extra)
         assert [report.to_json() for report in reports] == [full.to_json()] * 3
         assert 0 < full.counts.true_positives < config.n_sample
 
     def test_duplicate_heavy_pool_gives_the_full_pool_report(self):
         # the canary detector's zero-shot pool holds coin-flip copies of y1
         # and y0 (here y0 first); with repeated non-signal candidates 5 of
-        # its 19 rows are distinct, and the search runs over those alone
+        # its 19 rows are distinct, and the scores cover those alone
         clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
         signal = extra["signal_pair"]
         detector = CanaryDetector((signal.y0_embedding, signal.y1_embedding))
@@ -579,8 +593,8 @@ class TestBootstrapAudit:
                            for workers in (1, 2, 8)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                full = bootstrap_audit_full_matrix(clean_with, clean_without, config,
-                                                   signal_pair=signal, candidates=candidates)
+                full = bootstrap_audit_score_matrix(clean_with, clean_without, config,
+                                                    signal_pair=signal, candidates=candidates)
         assert [report.to_json() for report in reports] == [full.to_json()] * 3
         assert 0 < full.counts.true_positives < config.n_sample
         assert expected > 0
@@ -600,28 +614,22 @@ class TestBootstrapAudit:
     @pytest.mark.parametrize("threat", audit.THREAT_MODELS)
     @pytest.mark.parametrize("task", audit.TASKS)
     def test_ragged_chunks_give_the_full_matrix_report(self, task, threat, width):
-        # blocks released 7 rows at a time give the whole-arm report
+        # blocks released 7 rows at a time give the whole-arm score report:
+        # one column for white-box, a column per class or distinct pool row
+        # but the first for black-box (width - 1 votes, 9 candidates)
         clean_with, clean_without, config, extra = audit_cell(task, threat, width)
-        budget = RAGGED_CHUNK_ROWS * 8 * width
+        columns = 1 if threat == "white_box" else width - 1 if task == "classification" else 9
         with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK), \
-                mock.patch.object(audit, "_RELEASE_CHUNK_BYTES", budget), \
+                mock.patch.object(audit, "_RELEASE_CHUNK_BYTES", RAGGED_CHUNK_ROWS * 8 * columns), \
+                mock.patch.object(audit, "_release_scores", wraps=audit._release_scores) as spy, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = [bootstrap_audit(clean_with, clean_without, config, workers=workers, **extra)
                        for workers in (1, 2, 8)]
-            full = bootstrap_audit_full_matrix(clean_with, clean_without, config, **extra)
+            full = bootstrap_audit_score_matrix(clean_with, clean_without, config, **extra)
+        assert {call.args[2].size for call in spy.call_args_list} == {7, 1, 2}
         assert [report.to_json() for report in reports] == [full.to_json()] * 3
         assert 0 < full.counts.true_positives < config.n_sample
-
-    @pytest.mark.parametrize("width", [3, 16])
-    def test_noisy_samples_stack_ragged_chunks(self, width):
-        clean_with, _, config, _ = audit_cell("generation", "white_box", width)
-        with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK), \
-                mock.patch.object(audit, "_RELEASE_CHUNK_BYTES", RAGGED_CHUNK_ROWS * 8 * width):
-            got = generate_noisy_samples(clean_with, config, arm=0, workers=2)
-            want = _noisy_matrix(np.stack(clean_with), noise_scale(config.mechanism),
-                                 config.n_sample, config.seed, 0)
-        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 17), st.lists(st.integers(0, 40), max_size=8),
@@ -635,45 +643,48 @@ class TestBootstrapAudit:
         assert np.concatenate([np.empty((0, d)), *parts]).tobytes() == whole.tobytes()
 
     def test_scores_each_distinct_candidate_once(self):
-        # a pool of 19 rows, 5 of them distinct: every release call gets the
-        # 5, in the order of their first occurrences
+        # a pool of 19 rows, 5 of them distinct: the noise factor is built
+        # once per audit, over the 4 columns of the distinct rows after the
+        # first, in the order of their first occurrences
         clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
         signal = extra["signal_pair"]
         near = generation_pool(signal, near=3)[2:]
         candidates = [signal.y0_embedding, signal.y1_embedding, signal.y0_embedding,
                       *near, *near[::-1], *near, *[signal.y1_embedding] * 4]
-        pools = []
-        select = mechanisms.esa_select
-
-        def recording(noisy, candidates):
-            pools.append([row.tobytes() for row in candidates])
-            return select(noisy, candidates)
-
-        with mock.patch.object(mechanisms, "esa_select", recording), warnings.catch_warnings():
+        with mock.patch.object(mechanisms, "gaussian_score_factor",
+                               wraps=mechanisms.gaussian_score_factor) as spy, \
+                warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bootstrap_audit(clean_with, clean_without, replace(config, n_sample=100),
                             signal_pair=signal, candidates=candidates)
-        distinct = [row.tobytes() for row in (signal.y0_embedding, signal.y1_embedding, *near)]
-        assert pools and all(pool == distinct for pool in pools)
+        distinct = np.stack([signal.y0_embedding, signal.y1_embedding, *near])
+        assert spy.call_count == 1
+        assert spy.call_args.args[0].tobytes() == (distinct[1:] - distinct[0]).T.tobytes()
 
     def test_one_block_holds_its_rows_plus_three_chunks(self):
-        # a full (65536, 16) trial block, 8 MiB whole: besides its resampled
-        # row indices, the kernel holds the chunk its caller still reads,
-        # the next chunk's noise and its gathered clean rows
-        clean = np.random.default_rng(1).normal(size=(200, 16))
-        want = _noisy_matrix(clean, 0.7, 65536, 3, 0)
-        matches = []
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for start, chunk in audit._block_noise(clean, 0.7, 3, 0, 0, 65536):
-                matches.append(np.array_equal(chunk, want[start:start + len(chunk)]))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(matches) == 65536 * 16 * 8 // audit._RELEASE_CHUNK_BYTES and all(matches)
-        # the rows' int64 indices, and some KiB of interpreter bookkeeping
-        assert peak <= 65536 * 8 + 3 * audit._RELEASE_CHUNK_BYTES + (1 << 16)
+        # a one-block black-box generation audit: besides the block's int64
+        # row indices, the kernel holds a chunk of scores, its normals and
+        # the gathered clean scores, whatever the dimension or the pool;
+        # one d-wide block of noise would be 8 MiB at d = 16, 128 MiB at 256
+
+        def peak(d, pool_rows):
+            signal = SignalPair.synthetic(0.7476, d)
+            candidates = generation_pool(signal, near=pool_rows - 2)
+            config = generation_config("black_box", n_sample=audit._TRIAL_BLOCK)
+            clean_with = [(signal.y1_embedding + 7 * signal.y0_embedding) / 8.0]
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    bootstrap_audit(clean_with, [signal.y0_embedding], config, signal_pair=signal,
+                                    candidates=candidates)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = [peak(d, pool_rows) for d in (16, 256) for pool_rows in (2, 10)]
+        assert max(peaks) <= audit._TRIAL_BLOCK * 8 + 3 * audit._RELEASE_CHUNK_BYTES + (1 << 16)
+        assert max(peaks) - min(peaks) <= audit._RELEASE_CHUNK_BYTES
 
     @pytest.mark.parametrize("threat", audit.THREAT_MODELS)
     def test_one_block_memory_flat_in_dimension(self, threat):
@@ -728,7 +739,12 @@ class TestBootstrapAudit:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_signal_picks_warn_once_with_their_count(self, workers):
+        # the pair's midpoint is as near the first clean row as y0 is, so
+        # many trials release it
         clean_with, clean_without, config, extra = audit_cell("generation", "black_box")
+        signal = extra["signal_pair"]
+        midpoint = (signal.y1_embedding + signal.y0_embedding) / 2.0
+        extra["candidates"] = [*extra["candidates"], midpoint]
         with mock.patch.object(audit, "_TRIAL_BLOCK", SMALL_BLOCK):
             expected = full_pool_non_signal(clean_with, clean_without, config, **extra)
             threads = []
@@ -784,6 +800,64 @@ class TestBootstrapAudit:
         config = generation_config()
         with pytest.raises(ValueError):
             bootstrap_audit([np.zeros(4)], [np.zeros(4)], config)
+
+
+GATE_DIMENSIONS = (2, 16, 256)
+
+
+def gate_cell(task, threat, d):
+    """Fixed clean rows for one {task} x {threat} audit in d dimensions: d
+    classes of votes, or d-dimensional embeddings with, for black-box, a
+    pool of 10 distinct rows (9 score columns, more than d at d = 2)."""
+    if task == "classification":
+        mech = MechanismConfig(eps_theory=4.0, delta=1e-5, num_partitions=4)
+        config = AuditConfig(mechanism=mech, task=task, threat_model=threat, n_llm=2,
+                             n_sample=400_000, seed=13)
+        pad = (0,) * (d - 2)
+        return [(1, 3, *pad), (2, 2, *pad)], [(0, 4, *pad)], config, {}
+    clean_with, clean_without, config, extra = audit_cell(task, threat, d)
+    return clean_with, clean_without, replace(config, n_sample=400_000, seed=13), extra
+
+
+class TestScoreReleaseLaw:
+    """The score release against the release of the whole d-dimensional
+    aggregate, ``reference.dimensional_decisions``, at fixed clean rows:
+    white-box statistics agree by KS, black-box counts within binomial
+    error."""
+
+    @pytest.mark.parametrize("d", GATE_DIMENSIONS)
+    @pytest.mark.parametrize("task", audit.TASKS)
+    def test_whitebox_statistics(self, task, d):
+        from scipy.stats import ks_2samp
+
+        clean_with, clean_without, config, extra = gate_cell(task, "white_box", d)
+        with mock.patch.object(audit, "_sweep_in_place", wraps=audit._sweep_in_place) as spy:
+            bootstrap_audit(clean_with, clean_without, config, workers=2, **extra)
+        for arm, clean in enumerate((clean_with, clean_without)):
+            want = dimensional_decisions(clean, config, arm, **extra)
+            assert ks_2samp(spy.call_args.args[arm], want).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", GATE_DIMENSIONS)
+    @pytest.mark.parametrize("task", audit.TASKS)
+    def test_blackbox_counts(self, task, d):
+        clean_with, clean_without, config, extra = gate_cell(task, "black_box", d)
+        if task == "classification" and d == 256:
+            # 255 score columns cost more than the d-wide release itself
+            config = replace(config, n_sample=40_000)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            report = bootstrap_audit(clean_with, clean_without, config, workers=2, **extra)
+        non_signal = sum(int(str(w.message).split()[0]) for w in record)
+        arms = [dimensional_decisions(clean, config, arm, **extra)
+                for arm, clean in enumerate((clean_with, clean_without))]
+        n = config.n_sample
+        pairs = [(report.counts.true_positives, int(np.count_nonzero(arms[0] == 1)), n),
+                 (report.counts.false_positives, int(np.count_nonzero(arms[1] == 1)), n),
+                 (non_signal, sum(int(np.count_nonzero(arm < 0)) for arm in arms), 2 * n)]
+        for got, want, trials in pairs:
+            p = (got + want) / (2 * trials)
+            assert abs(got - want) <= 5 * math.sqrt(2 * trials * p * (1 - p)) + 3, (got, want)
+        assert report.counts.true_positives > report.counts.false_positives
 
 
 class TestRunAudit:

@@ -13,8 +13,10 @@ from dpicl_audit.gaussian_model import (
     write_sweep_csv,
 )
 from dpicl_audit.gdp import eps_from_mu_delta
-from dpicl_audit.mechanisms import gaussian_release, vote_select
+from dpicl_audit.mechanisms import gaussian_release
 from dpicl_audit.stats import std_normal_cdf
+
+from reference import vote_select
 
 
 def released_class_zero(counts, sigma, draws, rng):

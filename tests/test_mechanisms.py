@@ -16,17 +16,16 @@ from dpicl_audit.mechanisms import (
     aggregate,
     clip_to_unit,
     SENSITIVITY_MODES,
-    esa_select,
     esa_sensitivity,
     gaussian_release,
+    gaussian_score_factor,
     noise_scale,
-    vote_select,
     voting_noise_scale,
 )
 from dpicl_audit.oracles import CanaryDetector, OracleError, SignalPair, collect
 from dpicl_audit.stats import std_normal_cdf
 
-from reference import clip_one
+from reference import clip_one, esa_select, vote_select
 
 
 def make_context(n, canary_index=0, pad=False):
@@ -238,6 +237,36 @@ class TestGaussianRelease:
         assert got.shape == want.shape
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+class TestGaussianScoreFactor:
+    """The noise as the audit's linear scores see it: z @ A for
+    z ~ N(0, sigma^2 I_d) has the law of g @ F, g ~ N(0, I_r), exactly when
+    F^T F = sigma^2 A^T A."""
+
+    @pytest.mark.parametrize("d, columns", [(16, 1), (1, 1), (16, 2), (16, 9), (3, 9)],
+                             ids=["one", "one-1d", "two", "nine", "nine-over-d3"])
+    def test_gram_matrix_is_the_noise_covariance(self, d, columns):
+        a = np.random.default_rng(d * columns).normal(size=(d, columns))
+        factor = gaussian_score_factor(a, 0.7)
+        assert factor.shape == (min(d, columns), columns)
+        np.testing.assert_allclose(factor.T @ factor, 0.49 * (a.T @ a), rtol=0, atol=1e-12)
+
+    def test_one_column_is_sigma_times_its_norm(self):
+        # one normal per trial, scaled by sigma |a|; no BLAS call on this path
+        a = np.array([[3.0], [4.0]])
+        assert gaussian_score_factor(a, 0.5).tolist() == [[2.5]]
+
+    def test_vote_columns_in_score_space(self):
+        # class j against class 0 of three: the scores' noise covariance is
+        # sigma^2 (I + 1 1^T), variance 2 sigma^2 on each difference
+        a = np.eye(3)[1:].T - np.eye(3)[0][:, None]
+        factor = gaussian_score_factor(a, 2.0)
+        np.testing.assert_allclose(factor.T @ factor, [[8.0, 4.0], [4.0, 8.0]], atol=1e-12)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            gaussian_score_factor(np.ones((2, 1)), -1.0)
 
 
 class TestPrivateVote:
