@@ -110,7 +110,7 @@ def _emit_batch(config: dict, audit_cfg, pair, oracle, zero_shot: int = 0) -> in
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args.overrides)
+    config = load_run_config(args.config, args.overrides, args.command)
     oracle_cfg = config["oracle"]
     render_only = bool(oracle_cfg.get("emit_requests_only"))
     audit_cfg, _, pair, oracle = _build_run(config, render_only)
@@ -136,7 +136,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args.overrides)
+    config = load_run_config(args.config, args.overrides, args.command)
     render_only = bool(config["oracle"].get("emit_requests_only"))
     audit_cfg, signal_pair, pair, oracle = _build_run(config, render_only)
     if render_only:
@@ -159,10 +159,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 @_input_errors()
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args.overrides)
-    section = config.get("simulate")
-    if not section:
-        raise ConfigError("simulate needs a 'simulate' section")
+    config = load_run_config(args.config, args.overrides, args.command)
+    section = config["simulate"]
     rows = gaussian_model.sweep(
         T_values=section["T_values"],
         k_rule=section.get("k_rule", "all"),

@@ -1,20 +1,19 @@
-"""Run configuration: one YAML/JSON document, schema-validated before any work.
+"""Run configuration: one YAML/JSON document, checked before any work.
 
 Flags can override individual keys (``--set audit.seed=7``); the merged
-document is what gets validated and echoed into reports.
+document is what gets checked and echoed into reports. ``KEYS`` holds every
+key a config may have, section by section, with the type and range its value
+must have and whether it is required; a key it does not name is a mistake.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import os
-from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-import jsonschema
 import yaml
 
 from .audit import AuditConfig
@@ -79,22 +78,169 @@ DEFAULTS: dict = {
 }
 
 
-def load_schema() -> dict:
-    text = resources.files("dpicl_audit").joinpath("data/run_config.schema.json").read_text("utf-8")
-    return json.loads(text)
+class Key(NamedTuple):
+    """The check of one config value, with JSON Schema's meaning: an
+    ``integer`` may be an integral float, and no number is a bool. Bounds
+    are inclusive (``ge``, ``le``) or exclusive (``gt``, ``lt``)."""
+
+    type: Optional[str] = None
+    enum: tuple = ()
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+    lt: Optional[float] = None
+    min_items: int = 0
+    items: Optional["Key"] = None
+    required: bool = False
 
 
-@functools.cache
-def _schema_validator() -> jsonschema.protocols.Validator:
-    """The validator of the packaged schema, built once per process.
+_TYPES = {
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, (int, float)),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list),
+}
 
-    The schema is checked against its metaschema here, once, rather than on
-    every load as ``jsonschema.validate`` does; a broken schema still raises.
+_STRING, _BOOLEAN = Key("string"), Key("boolean")
+_PROBABILITY = Key("number", gt=0, lt=1)
+
+# Every key a config may have; a mapping is a section of further keys.
+KEYS: dict = {
+    "task": Key(enum=("classification", "generation")),
+    "threat_model": Key(enum=("black_box", "white_box")),
+    "mechanism": {
+        "eps_theory": Key("number", gt=0, required=True),
+        "delta": Key("number", gt=0, lt=1, required=True),
+        "num_partitions": Key("integer", ge=2, required=True),
+        "sensitivity_mode": Key(enum=("paper_voting", "esa_tight", "esa_legacy")),
+        "candidate_pool_size": Key("integer", ge=1),
+        "classic_calibration": _BOOLEAN,
+    },
+    "audit": {
+        "n_llm": Key("integer", ge=1, required=True),
+        "n_sample": Key("integer", ge=1),
+        "confidence": _PROBABILITY,
+        "delta_target": _PROBABILITY,
+        "seed": Key("integer", ge=0),
+        "workers": Key("integer", ge=1),
+    },
+    "oracle": {
+        "kind": Key(enum=("canary_detector", "replay", "responder_file", "responder_http"),
+                    required=True),
+        "flip_probability": Key("number", ge=0, le=0.5),
+        "classes": Key("array", min_items=2, items=_STRING),
+        "yes_index": Key("integer", ge=0),
+        "no_index": Key("integer", ge=0),
+        "records_path": _STRING,
+        "responses_path": _STRING,
+        "requests_log_path": _STRING,
+        "emit_requests_only": _BOOLEAN,
+        "endpoint": _STRING,
+        "auth_header": _STRING,
+        "auth_token_env": _STRING,
+        "template_id": _STRING,
+        "decode": {
+            "temperature": Key("number", ge=0),
+            "max_tokens": Key("integer", ge=1),
+        },
+        "retry_budget": Key("integer", ge=0),
+    },
+    "signal_pair": {
+        "distance": Key("number", gt=0, le=2, required=True),
+        "dimension": Key("integer", ge=2),
+        "from_catalog": _BOOLEAN,
+    },
+    "context": {
+        "num_exemplars": Key("integer", ge=2),
+        "file": _STRING,
+        "canary_index": Key("integer", ge=0),
+        "canary_text": _STRING,
+        "pad_to_partitions": _BOOLEAN,
+    },
+    "simulate": {
+        "T_values": Key("array", min_items=1, items=Key("integer", ge=1), required=True),
+        "k_rule": Key(enum=("extreme", "centered", "fixed", "all")),
+        "k_fixed": Key("integer", ge=0),
+        "b": Key("number", ge=0, le=1, required=True),
+        "sigma": Key("number", gt=0, required=True),
+        "delta_target": _PROBABILITY,
+    },
+    "output": {
+        "directory": _STRING,
+        "records": _STRING,
+        "report_json": _STRING,
+        "report_csv": _STRING,
+        "sweep_csv": _STRING,
+    },
+}
+
+# The sections each command reads whose required keys have no default.
+COMMAND_SECTIONS = {
+    "collect": ("mechanism", "audit"),
+    "audit": ("mechanism", "audit"),
+    "simulate": ("simulate",),
+}
+
+
+def _reject(path: str, message: str):
+    raise ConfigError(f"config violates the schema at {path}: {message}")
+
+
+def _check_value(value, key: Key, path: str) -> None:
+    """Reject one value that breaks its check, in JSON Schema's words."""
+    if key.enum and value not in key.enum:
+        _reject(path, f"{value!r} is not one of {list(key.enum)!r}")
+    if key.type and not _TYPES[key.type](value):
+        _reject(path, f"{value!r} is not of type {key.type!r}")
+    if key.ge is not None and value < key.ge:
+        _reject(path, f"{value!r} is less than the minimum of {key.ge!r}")
+    if key.gt is not None and value <= key.gt:
+        _reject(path, f"{value!r} is less than or equal to the minimum of {key.gt!r}")
+    if key.le is not None and value > key.le:
+        _reject(path, f"{value!r} is greater than the maximum of {key.le!r}")
+    if key.lt is not None and value >= key.lt:
+        _reject(path, f"{value!r} is greater than or equal to the maximum of {key.lt!r}")
+    if key.type == "array":
+        if len(value) < key.min_items:
+            _reject(path, f"{value!r} has fewer than {key.min_items} items")
+        for index, item in enumerate(value):
+            _check_value(item, key.items, f"{path}/{index}")
+
+
+def _check_section(node: dict, keys: dict, path: str) -> None:
+    """Reject the first key of ``node`` that ``keys`` does not name or whose
+    value breaks its check."""
+    for name, value in node.items():
+        where = f"{path}/{name}" if path else str(name)
+        key = keys.get(name)
+        if key is None:
+            _reject(where, "unknown key")
+        if not isinstance(key, dict):
+            _check_value(value, key, where)
+        elif isinstance(value, dict):
+            _check_section(value, key, where)
+        else:
+            _reject(where, f"{value!r} is not of type 'object'")
+
+
+def _check_config(config: dict, command: str, written: list) -> None:
+    """Raise ConfigError at the first key of ``config`` that ``KEYS`` does not
+    name, whose value breaks its check, or that is required and missing.
+
+    A section's required keys must be there when ``command`` reads the
+    section or the config writes it (``written``, the top-level keys the
+    document and its overrides set), so a section only ``DEFAULTS`` supplies
+    holds no command to keys it never reads.
     """
-    schema = load_schema()
-    validator_class = jsonschema.validators.validator_for(schema)
-    validator_class.check_schema(schema)
-    return validator_class(schema)
+    _check_section(config, KEYS, "")
+    for section in (*COMMAND_SECTIONS[command], *written):
+        keys = KEYS[section]
+        if isinstance(keys, dict):
+            for name, key in keys.items():
+                if isinstance(key, Key) and key.required and name not in config.get(section, {}):
+                    _reject(f"{section}/{name}", "a required key is missing")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -108,7 +254,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def apply_override(config: dict, assignment: str) -> None:
-    """Apply one ``dotted.key=value`` override in place; values parse as YAML."""
+    """Apply one ``dotted.key=value`` override in place; values parse as YAML.
+    Returns the top-level key it sets."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key.path=value")
     dotted, raw = assignment.split("=", 1)
@@ -125,10 +272,13 @@ def apply_override(config: dict, assignment: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-mapping node")
     node[keys[-1]] = value
+    return keys[0]
 
 
-def load_run_config(path: str | Path, overrides: Optional[list[str]] = None) -> dict:
-    """Read, merge with defaults, apply overrides, validate. Raises ConfigError."""
+def load_run_config(path: str | Path, overrides: Optional[list[str]] = None,
+                    command: str = "audit") -> dict:
+    """Read, merge with defaults, apply overrides, and check for ``command``
+    (see ``_check_config``). Raises ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -143,11 +293,10 @@ def load_run_config(path: str | Path, overrides: Optional[list[str]] = None) -> 
     # a copy: an override of a section the document leaves out must not
     # write into DEFAULTS, which every later load in the process reads
     merged = _deep_merge(copy.deepcopy(DEFAULTS), document)
+    written = list(document)
     for assignment in overrides or []:
-        apply_override(merged, assignment)
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(merged))
-    if error is not None:
-        raise ConfigError(f"config violates the schema at {'/'.join(map(str, error.path))}: {error.message}") from error
+        written.append(apply_override(merged, assignment))
+    _check_config(merged, command, written)
     return merged
 
 

@@ -4,9 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
-import jsonschema
 import pytest
 import yaml
 
@@ -36,6 +34,113 @@ def write_config(tmp_path, name="run.yaml", **overrides):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(config))
     return path
+
+
+def config_writing_every_section(tmp_path) -> dict:
+    """A valid config for every command that writes each section of
+    ``config.KEYS`` with its required keys."""
+    path = write_config(tmp_path, oracle={"kind": "canary_detector", "decode": {}},
+                        signal_pair={"distance": 0.7476},
+                        simulate={"T_values": [2], "b": 1.0, "sigma": 2.0})
+    return yaml.safe_load(path.read_text())
+
+
+# a required key left out of the document, or of a section an override
+# replaces whole, which is how a key that DEFAULTS supplies goes missing
+MISSING, REPLACED = "missing", "replaced"
+
+# a value of another type than each key's, bools for numbers included
+WRONG_TYPES = {"integer": [1.5, True, "1"], "number": [True, "1"], "string": [1],
+               "boolean": [1, "true"], "array": ["yes"], None: ["nope", 1]}
+VALID_ITEMS = {"string": "yes", "integer": 2}
+
+
+def _leaves(keys=config_module.KEYS, path=()):
+    for name, key in keys.items():
+        if isinstance(key, dict):
+            yield from _leaves(key, path + (name,))
+        else:
+            yield path + (name,), key
+
+
+def _sections(keys=config_module.KEYS, path=()):
+    yield path
+    for name, key in keys.items():
+        if isinstance(key, dict):
+            yield from _sections(key, path + (name,))
+
+
+def _bounds(key, outside):
+    """A value on each bound of ``key``, or just outside each: an inclusive
+    bound is inside, an exclusive one outside, and a step is 1 for integers
+    and one float otherwise."""
+    for bound, inclusive, out in [(key.ge, True, -1), (key.gt, False, -1),
+                                  (key.le, True, 1), (key.lt, False, 1)]:
+        if bound is None:
+            continue
+        if inclusive != outside:
+            yield bound
+        else:
+            way = out if outside else -out
+            yield bound + way if key.type == "integer" else math.nextafter(bound, way * math.inf)
+
+
+def _key_values(outside):
+    """(path, value, path checked) on or just outside each bound of each
+    key in config.KEYS; a list's items are checked in a list of one."""
+    for path, key in _leaves():
+        where = "/".join(path)
+        for value in _bounds(key, outside):
+            yield path, value, where
+        if key.items is not None:
+            for value in _bounds(key.items, outside):
+                yield path, [value] * max(key.min_items, 1), where + "/0"
+
+
+def rejected_values():
+    """Each (command, path, value, path reported) must exit 2: a wrong type,
+    each bound just outside, too few items, an unknown key at each level,
+    and each required key missing, for every command."""
+    for path, key in _leaves():
+        where = "/".join(path)
+        for value in WRONG_TYPES[key.type]:
+            yield "audit", path, value, where
+        if key.items is not None:
+            for value in WRONG_TYPES[key.items.type]:
+                yield "audit", path, [value] * max(key.min_items, 1), where + "/0"
+            yield "audit", path, [VALID_ITEMS[key.items.type]] * (key.min_items - 1), where
+    yield from (("audit", *case) for case in _key_values(outside=True))
+    for path in _sections():
+        yield "audit", path + ("bogus",), 1, "/".join(path + ("bogus",))
+        if path:
+            yield "audit", path, 5, "/".join(path)
+    for command in config_module.COMMAND_SECTIONS:
+        for path, key in _leaves():
+            if key.required:
+                yield command, path, REPLACED, "/".join(path)
+                if path[-1] not in config_module.DEFAULTS.get(path[0], {}):
+                    yield command, path, MISSING, "/".join(path)
+
+
+def mutated_config(tmp_path, path, value) -> list[str]:
+    """The arguments that load the config writing every section with the
+    key at ``path`` set to ``value``, or left out (MISSING, REPLACED)."""
+    doc = config_writing_every_section(tmp_path)
+    *sections, key = path
+    node = doc
+    for section in sections:
+        node = node[section]
+    overrides = []
+    if value is REPLACED:
+        rest = {name: item for name, item in node.items() if name != key}
+        overrides = ["--set", f"{'.'.join(sections)}={yaml.safe_dump(rest, default_flow_style=True)}"]
+    elif value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    config_path = tmp_path / "mutated.yaml"
+    config_path.write_text(yaml.safe_dump(doc))
+    return ["--config", str(config_path), *overrides]
 
 
 class TestConvert:
@@ -148,10 +253,6 @@ class TestConfigHandling:
         assert "config error: cannot parse override value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_packaged_schema_passes_its_metaschema(self):
-        schema = config_module.load_schema()
-        jsonschema.validators.validator_for(schema).check_schema(schema)
-
     def test_schema_violation_message(self, tmp_path):
         path = write_config(tmp_path, audit={"n_llm": 20, "confidence": 2})
         with pytest.raises(config_module.ConfigError) as info:
@@ -159,15 +260,25 @@ class TestConfigHandling:
         assert str(info.value) == ("config violates the schema at audit/confidence: "
                                    "2 is greater than or equal to the maximum of 1")
 
-    def test_broken_packaged_schema_raises(self, tmp_path):
-        path = write_config(tmp_path)
-        config_module._schema_validator.cache_clear()
-        try:
-            with mock.patch.object(config_module, "load_schema", return_value={"type": 12}):
-                with pytest.raises(jsonschema.SchemaError):
-                    config_module.load_run_config(path)
-        finally:
-            config_module._schema_validator.cache_clear()
+    @pytest.mark.parametrize("command, path, value, where", [
+        pytest.param(*case, id=f"{case[0]}-{case[3]}-{case[2]!r}") for case in rejected_values()])
+    def test_rejected_value_exits_2(self, tmp_path, capsys, command, path, value, where):
+        assert main([command, *mutated_config(tmp_path, path, value)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config violates the schema at {where}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{where}-{value!r}")
+        for path, value, where in _key_values(outside=False)])
+    def test_value_on_its_bound_is_accepted(self, tmp_path, path, value):
+        _, config_path = mutated_config(tmp_path, path, value)
+        for command in config_module.COMMAND_SECTIONS:
+            config_module.load_run_config(config_path, command=command)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        path = write_config(tmp_path, audit={"n_llm": 20, "seed": 7.0})
+        assert config_module.load_run_config(path)["audit"]["seed"] == 7.0
 
     def test_start_up_does_not_import_requests(self, tmp_path):
         # only the HTTP responder transport needs requests, and it imports it
@@ -176,11 +287,11 @@ class TestConfigHandling:
         script = ("import sys\n"
                   "from dpicl_audit import cli, config\n"
                   f"config.load_run_config({str(path)!r})\n"
-                  "print('requests' in sys.modules)\n")
+                  "print('requests' in sys.modules, 'jsonschema' in sys.modules)\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
 
     def test_audits_do_not_import_scipy_optimize(self, tmp_path):
         # importing scipy.optimize costs about 0.2 s, several times a small
@@ -665,6 +776,20 @@ class TestSimulate:
     def test_missing_section(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_simulate_only_config(self, tmp_path, capsys):
+        # no mechanism or audit section: simulate reads neither
+        path = tmp_path / "simulate.yaml"
+        path.write_text(yaml.safe_dump({"simulate": {"T_values": [4], "b": 1.0, "sigma": 2.0},
+                                        "output": {"directory": str(tmp_path / "out")}}))
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + 4
+        capsys.readouterr()
+        (tmp_path / "out" / "sweep.csv").unlink()
+        assert main(["audit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: config violates the schema at "
+                                           "mechanism/eps_theory: a required key is missing\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("section, message", [
         ({"k_rule": "fixed"}, "k_rule 'fixed' needs k_fixed"),

@@ -22,7 +22,6 @@ def load(name):
                                  "--workers", "1"], 2),
     ("generation_distance_sweep", ["--eps", "8", "--distances", "0.7476", "--n-llm", "20",
                                    "--n-sample", "2000", "--workers", "1"], 1),
-    ("vote_channel_sweep", ["--T", "2", "4"], 2 + 4),
 ])
 def test_script_main_writes_its_table(tmp_path, capsys, name, argv, rows):
     out = tmp_path / f"{name}.csv"
