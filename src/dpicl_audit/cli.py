@@ -111,8 +111,7 @@ def _emit_batch(config: dict, audit_cfg, pair, oracle, zero_shot: int = 0) -> in
 
 def cmd_collect(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides, args.command)
-    oracle_cfg = config["oracle"]
-    render_only = bool(oracle_cfg.get("emit_requests_only"))
+    render_only = config["oracle"].get("emit_requests_only")
     audit_cfg, _, pair, oracle = _build_run(config, render_only)
     if render_only:
         return _emit_batch(config, audit_cfg, pair, oracle)
@@ -123,8 +122,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
         oracle, pair, config["context"]["canary_text"],
         audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,
         seed=audit_cfg.seed, records_path=records_path,
-        workers=int(config["audit"]["workers"]),
-        retry_budget=int(oracle_cfg["retry_budget"]),
+        workers=config["audit"]["workers"],
+        retry_budget=config["oracle"]["retry_budget"],
     )
     n_with = len(collection.clean_with)
     n_without = len(collection.clean_without)
@@ -137,7 +136,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides, args.command)
-    render_only = bool(config["oracle"].get("emit_requests_only"))
+    render_only = config["oracle"].get("emit_requests_only")
     audit_cfg, signal_pair, pair, oracle = _build_run(config, render_only)
     if render_only:
         return _emit_batch(config, audit_cfg, pair, oracle, zero_shot_calls(audit_cfg, oracle))
@@ -145,8 +144,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit(
         audit_cfg, oracle, pair, config["context"]["canary_text"],
         signal_pair=signal_pair,
-        workers=int(config["audit"]["workers"]),
-        retry_budget=int(config["oracle"]["retry_budget"]),
+        workers=config["audit"]["workers"],
+        retry_budget=config["oracle"]["retry_budget"],
     )
     json_path = output_path(config, "report_json")
     json_path.write_text(report.to_json(), encoding="utf-8")
@@ -160,15 +159,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 @_input_errors()
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides, args.command)
-    section = config["simulate"]
-    rows = gaussian_model.sweep(
-        T_values=section["T_values"],
-        k_rule=section.get("k_rule", "all"),
-        b=float(section["b"]),
-        sigma=float(section["sigma"]),
-        delta_target=float(section.get("delta_target", DEFAULT_DELTA_TARGET)),
-        k_fixed=section.get("k_fixed"),
-    )
+    rows = gaussian_model.sweep(**config["simulate"])
     path = output_path(config, "sweep_csv")
     gaussian_model.write_sweep_csv(rows, path)
     print(f"wrote {len(rows)} sweep rows to {path}")

@@ -1,14 +1,15 @@
 """Run configuration: one YAML/JSON document, checked before any work.
 
-Flags can override individual keys (``--set audit.seed=7``); the merged
-document is what gets checked and echoed into reports. ``KEYS`` holds every
-key a config may have, section by section, with the type and range its value
-must have and whether it is required; a key it does not name is a mistake.
+Flags can override individual keys (``--set audit.seed=7``); the document
+with its overrides is what gets checked. ``KEYS`` holds every key a config
+may have, section by section, with the type and range its value must have,
+its default and whether it is required; a key it does not name is a
+mistake. A checked config holds each value cast to its key's type and each
+key it leaves out at its default.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from pathlib import Path
@@ -16,8 +17,10 @@ from typing import NamedTuple, Optional
 
 import yaml
 
-from .audit import AuditConfig
-from .mechanisms import Exemplar, MechanismConfig, NeighboringPair
+from .audit import TASKS, THREAT_MODELS, AuditConfig
+from .gaussian_model import K_RULES
+from .gdp import DEFAULT_DELTA_TARGET
+from .mechanisms import SENSITIVITY_MODES, Exemplar, MechanismConfig, NeighboringPair
 from .oracles import (
     CanaryDetector,
     FileTransport,
@@ -38,50 +41,13 @@ class ConfigError(Exception):
     """The run configuration is unusable; nothing was computed."""
 
 
-DEFAULTS: dict = {
-    "task": "classification",
-    "threat_model": "white_box",
-    "mechanism": {
-        "sensitivity_mode": "paper_voting",
-        "candidate_pool_size": 10,
-        "classic_calibration": False,
-    },
-    "audit": {
-        "n_sample": 400_000,
-        "confidence": 0.95,
-        "delta_target": 1e-5,
-        "seed": 0,
-        "workers": 1,
-    },
-    "oracle": {
-        "kind": "canary_detector",
-        "flip_probability": 0.0,
-        "classes": ["yes", "no"],
-        "yes_index": 0,
-        "no_index": 1,
-        "retry_budget": 0,
-        "decode": {"temperature": 0.0, "max_tokens": 16},
-    },
-    "context": {
-        "num_exemplars": 8,
-        "canary_index": 0,
-        "canary_text": "the canary exemplar under audit",
-        "pad_to_partitions": False,
-    },
-    "output": {
-        "directory": "out",
-        "records": "records.jsonl",
-        "report_json": "report.json",
-        "report_csv": "reports.csv",
-        "sweep_csv": "sweep.csv",
-    },
-}
-
-
 class Key(NamedTuple):
     """The check of one config value, with JSON Schema's meaning: an
     ``integer`` may be an integral float, and no number is a bool. Bounds
-    are inclusive (``ge``, ``le``) or exclusive (``gt``, ``lt``)."""
+    are inclusive (``ge``, ``le``) or exclusive (``gt``, ``lt``). A loaded
+    config holds an ``integer`` as an int and a ``number`` as a float, and
+    ``default`` where the key is left out; a key with neither a default nor
+    ``required`` is optional."""
 
     type: Optional[str] = None
     enum: tuple = ()
@@ -92,6 +58,7 @@ class Key(NamedTuple):
     min_items: int = 0
     items: Optional["Key"] = None
     required: bool = False
+    default: object = None
 
 
 _TYPES = {
@@ -103,76 +70,77 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
 }
 
-_STRING, _BOOLEAN = Key("string"), Key("boolean")
-_PROBABILITY = Key("number", gt=0, lt=1)
+_CASTS = {"integer": int, "number": float}
+
+_STRING = Key("string")
 
 # Every key a config may have; a mapping is a section of further keys.
 KEYS: dict = {
-    "task": Key(enum=("classification", "generation")),
-    "threat_model": Key(enum=("black_box", "white_box")),
+    "task": Key(enum=TASKS, default="classification"),
+    "threat_model": Key(enum=THREAT_MODELS, default="white_box"),
     "mechanism": {
         "eps_theory": Key("number", gt=0, required=True),
         "delta": Key("number", gt=0, lt=1, required=True),
         "num_partitions": Key("integer", ge=2, required=True),
-        "sensitivity_mode": Key(enum=("paper_voting", "esa_tight", "esa_legacy")),
-        "candidate_pool_size": Key("integer", ge=1),
-        "classic_calibration": _BOOLEAN,
+        "sensitivity_mode": Key(enum=tuple(SENSITIVITY_MODES), default="paper_voting"),
+        "candidate_pool_size": Key("integer", ge=1, default=10),
+        "classic_calibration": Key("boolean", default=False),
     },
     "audit": {
         "n_llm": Key("integer", ge=1, required=True),
-        "n_sample": Key("integer", ge=1),
-        "confidence": _PROBABILITY,
-        "delta_target": _PROBABILITY,
-        "seed": Key("integer", ge=0),
-        "workers": Key("integer", ge=1),
+        "n_sample": Key("integer", ge=1, default=400_000),
+        "confidence": Key("number", gt=0, lt=1, default=0.95),
+        "delta_target": Key("number", gt=0, lt=1, default=DEFAULT_DELTA_TARGET),
+        "seed": Key("integer", ge=0, default=0),
+        "workers": Key("integer", ge=1, default=1),
     },
     "oracle": {
         "kind": Key(enum=("canary_detector", "replay", "responder_file", "responder_http"),
-                    required=True),
-        "flip_probability": Key("number", ge=0, le=0.5),
-        "classes": Key("array", min_items=2, items=_STRING),
-        "yes_index": Key("integer", ge=0),
-        "no_index": Key("integer", ge=0),
+                    default="canary_detector"),
+        "flip_probability": Key("number", ge=0, le=0.5, default=0.0),
+        "classes": Key("array", min_items=2, items=_STRING, default=["yes", "no"]),
+        "yes_index": Key("integer", ge=0, default=0),
+        "no_index": Key("integer", ge=0, default=1),
         "records_path": _STRING,
         "responses_path": _STRING,
         "requests_log_path": _STRING,
-        "emit_requests_only": _BOOLEAN,
+        "emit_requests_only": Key("boolean"),
         "endpoint": _STRING,
         "auth_header": _STRING,
         "auth_token_env": _STRING,
         "template_id": _STRING,
         "decode": {
-            "temperature": Key("number", ge=0),
-            "max_tokens": Key("integer", ge=1),
+            "temperature": Key("number", ge=0, default=0.0),
+            "max_tokens": Key("integer", ge=1, default=16),
         },
-        "retry_budget": Key("integer", ge=0),
+        "retry_budget": Key("integer", ge=0, default=0),
     },
     "signal_pair": {
         "distance": Key("number", gt=0, le=2, required=True),
-        "dimension": Key("integer", ge=2),
-        "from_catalog": _BOOLEAN,
+        "dimension": Key("integer", ge=2, default=16),
+        "from_catalog": Key("boolean", default=True),
     },
     "context": {
-        "num_exemplars": Key("integer", ge=2),
+        "num_exemplars": Key("integer", ge=2, default=8),
         "file": _STRING,
-        "canary_index": Key("integer", ge=0),
-        "canary_text": _STRING,
-        "pad_to_partitions": _BOOLEAN,
+        "canary_index": Key("integer", ge=0, default=0),
+        "canary_text": Key("string", default="the canary exemplar under audit"),
+        "pad_to_partitions": Key("boolean", default=False),
     },
     "simulate": {
         "T_values": Key("array", min_items=1, items=Key("integer", ge=1), required=True),
-        "k_rule": Key(enum=("extreme", "centered", "fixed", "all")),
+        "k_rule": Key(enum=K_RULES, default="all"),
         "k_fixed": Key("integer", ge=0),
         "b": Key("number", ge=0, le=1, required=True),
         "sigma": Key("number", gt=0, required=True),
-        "delta_target": _PROBABILITY,
+        "delta_target": Key("number", gt=0, lt=1, default=DEFAULT_DELTA_TARGET),
     },
     "output": {
-        "directory": _STRING,
-        "records": _STRING,
-        "report_json": _STRING,
-        "report_csv": _STRING,
-        "sweep_csv": _STRING,
+        "directory": Key("string", default="out"),
+        "records": Key("string", default="records.jsonl"),
+        "report_json": Key("string", default="report.json"),
+        "report_csv": Key("string", default="reports.csv"),
+        "sweep_csv": Key("string", default="sweep.csv"),
     },
 }
 
@@ -225,17 +193,16 @@ def _check_section(node: dict, keys: dict, path: str) -> None:
             _reject(where, f"{value!r} is not of type 'object'")
 
 
-def _check_config(config: dict, command: str, written: list) -> None:
+def _check_config(config: dict, command: str) -> None:
     """Raise ConfigError at the first key of ``config`` that ``KEYS`` does not
     name, whose value breaks its check, or that is required and missing.
 
     A section's required keys must be there when ``command`` reads the
-    section or the config writes it (``written``, the top-level keys the
-    document and its overrides set), so a section only ``DEFAULTS`` supplies
+    section or the config writes it, so a section the config leaves out
     holds no command to keys it never reads.
     """
     _check_section(config, KEYS, "")
-    for section in (*COMMAND_SECTIONS[command], *written):
+    for section in (*COMMAND_SECTIONS[command], *config):
         keys = KEYS[section]
         if isinstance(keys, dict):
             for name, key in keys.items():
@@ -243,19 +210,29 @@ def _check_config(config: dict, command: str, written: list) -> None:
                     _reject(f"{section}/{name}", "a required key is missing")
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
+def _cast(value, key: Key):
+    if key.type == "array":
+        return [_cast(item, key.items) for item in value]
+    cast = _CASTS.get(key.type)
+    return value if cast is None else cast(value)
+
+
+def _fill(node: dict, keys: dict) -> None:
+    """Cast each value of a checked ``node`` to its key's type and add each
+    key it leaves out that has a default. A section with a required key is
+    added only when the config writes it."""
+    for name, key in keys.items():
+        if isinstance(key, dict):
+            if name in node or not any(isinstance(k, Key) and k.required for k in key.values()):
+                _fill(node.setdefault(name, {}), key)
+        elif name in node:
+            node[name] = _cast(node[name], key)
+        elif key.default is not None:
+            node[name] = _cast(key.default, key)
 
 
 def apply_override(config: dict, assignment: str) -> None:
-    """Apply one ``dotted.key=value`` override in place; values parse as YAML.
-    Returns the top-level key it sets."""
+    """Apply one ``dotted.key=value`` override in place; values parse as YAML."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key.path=value")
     dotted, raw = assignment.split("=", 1)
@@ -272,61 +249,36 @@ def apply_override(config: dict, assignment: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-mapping node")
     node[keys[-1]] = value
-    return keys[0]
 
 
 def load_run_config(path: str | Path, overrides: Optional[list[str]] = None,
                     command: str = "audit") -> dict:
-    """Read, merge with defaults, apply overrides, and check for ``command``
-    (see ``_check_config``). Raises ConfigError."""
+    """Read, apply overrides, check for ``command`` (see ``_check_config``),
+    and cast and fill in the defaults (see ``_fill``). Raises ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        document = yaml.load(path.read_text("utf-8"), Loader=_YAML_LOADER)
+        config = yaml.load(path.read_text("utf-8"), Loader=_YAML_LOADER)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from exc
-    if document is None:
-        document = {}
-    if not isinstance(document, dict):
+    if config is None:
+        config = {}
+    if not isinstance(config, dict):
         raise ConfigError("config document must be a mapping")
-    # a copy: an override of a section the document leaves out must not
-    # write into DEFAULTS, which every later load in the process reads
-    merged = _deep_merge(copy.deepcopy(DEFAULTS), document)
-    written = list(document)
     for assignment in overrides or []:
-        written.append(apply_override(merged, assignment))
-    _check_config(merged, command, written)
-    return merged
-
-
-def build_mechanism_config(config: dict) -> MechanismConfig:
-    mech = config["mechanism"]
-    return MechanismConfig(
-        eps_theory=float(mech["eps_theory"]),
-        delta=float(mech["delta"]),
-        num_partitions=int(mech["num_partitions"]),
-        sensitivity_mode=mech["sensitivity_mode"],
-        candidate_pool_size=int(mech["candidate_pool_size"]),
-        classic_calibration=bool(mech["classic_calibration"]),
-    )
+        apply_override(config, assignment)
+    _check_config(config, command)
+    _fill(config, KEYS)
+    return config
 
 
 def build_audit_config(config: dict) -> AuditConfig:
-    audit = config["audit"]
+    audit = {name: value for name, value in config["audit"].items() if name != "workers"}
     oracle = config["oracle"]
-    return AuditConfig(
-        mechanism=build_mechanism_config(config),
-        task=config["task"],
-        threat_model=config["threat_model"],
-        n_llm=int(audit["n_llm"]),
-        n_sample=int(audit["n_sample"]),
-        confidence=float(audit["confidence"]),
-        delta_target=float(audit["delta_target"]),
-        seed=int(audit["seed"]),
-        yes_index=int(oracle["yes_index"]),
-        no_index=int(oracle["no_index"]),
-    )
+    return AuditConfig(mechanism=MechanismConfig(**config["mechanism"]), task=config["task"],
+                       threat_model=config["threat_model"], **audit,
+                       yes_index=oracle["yes_index"], no_index=oracle["no_index"])
 
 
 def load_context_exemplars(config: dict) -> list[Exemplar]:
@@ -350,7 +302,7 @@ def load_context_exemplars(config: dict) -> list[Exemplar]:
         if len(exemplars) < 2:
             raise ConfigError("context file must hold at least two exemplars")
         return exemplars
-    n = int(ctx["num_exemplars"])
+    n = ctx["num_exemplars"]
     return [Exemplar(text_in=f"reference exemplar input {i}", text_out=f"reference output {i}")
             for i in range(n)]
 
@@ -361,9 +313,9 @@ def build_neighboring_pair(config: dict) -> NeighboringPair:
     partitions."""
     ctx = config["context"]
     canary = Exemplar(text_in=ctx["canary_text"], text_out="canary output")
-    pair = NeighboringPair(load_context_exemplars(config), canary, int(ctx["canary_index"]),
+    pair = NeighboringPair(load_context_exemplars(config), canary, ctx["canary_index"],
                            pad=ctx["pad_to_partitions"])
-    pair.partitions(int(config["mechanism"]["num_partitions"]))
+    pair.partitions(config["mechanism"]["num_partitions"])
     return pair
 
 
@@ -373,9 +325,8 @@ def build_signal_pair(config: dict) -> Optional[SignalPair]:
         if config["task"] == "generation":
             raise ConfigError("generation audits need a signal_pair section")
         return None
-    distance = float(section["distance"])
-    dimension = int(section.get("dimension", 16))
-    if section.get("from_catalog", True):
+    distance, dimension = section["distance"], section["dimension"]
+    if section["from_catalog"]:
         try:
             return SignalPair.from_catalog(distance, dimension)
         except KeyError:
@@ -395,7 +346,7 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: b
     kind = "render_only" if render_only else oracle_cfg["kind"]
     if config["task"] == "classification":
         # checked before any kind is built, so no oracle is ever called
-        index = max(int(oracle_cfg["yes_index"]), int(oracle_cfg["no_index"]))
+        index = max(oracle_cfg["yes_index"], oracle_cfg["no_index"])
         if index >= len(oracle_cfg["classes"]):
             raise ConfigError(f"class index {index} is outside the "
                               f"{len(oracle_cfg['classes'])} oracle.classes")
@@ -411,7 +362,7 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: b
     if config["task"] == "classification":
         classes = oracle_cfg["classes"]
         num_classes, markers, template_id = len(classes), {}, "audit_classification"
-        answers = (int(oracle_cfg["no_index"]), int(oracle_cfg["yes_index"]))
+        answers = (oracle_cfg["no_index"], oracle_cfg["yes_index"])
         replies = {label: classes.index(label) for label in classes}  # a label's first index
     else:
         num_classes, template_id = None, "audit_generation_blackbox"
@@ -420,7 +371,7 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: b
         replies = {signal_pair.y0_text: answers[0], signal_pair.y1_text: answers[1]}
 
     if kind == "canary_detector":
-        return CanaryDetector(answers, num_classes, float(oracle_cfg["flip_probability"]))
+        return CanaryDetector(answers, num_classes, oracle_cfg["flip_probability"])
     if kind == "render_only":
         transport = None
     elif kind == "responder_file":
@@ -429,7 +380,7 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: b
             raise ConfigError("file responder needs oracle.responses_path")
         if not Path(responses).exists():
             raise ConfigError(f"responses file not found: {responses}")
-        if int(config["audit"]["workers"]) != 1:
+        if config["audit"]["workers"] != 1:
             # the batch file serves responses positionally; parallel
             # collection would scramble the request/response alignment
             raise ConfigError("file responders require audit.workers = 1")
@@ -446,8 +397,7 @@ def build_oracle(config: dict, signal_pair: Optional[SignalPair], render_only: b
     decode = oracle_cfg["decode"]
     return Responder(transport, oracle_cfg.get("template_id", template_id), replies,
                      config["context"]["canary_text"], num_classes, markers,
-                     temperature=float(decode["temperature"]),
-                     max_tokens=int(decode["max_tokens"]))
+                     temperature=decode["temperature"], max_tokens=decode["max_tokens"])
 
 
 def output_path(config: dict, key: str) -> Path:

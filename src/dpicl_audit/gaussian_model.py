@@ -52,11 +52,17 @@ class VotePattern:
             raise ValueError("sigma must be positive")
 
 
-def analytic_rates(pattern: VotePattern) -> tuple[float, float]:
-    """Exact (TPR, FPR) of the sign test on the noisy vote difference."""
+def _margins(pattern: VotePattern) -> tuple[float, float]:
+    """The sign test's standardized margins (x1, x0): TPR = Phi(x1), FPR = Phi(x0)."""
     scale = _SQRT2 * pattern.sigma
     x1 = (2 * pattern.k - pattern.num_partitions) / scale
     x0 = (2 * pattern.k - pattern.num_partitions - 2 * pattern.b) / scale
+    return x1, x0
+
+
+def analytic_rates(pattern: VotePattern) -> tuple[float, float]:
+    """Exact (TPR, FPR) of the sign test on the noisy vote difference."""
+    x1, x0 = _margins(pattern)
     return std_normal_cdf(x1), std_normal_cdf(x0)
 
 
@@ -71,9 +77,7 @@ def mu_gauss(b: float, sigma: float) -> float:
 
 def eps_emp_analytic(pattern: VotePattern) -> float:
     """Exact ln(TPR/FPR), evaluated in log space so deep tails stay exact."""
-    scale = _SQRT2 * pattern.sigma
-    x1 = (2 * pattern.k - pattern.num_partitions) / scale
-    x0 = (2 * pattern.k - pattern.num_partitions - 2 * pattern.b) / scale
+    x1, x0 = _margins(pattern)
     return log_std_normal_cdf(x1) - log_std_normal_cdf(x0)
 
 

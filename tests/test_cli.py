@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,10 +10,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dpicl_audit import cli
+from dpicl_audit import cli, gaussian_model
 from dpicl_audit import config as config_module
-from dpicl_audit.audit import run_audit
+from dpicl_audit.audit import AuditConfig, run_audit
 from dpicl_audit.cli import main
+from dpicl_audit.mechanisms import MechanismConfig
 from dpicl_audit.oracles import SignalPair
 
 from reference import read_records, record_lines, scale_canary_partition
@@ -36,6 +39,45 @@ def write_config(tmp_path, name="run.yaml", **overrides):
     return path
 
 
+# the keys a collect or audit config must write
+REQUIRED_ONLY = {"mechanism": {"eps_theory": 2, "delta": 1e-5, "num_partitions": 4},
+                 "audit": {"n_llm": 20}}
+
+# what REQUIRED_ONLY loads to: every default, each an int, float, bool, str
+# or list as the run objects take it
+LOADED_DEFAULTS = {
+    "task": "classification",
+    "threat_model": "white_box",
+    "mechanism": {"sensitivity_mode": "paper_voting", "candidate_pool_size": 10,
+                  "classic_calibration": False, "delta": 1e-05, "eps_theory": 2.0,
+                  "num_partitions": 4},
+    "audit": {"n_sample": 400000, "confidence": 0.95, "delta_target": 1e-05, "seed": 0,
+              "workers": 1, "n_llm": 20},
+    "oracle": {"kind": "canary_detector", "flip_probability": 0.0, "classes": ["yes", "no"],
+               "yes_index": 0, "no_index": 1, "retry_budget": 0,
+               "decode": {"temperature": 0.0, "max_tokens": 16}},
+    "context": {"num_exemplars": 8, "canary_index": 0,
+                "canary_text": "the canary exemplar under audit", "pad_to_partitions": False},
+    "output": {"directory": "out", "records": "records.jsonl", "report_json": "report.json",
+               "report_csv": "reports.csv", "sweep_csv": "sweep.csv"},
+}
+
+
+def typed(node):
+    """``node`` with each scalar paired with its type, so that 2 and 2.0 differ."""
+    if isinstance(node, dict):
+        return {name: typed(value) for name, value in node.items()}
+    if isinstance(node, list):
+        return [typed(item) for item in node]
+    return type(node), node
+
+
+def load_defaults(tmp_path, command="audit") -> dict:
+    path = tmp_path / "required.yaml"
+    path.write_text(yaml.safe_dump(REQUIRED_ONLY))
+    return config_module.load_run_config(path, command=command)
+
+
 def config_writing_every_section(tmp_path) -> dict:
     """A valid config for every command that writes each section of
     ``config.KEYS`` with its required keys."""
@@ -46,7 +88,8 @@ def config_writing_every_section(tmp_path) -> dict:
 
 
 # a required key left out of the document, or of a section an override
-# replaces whole, which is how a key that DEFAULTS supplies goes missing
+# replaces whole (which keeps the section's defaults, but a required key
+# has none)
 MISSING, REPLACED = "missing", "replaced"
 
 # a value of another type than each key's, bools for numbers included
@@ -118,7 +161,7 @@ def rejected_values():
         for path, key in _leaves():
             if key.required:
                 yield command, path, REPLACED, "/".join(path)
-                if path[-1] not in config_module.DEFAULTS.get(path[0], {}):
+                if key.default is None:
                     yield command, path, MISSING, "/".join(path)
 
 
@@ -231,11 +274,16 @@ class TestConfigHandling:
     def test_libyaml_loads_the_config(self):
         assert config_module._YAML_LOADER is yaml.CSafeLoader
 
-    def test_loaders_agree_on_the_packaged_defaults(self):
+    def test_loaders_agree_on_the_packaged_defaults(self, tmp_path):
         # every config the tests write is checked alike, after each test (conftest.py)
-        text = yaml.safe_dump(config_module.DEFAULTS)
+        defaults = load_defaults(tmp_path)
+        text = yaml.safe_dump(defaults)
         loaded = yaml.load(text, Loader=config_module._YAML_LOADER)
-        assert loaded == yaml.load(text, Loader=yaml.SafeLoader) == config_module.DEFAULTS
+        assert loaded == yaml.load(text, Loader=yaml.SafeLoader) == defaults
+
+    @pytest.mark.parametrize("command", ["collect", "audit"])
+    def test_required_keys_load_to_the_defaults(self, tmp_path, command):
+        assert typed(load_defaults(tmp_path, command)) == typed(LOADED_DEFAULTS)
 
     @pytest.mark.parametrize("text", [b"audit: [1, 2", b"{audit: 1", b"audit:\n\tseed: 1",
                                       b"audit: seed: 1", b"audit: \x07", b"audit: \xff"])
@@ -349,18 +397,88 @@ class TestConfigHandling:
         assert not hasattr(cli._PARSER.parse_args(["convert", "--mu", "1"]), "config")
 
     def test_override_leaves_the_defaults_alone(self, tmp_path):
-        # the file has no oracle section, so the override lands in the defaults' copy
+        # the file has no oracle section, so the override makes one the
+        # defaults fill; a loaded list is the config's own
         path = write_config(tmp_path)
-        assert config_module.load_run_config(path, ["oracle.yes_index=1", "oracle.no_index=0"]
-                                             )["oracle"]["yes_index"] == 1
-        assert config_module.load_run_config(path)["oracle"]["yes_index"] == 0
-        assert config_module.DEFAULTS["oracle"]["yes_index"] == 0
+        config = config_module.load_run_config(path, ["oracle.yes_index=1", "oracle.no_index=0"])
+        assert config["oracle"]["yes_index"] == 1
+        config["oracle"]["classes"].append("maybe")
+        oracle = config_module.load_run_config(path)["oracle"]
+        assert oracle == load_defaults(tmp_path)["oracle"] == LOADED_DEFAULTS["oracle"]
+
+    @pytest.mark.parametrize("override", ["oracle={kind: canary_detector}",
+                                          "audit={n_llm: 20, n_sample: 2000}",
+                                          "context={canary_index: 1}"])
+    def test_section_override_keeps_the_section_defaults(self, tmp_path, override, capsys):
+        # a --set that gives a whole section runs as if the file wrote it
+        path = write_config(tmp_path)
+        section, value = override.split("=", 1)
+        doc = yaml.safe_load(path.read_text())
+        doc[section] = yaml.safe_load(value)
+        written = tmp_path / "written.yaml"
+        written.write_text(yaml.safe_dump(doc))
+        assert (config_module.load_run_config(path, [override])
+                == config_module.load_run_config(written))
+        reports = []
+        for argv in (["--config", str(path), "--set", override], ["--config", str(written)]):
+            assert main(["audit", *argv]) == 0
+            reports.append((tmp_path / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_set_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["audit", "--config", str(path), "--set", "audit.n_sample=400"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["n_sample"] == 400
+
+
+def dataclass_defaults():
+    """(path, field default) for each key of ``config.KEYS`` whose value a
+    dataclass field with a default receives."""
+    for cls, sections in [(MechanismConfig, ["mechanism"]), (AuditConfig, ["audit", "oracle"])]:
+        for field in dataclasses.fields(cls):
+            for section in sections:
+                if (field.default is not dataclasses.MISSING
+                        and field.name in config_module.KEYS[section]):
+                    yield (section, field.name), field.default
+
+
+class TestKeyTable:
+    """The builders pass sections to the run objects as keyword arguments, so
+    ``config.KEYS`` must name exactly the fields they take, with the same
+    defaults."""
+
+    def test_mechanism_keys_are_the_mechanism_fields(self):
+        fields = {f.name for f in dataclasses.fields(MechanismConfig)}
+        assert set(config_module.KEYS["mechanism"]) == fields
+
+    def test_simulate_keys_are_the_sweep_parameters(self):
+        parameters = inspect.signature(gaussian_model.sweep).parameters
+        assert set(config_module.KEYS["simulate"]) == set(parameters)
+
+    def test_audit_keys_are_the_remaining_audit_fields(self):
+        passed = (set(config_module.KEYS["audit"]) - {"workers"}) | {"yes_index", "no_index"}
+        fields = {f.name for f in dataclasses.fields(AuditConfig)}
+        assert passed == fields - {"mechanism", "task", "threat_model"}
+
+    @pytest.mark.parametrize("path, key", [
+        pytest.param(path, key, id="/".join(path)) for path, key in _leaves()
+        if key.default is not None])
+    def test_default_passes_its_check(self, path, key):
+        config_module._check_value(key.default, key, "/".join(path))
+
+    def test_every_field_default_is_covered(self):
+        assert [path for path, _ in dataclass_defaults()] == [
+            ("mechanism", "sensitivity_mode"), ("mechanism", "candidate_pool_size"),
+            ("mechanism", "classic_calibration"), ("audit", "n_sample"), ("audit", "confidence"),
+            ("audit", "delta_target"), ("audit", "seed"), ("oracle", "yes_index"),
+            ("oracle", "no_index")]
+
+    @pytest.mark.parametrize("path, default", [
+        pytest.param(path, default, id="/".join(path)) for path, default in dataclass_defaults()])
+    def test_default_is_the_field_default(self, path, default):
+        section, name = path
+        assert typed(config_module.KEYS[section][name].default) == typed(default)
 
 
 class TestConfigMistakes:
@@ -776,6 +894,22 @@ class TestSimulate:
     def test_missing_section(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("integral, integer, first_row", [
+        ({"T_values": [4.0]}, {"T_values": [4]}, "4,1,1.0,2.0,"),
+        ({"T_values": [4.0], "k_rule": "fixed", "k_fixed": 2.0},
+         {"T_values": [4], "k_rule": "fixed", "k_fixed": 2}, "4,2,1.0,2.0,"),
+    ], ids=["all", "fixed"])
+    def test_integral_floats_sweep_as_integers(self, tmp_path, capsys, integral, integer,
+                                               first_row):
+        sweeps = []
+        for name, section in [("integral", integral), ("integer", integer)]:
+            path = write_config(tmp_path, f"{name}.yaml", output={"directory": str(tmp_path / name)},
+                                simulate={"b": 1.0, "sigma": 2.0, **section})
+            assert main(["simulate", "--config", str(path)]) == 0
+            sweeps.append((tmp_path / name / "sweep.csv").read_text())
+        assert sweeps[0] == sweeps[1]
+        assert sweeps[0].splitlines()[1].startswith(first_row)
 
     def test_simulate_only_config(self, tmp_path, capsys):
         # no mechanism or audit section: simulate reads neither
