@@ -10,12 +10,11 @@ answer; the white-box attack when the noisy aggregate's projection on
 yes - no, the Neyman-Pearson statistic for a Gaussian mean shift, exceeds
 the tau maximizing the mu lower bound. That bound comes from a confidence
 band that holds at every tau at once, so choosing tau on the trials it is
-scored on leaves it valid. The sweep bounds only the splits that can hold
-the first maximum: the corners, where an FP step meets an FN step, and the
-one run of equal FN counts that ends at the best corner, where ties are
-broken. The arms are sorted, in place when the audit owns them, and never
-merged: one binary search of the without-arm for each with-arm statistic
-finds every corner and its counts.
+scored on leaves it valid. The sweep bounds only the corners, the splits
+where an FP step meets an FN step: the first corner of largest mu wins, and
+accept-all wins when no split certifies anything. The arms are sorted, in
+place when the audit owns them, and never merged: one binary search of the
+without-arm for each with-arm statistic finds every corner and its counts.
 
 Either decision reads the noisy aggregate only through a few linear
 scores: the projection on yes - no, or each releasable output's score
@@ -219,48 +218,32 @@ def append_report_csv(path: Union[str, Path], report: AuditReport) -> None:
 
 def _corners(w: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The FN and FP counts of "canary in above" at the corner splits of the
-    sorted arms, in split order.
+    sorted arms below the largest w statistic, in split order.
 
     A corner is a split entered by a step that lowers FP (or split 0) and
-    left by one that raises FN (or the last split). A split left by an FN
-    step lies just below the first w[i] of some value: FN is i there, and FP
-    the number of wo statistics at or above w[i]. It is entered by an FP
-    step when i is 0 or a wo statistic lies in [w[i-1], w[i]), that is when
-    the count of wo statistics below w[i] rises at i, so one binary search
-    of ``wo`` for every w statistic finds them all. The last split is a
-    corner when the largest statistic is a wo one, or ties one.
+    left by one that raises FN. A split left by an FN step lies just below
+    the first w[i] of some value: FN is i there, and FP the number of wo
+    statistics at or above w[i]. It is entered by an FP step when i is 0 or
+    a wo statistic lies in [w[i-1], w[i]), that is when the count of wo
+    statistics below w[i] rises at i, so one binary search of ``wo`` for
+    every w statistic finds them all.
     """
     below = np.searchsorted(wo, w)  # wo statistics strictly below each w statistic
     corner = np.empty(w.size, dtype=bool)
     corner[0] = True
     np.greater(below[1:], below[:-1], out=corner[1:])
     fn = np.flatnonzero(corner)
-    fp = wo.size - below[fn]
-    if wo[-1] >= w[-1]:
-        fn, fp = np.append(fn, w.size), np.append(fp, 0)
-    return fn, fp
+    return fn, wo.size - below[fn]
 
 
-def _tie_run(w: np.ndarray, wo: np.ndarray, fn: int) -> np.ndarray:
-    """How many wo statistics lie at or below each split of the sorted arms
-    that has ``fn`` w statistics at or below it, in split order: the split
-    just above w[fn-1] (split 0 when ``fn`` is 0), then one just above each
-    distinct wo statistic in (w[fn-1], w[fn])."""
-    lo = int(np.searchsorted(wo, w[fn - 1], "right")) if fn else 0
-    hi = int(np.searchsorted(wo, w[fn])) if fn < w.size else wo.size
-    return np.concatenate([[lo], np.searchsorted(wo, np.unique(wo[lo:hi]), "right")])
-
-
-def _split_tau(below: Optional[float], above: Optional[float]) -> float:
+def _split_tau(below: Optional[float], above: float) -> float:
     """A tau at or above the statistic ``below`` and under ``above``, the
-    neighbours of a split (None past an end of the data): their midpoint,
-    or ``below`` if the midpoint rounds onto ``above`` or overflows; past an
-    end, 1 beyond the data (the next float down if ``above - 1`` rounds back
+    neighbours of a split (``below`` None under the data): their midpoint,
+    or ``below`` if the midpoint rounds onto ``above`` or overflows; under
+    the data, 1 below it (the next float down if ``above - 1`` rounds back
     onto ``above``)."""
     if below is None:
         return above - 1.0 if above - 1.0 < above else math.nextafter(above, -math.inf)
-    if above is None:
-        return below + 1.0
     tau = 0.5 * (below + above)
     return tau if below <= tau < above else below
 
@@ -276,18 +259,13 @@ def _sweep_in_place(w: np.ndarray, wo: np.ndarray,
     # sorted, an infinite statistic is at an end and NaN is last
     if not np.isfinite([w[0], w[-1], wo[0], wo[-1]]).all():
         raise ValueError("statistics must be finite")
-
-    def band_mu(fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
-        return mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
-                              band_upper_bound_array(fn, w.size, confidence))
-
     fn, fp = _corners(w, wo)
-    mu = band_mu(fp, fn)
-    f = int(fn[np.argmax(mu)])
-    # A tie (saturated -inf, or two bounds rounding to one float) can put the
-    # first maximum earlier in the run of splits that share FN count f.
-    tn = _tie_run(w, wo, f)
-    j = int(tn[np.argmax(band_mu(wo.size - tn, np.full(tn.size, f)) == mu.max())])
+    mu = mu_from_bounds(band_upper_bound_array(fp, wo.size, confidence),
+                        band_upper_bound_array(fn, w.size, confidence))
+    best = int(np.argmax(mu))
+    # f and j count the w and wo statistics at or below the split; when
+    # nothing certifies, accept-all
+    f, j = (int(fn[best]), wo.size - int(fp[best])) if mu[best] > -np.inf else (0, 0)
     bounds = ErrorBounds(
         alpha_bar=float(band_upper_bound_array(np.array([wo.size - j]), wo.size, confidence)[0]),
         beta_bar=float(band_upper_bound_array(np.array([f]), w.size, confidence)[0]),
@@ -298,7 +276,7 @@ def _sweep_in_place(w: np.ndarray, wo: np.ndarray,
     # the split's neighbours: the largest statistic at or below it, the smallest above
     lower = [float(arm[k - 1]) for arm, k in ((w, f), (wo, j)) if k > 0]
     upper = [float(arm[k]) for arm, k in ((w, f), (wo, j)) if k < arm.size]
-    return _split_tau(max(lower, default=None), min(upper, default=None)), counts, bounds
+    return _split_tau(max(lower, default=None), min(upper)), counts, bounds
 
 
 def sweep_threshold(
@@ -310,26 +288,28 @@ def sweep_threshold(
     "canary in" above tau.
 
     The candidates are the splits of the pooled statistics: between adjacent
-    distinct values, and both ends (accept-all / reject-all). Each error
-    rate is bounded by a one-sided DKW band, min(rate + e, 1)
-    (``stats.band_upper_bound_array``), which holds at every split at once
-    with probability ``confidence``; mu is ranked unclamped by
-    ``gdp.mu_from_bounds``, so a saturated bound ranks at -inf. Ties break
-    toward the lowest split, so a band saturated everywhere picks accept-all.
+    distinct values, and both ends. Each error rate is bounded by a one-sided
+    DKW band, min(rate + e, 1) (``stats.band_upper_bound_array``), which
+    holds at every split at once with probability ``confidence``; mu is
+    ranked unclamped by ``gdp.mu_from_bounds``, so a saturated bound ranks
+    at -inf. The first maximum wins, so a band saturated everywhere picks
+    accept-all.
 
-    Along the splits FN never falls and FP never rises, and mu never rises
-    when either count does. So the first maximum shares its FN count with a
-    corner, a split entered by a step that lowers FP and left by one that
-    raises FN. The arms are never merged: each is sorted, and one binary
-    search of the without-arm for every with-arm statistic gives the corners
-    and their counts (``_corners``). mu is ranked at the corners first (about
-    a seventh of the splits on the A1 channel), then again along the winning
-    corner's run of equal FN (``_tie_run``), whose first split of the same
-    mu is the first maximum over every split. tau is computed at that split
-    only, from its neighbours in the two arms (``_split_tau``). The sweep
-    sorts copies of its inputs, never the caller's arrays; the audit sorts
-    the arms it owns in place. Returns tau, the attack's counts at tau and
-    the band's bounds there.
+    Since e > 0, a split with every w statistic at or below it has a
+    saturated FN bound and mu -inf. Any other split lies in a run of equal
+    FN counts, where FP falls toward the run's end, which is left by an FN
+    step; a run's end not entered by an FP step has the FP of the run's end
+    before it and more FN. Counts 1/n apart stay far apart in floats, so
+    each step lowers mu strictly or leaves it -inf, and the first maximum is
+    the first corner of largest mu, a split entered by a step that lowers FP
+    and left by one that raises FN, or accept-all when every mu is -inf. The
+    arms are never merged: each is sorted, and one binary search of the
+    without-arm for every with-arm statistic gives the corners and their
+    counts (``_corners``), about a seventh of the splits on the A1 channel.
+    tau is computed at the winning split only, from its neighbours in the
+    two arms (``_split_tau``). The sweep sorts copies of its inputs, never
+    the caller's arrays; the audit sorts the arms it owns in place. Returns
+    tau, the attack's counts at tau and the band's bounds there.
     """
     return _sweep_in_place(np.array(stats_with, dtype=np.float64),
                            np.array(stats_without, dtype=np.float64), confidence)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -43,11 +44,11 @@ class ConfigError(Exception):
 
 class Key(NamedTuple):
     """The check of one config value, with JSON Schema's meaning: an
-    ``integer`` may be an integral float, and no number is a bool. Bounds
-    are inclusive (``ge``, ``le``) or exclusive (``gt``, ``lt``). A loaded
-    config holds an ``integer`` as an int and a ``number`` as a float, and
-    ``default`` where the key is left out; a key with neither a default nor
-    ``required`` is optional."""
+    ``integer`` may be an integral float, no number is a bool, and a
+    ``number`` is finite as a float. Bounds are inclusive (``ge``, ``le``)
+    or exclusive (``gt``, ``lt``). A loaded config holds an ``integer`` as
+    an int and a ``number`` as a float, and ``default`` where the key is
+    left out; a key with neither a default nor ``required`` is optional."""
 
     type: Optional[str] = None
     enum: tuple = ()
@@ -162,6 +163,9 @@ def _check_value(value, key: Key, path: str) -> None:
         _reject(path, f"{value!r} is not one of {list(key.enum)!r}")
     if key.type and not _TYPES[key.type](value):
         _reject(path, f"{value!r} is not of type {key.type!r}")
+    # NaN, an infinity, or an int past float's range: none casts to a usable float
+    if key.type == "number" and not abs(value) <= sys.float_info.max:
+        _reject(path, f"{value!r} is not a finite number")
     if key.ge is not None and value < key.ge:
         _reject(path, f"{value!r} is less than the minimum of {key.ge!r}")
     if key.gt is not None and value <= key.gt:

@@ -128,8 +128,8 @@ class MechanismConfig:
     classic_calibration: bool = False
 
     def __post_init__(self) -> None:
-        if self.eps_theory <= 0.0:
-            raise ValueError(f"eps_theory must be positive, got {self.eps_theory}")
+        if not 0.0 < self.eps_theory < math.inf:
+            raise ValueError(f"eps_theory must be positive and finite, got {self.eps_theory}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.num_partitions < 2:

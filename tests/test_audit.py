@@ -355,6 +355,17 @@ class TestSweepThreshold:
             sweep_threshold([], [1.0], 0.95)
 
 
+def _reference_corners(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
+    """Which splits of ``split_counts_bruteforce`` are corners below the
+    largest w statistic: entered by a step that lowers FP (or split 0), left
+    by one that raises FN."""
+    _, tp, fp = split_counts_bruteforce(w, wo)
+    fn = w.size - tp
+    entered = np.concatenate([[True], fp[1:] < fp[:-1]])
+    left = np.concatenate([fn[1:] > fn[:-1], [False]])
+    return entered & left
+
+
 class TestSweepMatchesBruteForce:
     """The sweep returns exactly what counting and bounding every candidate does."""
 
@@ -372,20 +383,41 @@ class TestSweepMatchesBruteForce:
     @given(sweep_inputs(max_trials=3000))
     @with_edge_cases
     def test_candidate_counts_match_the_reference(self, case):
-        # the corners, and the runs of equal FN that end at them, hold the
-        # counts a binary search of each arm gives at those splits
+        # the corners below the largest w statistic hold the counts a binary
+        # search of each arm gives at those splits; reject-all, a corner of
+        # the reference when a wo statistic is largest, is not among them
         w, wo = np.sort(case[0]), np.sort(case[1])
-        _, tp_ref, fp_ref = split_counts_bruteforce(w, wo)
-        fn_ref = w.size - tp_ref
-        entered = np.concatenate([[True], fp_ref[1:] < fp_ref[:-1]])
-        left = np.concatenate([fn_ref[1:] > fn_ref[:-1], [True]])
         fn, fp = audit._corners(w, wo)
-        assert fn.tolist() == fn_ref[entered & left].tolist()
-        assert fp.tolist() == fp_ref[entered & left].tolist()
-        # the first and last corners' runs, and evenly spaced ones between
-        for f in np.unique(np.append(fn[::max(1, fn.size // 16)], fn[-1])).tolist():
-            tn = audit._tie_run(w, wo, f)
-            assert (wo.size - tn).tolist() == fp_ref[fn_ref == f].tolist()
+        corner = _reference_corners(w, wo)
+        _, tp_ref, fp_ref = split_counts_bruteforce(w, wo)
+        assert fn.tolist() == (w.size - tp_ref)[corner].tolist()
+        assert fp.tolist() == fp_ref[corner].tolist()
+
+    def test_largest_statistic_in_the_without_arm(self):
+        # an informative channel with one wo statistic above every w one:
+        # reject-all is a corner of the reference, but saturated, and the
+        # first corner of largest mu still wins
+        rng = np.random.default_rng(6)
+        w = rng.normal(2.0, 1.0, 3000)
+        wo = np.append(rng.normal(0.0, 1.0, 2500), 50.0)
+        _, _, fp = split_counts_bruteforce(w, wo)
+        assert fp[-1] < fp[-2]  # reject-all is entered by an FP step
+        got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        assert 0 < got[1].true_positives < w.size
+        assert estimate_from_bounds(got[2]).mu_lower > 1.0
+
+    def test_unequal_arms_saturated_everywhere_pick_accept_all(self):
+        # two with-arm and six without-arm statistics: every split's band
+        # saturates, so mu is -inf throughout and the first split,
+        # accept-all, wins; its counts differ from those of the first
+        # corner, which has one wo statistic below it
+        w, wo = np.array([0.0, 1.0]), np.array([-1.0, 0.5, 1.5, 2.5, 3.5, 4.5])
+        assert np.isneginf(band_mu_bruteforce(w, wo, 0.95)[-1]).all()
+        got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        assert got[0] == -2.0
+        assert got[1] == AttackCounts(2, 6, 0, 0)
 
     @pytest.mark.parametrize("without", [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0]])
     def test_signed_zero_threshold(self, without):
@@ -459,23 +491,27 @@ class TestSweepGrids:
         sweep_threshold(w, wo, 0.95)
         assert (w.tobytes(), wo.tobytes()) == before
 
-    def test_ranks_only_corners_and_one_tie_run(self):
-        # mu is computed at the splits entered by an FP step and left by an
-        # FN step, then again on the run of splits sharing the winner's FN
-        # count, which holds the first maximum: a small share of the splits
+    def test_ranks_the_corners_once(self):
+        # mu is computed once, at exactly the splits entered by an FP step
+        # and left by an FN step below the largest w statistic: a small
+        # share of the splits
         rng = np.random.default_rng(3)
         scale = math.sqrt(2.0) * A1_SIGMA
         w, wo = rng.normal(-2.0, scale, 200_000), rng.normal(-4.0, scale, 200_000)
-        with mock.patch.object(audit, "mu_from_bounds", wraps=audit.mu_from_bounds) as spy:
-            _, counts, _ = sweep_threshold(w, wo, 0.95)
-        evaluated = sum(call.args[0].size for call in spy.call_args_list)
-        _, tp, fp = split_counts_bruteforce(w, wo)
-        fn = w.size - tp
-        entered = np.concatenate([[True], fp[1:] < fp[:-1]])
-        left = np.concatenate([fn[1:] > fn[:-1], [True]])
-        tie_run = np.count_nonzero(fn == counts.false_negatives)
-        assert evaluated <= np.count_nonzero(entered & left) + tie_run
-        assert evaluated < 0.2 * fn.size
+        ranked, mu_from_bounds = [], audit.mu_from_bounds
+
+        def spy(alpha_bar, beta_bar):
+            ranked.append((alpha_bar.copy(), beta_bar.copy()))
+            return mu_from_bounds(alpha_bar, beta_bar)
+
+        with mock.patch.object(audit, "mu_from_bounds", spy):
+            sweep_threshold(w, wo, 0.95)
+        assert len(ranked) == 1
+        corner = _reference_corners(np.sort(w), np.sort(wo))
+        _, _, _, _, alpha_bar, beta_bar, _ = band_mu_bruteforce(w, wo, 0.95)
+        assert ranked[0][0].tolist() == alpha_bar[corner].tolist()
+        assert ranked[0][1].tolist() == beta_bar[corner].tolist()
+        assert ranked[0][0].size < 0.2 * alpha_bar.size
 
 
 # The A1 channel: identical clean rows make the bootstrap statistic exactly

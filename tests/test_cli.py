@@ -97,6 +97,9 @@ WRONG_TYPES = {"integer": [1.5, True, "1"], "number": [True, "1"], "string": [1]
                "boolean": [1, "true"], "array": ["yes"], None: ["nope", 1]}
 VALID_ITEMS = {"string": "yes", "integer": 2}
 
+# values that are numbers to YAML but not finite floats, by name
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "int-past-float": 10**400}
+
 
 def _leaves(keys=config_module.KEYS, path=()):
     for name, key in keys.items():
@@ -323,6 +326,27 @@ class TestConfigHandling:
         _, config_path = mutated_config(tmp_path, path, value)
         for command in config_module.COMMAND_SECTIONS:
             config_module.load_run_config(config_path, command=command)
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{'/'.join(path)}-{name}") for path, key in _leaves()
+        if key.type == "number" for name, value in NON_FINITE.items()])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, path, value):
+        assert main(["audit", *mutated_config(tmp_path, path, value)]) == 2
+        assert capsys.readouterr().err == (f"config error: config violates the schema at "
+                                           f"{'/'.join(path)}: {value!r} is not a finite number\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threat", ["black_box", "white_box"])
+    @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf", "1.0e+400", "1" + "0" * 400])
+    def test_non_finite_override_exits_2(self, tmp_path, capsys, threat, text):
+        # NaN used to report eps 0 in invalid JSON, and an infinite eps_theory
+        # a zero sigma
+        path = write_config(tmp_path, threat_model=threat)
+        assert main(["audit", "--config", str(path), "--set", f"mechanism.eps_theory={text}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config violates the schema at mechanism/eps_theory: ")
+        assert err.endswith(" is not a finite number\n")
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):
         path = write_config(tmp_path, audit={"n_llm": 20, "seed": 7.0})

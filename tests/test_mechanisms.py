@@ -191,6 +191,12 @@ class TestNoiseScales:
         with pytest.raises(ValueError, match="does not fit a generation audit"):
             AuditConfig(mechanism=config, task="generation", threat_model="white_box", n_llm=1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN would pass a plain eps <= 0 check, and an infinite eps makes sigma 0
+        with pytest.raises(ValueError, match="eps_theory must be positive and finite"):
+            MechanismConfig(eps_theory=eps, delta=1e-5, num_partitions=4)
+
     def test_voting_mode_is_the_voting_scale(self):
         # read at call time, so a patched sensitivity moves the scale
         config = MechanismConfig(eps_theory=2.0, delta=1e-5, num_partitions=4)
