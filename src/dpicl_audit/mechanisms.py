@@ -141,7 +141,7 @@ class MechanismConfig:
 
 
 def gaussian_sigma(sensitivity: float, eps: float, delta: float, classic_calibration: bool = False) -> float:
-    if sensitivity <= 0.0 or eps <= 0.0 or not (0.0 < delta < 1.0):
+    if not (0.0 < sensitivity < math.inf and 0.0 < eps < math.inf and 0.0 < delta < 1.0):
         raise ValueError("invalid noise calibration inputs")
     factor = 2.0 if classic_calibration else 1.0
     return sensitivity * math.sqrt(factor * math.log(1.25 / delta)) / eps

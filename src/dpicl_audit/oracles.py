@@ -1,14 +1,15 @@
 """Clean (pre-noise) per-partition responses: simulated, replayed, or remote.
 
-An oracle answers one partition at a time through ``respond(subset, query,
-rng)``: a vote index (classification) or an embedding (generation). Its
+An oracle answers one partition through ``respond(subset, query, rng)``,
+or an arm through ``responses(ctx, subsets, n_llm, seed)``: a vote index
+(classification) or an embedding (generation) per partition. Its
 ``num_classes`` says which, the label set's size for votes and None for
 embeddings. The two live oracles take their answers as data:
 
-* ``CanaryDetector`` — the idealized responder: the yes answer (a vote
-  index, or y1's embedding) when the partition holds the canary and the no
-  answer otherwise, flipped with p_flip; a zero-shot call (no partition)
-  flips a fair coin;
+* ``CanaryDetector`` — the idealized responder, answering an arm at once:
+  the yes answer (a vote index, or y1's embedding) when the partition holds
+  the canary and the no answer otherwise, flipped with p_flip; a zero-shot
+  call (no partition) flips a fair coin;
 * ``Responder`` — renders a prompt template, sends the request through a
   transport (a line-delimited file batch or one HTTP POST endpoint) and
   maps the reply text onto its answer: a label onto its vote index, a
@@ -51,6 +52,12 @@ CTX_WITHOUT = "without"
 
 # Fixed codes salting the per-trial seed derivation for the two hypotheses.
 _ARM_CODES = {CTX_WITH: 101, CTX_WITHOUT: 102}
+
+
+def _trial_rng(seed: int, ctx: str, trial: int, attempt: int) -> np.random.Generator:
+    # Counter-style derivation: the stream depends only on these coordinates,
+    # never on scheduling, so parallel collection stays reproducible.
+    return np.random.default_rng([seed, _ARM_CODES[ctx], trial, attempt])
 
 
 class OracleError(RuntimeError):
@@ -128,7 +135,7 @@ class CanaryDetector:
     zero-shot call (subset None) flips a fair coin.
 
     ``answers`` is ``(no_index, yes_index)`` for votes over ``num_classes``
-    classes, or the ``(y0, y1)`` embeddings when ``num_classes`` is None.
+    classes, else the ``(y0, y1)`` embeddings, 1-D and of one length.
     """
 
     def __init__(self, answers: tuple, num_classes: Optional[int] = None,
@@ -142,9 +149,12 @@ class CanaryDetector:
                                  f"{num_classes}-class label set")
             if yes == no:
                 raise ValueError("yes and no must be distinct classes")
+        elif list(map(np.ndim, answers)) != [1, 1] or len(answers[0]) != len(answers[1]):
+            raise ValueError("embedding answers must be two 1-D arrays of one length")
         self.answers = tuple(answers)
         self.num_classes = num_classes
         self.flip_probability = flip_probability
+        self._rows = np.array(answers, dtype=np.float64 if num_classes is None else np.int64)
 
     def respond(self, subset: Optional[ExemplarSubset], query: str, rng: np.random.Generator):
         if subset is None:
@@ -153,6 +163,17 @@ class CanaryDetector:
         if self.flip_probability > 0.0 and rng.random() < self.flip_probability:
             saw_canary = not saw_canary
         return self.answers[saw_canary]
+
+    def responses(self, ctx: str, subsets: list[ExemplarSubset], n_llm: int,
+                  seed: int) -> np.ndarray:
+        """Trials 0..n_llm-1 of ``ctx``, (n_llm, T) votes or (n_llm, T, d)
+        embeddings, as ``respond`` answers each trial on ``_trial_rng(seed,
+        ctx, trial, 0)``: T draws of flips; a flip-free detector builds none."""
+        saw = np.tile([subset.contains_canary for subset in subsets], (n_llm, 1))
+        if self.flip_probability > 0.0:
+            saw ^= np.array([_trial_rng(seed, ctx, trial, 0).random(len(subsets))
+                             for trial in range(n_llm)]) < self.flip_probability
+        return self._rows[saw.astype(np.intp)]
 
 
 # The one encoder of record values: what json.dumps(..., separators=(",", ":"))
@@ -326,14 +347,16 @@ class ReplayOracle:
             raise OracleError(f"{exc} ({path})") from None
         return cls(*columns, num_classes=num_classes)
 
-    def responses(self, ctx: str, n_llm: int, num_partitions: int) -> np.ndarray:
+    def responses(self, ctx: str, subsets: list[ExemplarSubset], n_llm: int,
+                  seed: int) -> np.ndarray:
         """Trials 0..n_llm-1 of ``ctx`` as recorded, (n_llm, T) votes or
-        (n_llm, T, d) embeddings, gathered with one index lookup.
+        (n_llm, T, d) embeddings, gathered with one index lookup (no seed).
 
         A key recorded more than once serves its last record. Records of
         other trials or partitions are ignored; the first key missing, in
         (trial, part) order, raises.
         """
+        num_partitions = len(subsets)
         mine = self._ctx == _CTX_CODES[ctx]
         have = np.unique(self._trial[mine]).size
         if have < n_llm:
@@ -347,29 +370,6 @@ class ReplayOracle:
             trial, part = divmod(int(missing[0]), num_partitions)
             raise OracleError(f"no recorded response for ({ctx}, trial={trial}, part={part})")
         return self._responses[latest].reshape(n_llm, num_partitions, *self._responses.shape[1:])
-
-
-class _LazyRng:
-    """A generator built from its seed key on the first attribute access,
-    which it then serves: a trial whose oracle never draws builds none."""
-
-    __slots__ = ("_key", "_rng")
-
-    def __init__(self, key: list[int]):
-        self._key = key
-        self._rng: Optional[np.random.Generator] = None
-
-    def __getattr__(self, name: str):
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._key)
-        return getattr(self._rng, name)
-
-
-def _trial_rng(seed: int, ctx: str, trial: int, attempt: int) -> _LazyRng:
-    # Counter-style derivation: the stream depends only on these coordinates,
-    # never on scheduling, so parallel collection stays reproducible. Built
-    # on the first draw, as a flip-free canary detector never draws.
-    return _LazyRng([seed, _ARM_CODES[ctx], trial, attempt])
 
 
 def collect(
@@ -388,16 +388,15 @@ def collect(
 
     The oracle's ``num_classes`` names the task: votes over that many classes,
     or embeddings when it is None. Each arm's responses form one array,
-    aggregated at once by ``mechanisms.aggregate``; a replay serves it from
-    its records with one lookup, a live oracle's ``respond`` is called once
-    per partition and trial. A vote outside the oracle's label set, or a
-    non-finite embedding, raises OracleError naming the first such response;
-    live embeddings of unequal lengths raise it naming the arm.
-    Oracle failures are retried at the same trial index with a fresh derived
-    stream, each retry consuming the shared budget; an exhausted budget
-    aborts the arm. Records are canonicalized by
-    (hypothesis, trial, partition) so output files are deterministic
-    regardless of worker count.
+    aggregated at once by ``mechanisms.aggregate``: one ``responses`` call
+    where the oracle answers an arm (a canary detector, a replay), else one
+    ``respond`` per partition and trial, the trials on ``workers`` threads.
+    A vote outside the label set, or a non-finite embedding, raises
+    OracleError naming the first such response; per-partition embeddings of
+    unequal lengths raise it naming the arm. A ``respond`` failure is retried
+    at the same trial index with a fresh derived stream, each retry
+    consuming the shared budget; an exhausted budget aborts the arm. Records
+    go out in (hypothesis, trial, partition) order, whatever the worker count.
     """
     if n_llm < 1:
         raise ValueError(f"n_llm must be positive, got {n_llm}")
@@ -427,8 +426,8 @@ def collect(
                         budget["failures"] += 1
                     attempt += 1
 
-        if isinstance(oracle, ReplayOracle):
-            grid = oracle.responses(ctx_label, n_llm, len(subsets))
+        if hasattr(oracle, "responses"):
+            grid = oracle.responses(ctx_label, subsets, n_llm, seed)
         else:
             per_trial = map_in_order(run_trial, range(n_llm), workers)
             if task == "generation":

@@ -1,6 +1,6 @@
 """Worker threads shared by the package's parallel stages.
 
-``collect`` queries live oracles and ``bootstrap_audit`` runs its trial
+``collect`` asks per-partition oracles and ``bootstrap_audit`` runs its trial
 blocks through ``map_in_order``. The threads of each worker count are started
 once and then serve every call for the life of the process. A pool started
 and shut down per call lets its threads start while the previous pool's

@@ -18,6 +18,7 @@ from dpicl_audit.mechanisms import (
     SENSITIVITY_MODES,
     esa_sensitivity,
     gaussian_release,
+    gaussian_sigma,
     gaussian_score_factor,
     noise_scale,
     voting_noise_scale,
@@ -196,6 +197,17 @@ class TestNoiseScales:
         # NaN would pass a plain eps <= 0 check, and an infinite eps makes sigma 0
         with pytest.raises(ValueError, match="eps_theory must be positive and finite"):
             MechanismConfig(eps_theory=eps, delta=1e-5, num_partitions=4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_calibration_needs_finite_positive_inputs(self, value):
+        # NaN would pass a plain eps <= 0 check and give sigma nan; an
+        # infinite eps would give sigma 0
+        with pytest.raises(ValueError, match="invalid noise calibration inputs"):
+            voting_noise_scale(value, 1e-5)
+        with pytest.raises(ValueError, match="invalid noise calibration inputs"):
+            gaussian_sigma(value, 1.0, 1e-5)
+        with pytest.raises(ValueError, match="invalid noise calibration inputs"):
+            gaussian_sigma(2.0, 1.0, value)
 
     def test_voting_mode_is_the_voting_scale(self):
         # read at call time, so a patched sensitivity moves the scale

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dpicl_audit import oracles
 from dpicl_audit.audit import _clean_matrix
-from dpicl_audit.mechanisms import Exemplar, NeighboringPair
+from dpicl_audit.mechanisms import Exemplar, NeighboringPair, aggregate, clip_to_unit
 from dpicl_audit.oracles import (
     CTX_WITH,
     CTX_WITHOUT,
@@ -141,6 +141,21 @@ class TestCanaryDetectorEmbedding:
                  for _ in range(draws))
         assert abs(y1 / draws - 0.5) <= 0.005
 
+    def test_zero_shot_pool_is_one_fair_coin_per_call(self):
+        # one respond per call on the [seed, 201] stream, clipped as it comes
+        pair = SignalPair.synthetic(0.7476)
+        pool = zero_shot_candidates(embedding_detector(pair), "q", 50, seed=4)
+        rng = np.random.default_rng([4, 201])
+        want = [clip_to_unit((pair.y0_embedding, pair.y1_embedding)[rng.random() < 0.5])
+                for _ in range(50)]
+        assert np.array(pool).tobytes() == np.array(want).tobytes()
+
+    def test_answers_must_be_two_vectors_of_one_length(self):
+        for answers in ((np.zeros(3), np.zeros(4)), (np.zeros((2, 2)), np.zeros((2, 2))),
+                        (np.zeros(3),), (np.zeros(3),) * 3, (0.5, 0.5)):
+            with pytest.raises(ValueError, match="two 1-D arrays of one length"):
+                CanaryDetector(answers)
+
 
 class TestCollect:
     def test_deterministic_vote_vectors(self):
@@ -223,12 +238,14 @@ class TestCollect:
         assert (tmp_path / "records.jsonl").read_bytes() == record_lines(records).encode()
 
     def test_retries_draw_from_the_next_attempt(self):
-        # the first call draws and fails; its trial is retried with attempt 1
-        class FailsOnce(CanaryDetector):
+        # a per-partition oracle: the first call draws and fails; its trial
+        # is retried with attempt 1
+        class FailsOnce:
+            num_classes = 2
             failed = False
 
             def respond(self, subset, query, rng):
-                answer = super().respond(subset, query, rng)
+                answer = int(rng.random() < 0.5)
                 if not self.failed:
                     self.failed = True
                     raise OracleError("transient")
@@ -236,11 +253,42 @@ class TestCollect:
 
         built = []
         with self.counting_generators(built):
-            got = collect(FailsOnce((1, 0), num_classes=2, flip_probability=0.1), make_pair(8),
-                          "CANARY", 4, 2, seed=5, retry_budget=1)
+            got = collect(FailsOnce(), make_pair(8), "CANARY", 4, 2, seed=5, retry_budget=1)
         assert got.failures == 1
         assert built == [(5, 101, 0, 0), (5, 101, 0, 1), (5, 101, 1, 0),
                          (5, 102, 0, 0), (5, 102, 1, 0)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("flip_probability", [0.0, 0.25])
+    @pytest.mark.parametrize("task", ["classification", "generation"])
+    def test_arm_grid_equals_respond_per_partition(self, tmp_path, task, flip_probability,
+                                                   workers):
+        # a detector's arm is what T respond calls give each trial on its
+        # (seed, arm code, trial, attempt 0) generator
+        signal = SignalPair.synthetic(0.7476)
+        answers = (1, 0) if task == "classification" else (signal.y0_embedding,
+                                                           signal.y1_embedding)
+        num_classes = 2 if task == "classification" else None
+        oracle = CanaryDetector(answers, num_classes, flip_probability)
+        pair, n_llm, seed = make_pair(8), 40, 9
+        got = collect(oracle, pair, "CANARY", 4, n_llm, seed=seed, workers=workers,
+                      records_path=tmp_path / "records.jsonl")
+        kind, records = ("vote" if num_classes else "emb"), []
+        for (ctx, code), subsets in zip({CTX_WITH: 101, CTX_WITHOUT: 102}.items(),
+                                        pair.partitions(4)):
+            rows = []
+            for trial in range(n_llm):
+                rng = np.random.default_rng([seed, code, trial, 0])
+                rows.append([oracle.respond(subset, "CANARY", rng) for subset in subsets])
+            want = np.array(rows, dtype=np.int64 if num_classes else np.float64)
+            clean = got.clean_with if ctx == CTX_WITH else got.clean_without
+            assert got.responses[ctx].dtype == want.dtype
+            assert got.responses[ctx].tobytes() == want.tobytes()
+            assert clean.tobytes() == aggregate(want, num_classes).tobytes()
+            records += [{"ctx": ctx, "trial": trial, "part": part, kind: value}
+                        for trial, row in enumerate(want.tolist())
+                        for part, value in enumerate(row)]
+        assert (tmp_path / "records.jsonl").read_bytes() == record_lines(records).encode()
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         oracle = vote_detector(flip_probability=0.2)
