@@ -5,8 +5,8 @@ quantity it checks: quadrature instead of erfc, bisection on the CDF instead
 of ndtri, exact combinatorial tail sums instead of beta inversion, grid scans
 instead of bisection, a threshold sweep that counts both arms by binary search
 at every split of the pooled distinct values and bounds every split, instead
-of searching one arm for the other's statistics and bounding the corners
-only, a bootstrap audit that releases the aggregate in all d coordinates
+of bounding mu over blocks of one arm's ranks and searching the other arm for
+the corners of the blocks that can hold the best one only, a bootstrap audit that releases the aggregate in all d coordinates
 instead of in the decision's score space (the mechanism's specification,
 with the vote argmax and the nearest-candidate search), one that holds
 each arm's scores whole and picks over the whole pool instead of streaming

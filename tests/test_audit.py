@@ -354,6 +354,14 @@ class TestSweepThreshold:
         with pytest.raises(ValueError):
             sweep_threshold([], [1.0], 0.95)
 
+    def test_statistics_must_be_1d(self):
+        # a column of statistics is rejected with its shape, before any sort
+        w = np.arange(5.0)
+        with pytest.raises(ValueError, match=r"1-D, got shapes \(5, 1\) and \(5,\)"):
+            sweep_threshold(w[:, None], w, 0.95)
+        with pytest.raises(ValueError, match=r"1-D, got shapes \(5,\) and \(\)"):
+            sweep_threshold(w, 1.0, 0.95)
+
 
 def _reference_corners(w: np.ndarray, wo: np.ndarray) -> np.ndarray:
     """Which splits of ``split_counts_bruteforce`` are corners below the
@@ -383,15 +391,19 @@ class TestSweepMatchesBruteForce:
     @given(sweep_inputs(max_trials=3000))
     @with_edge_cases
     def test_candidate_counts_match_the_reference(self, case):
-        # the corners below the largest w statistic hold the counts a binary
-        # search of each arm gives at those splits; reject-all, a corner of
-        # the reference when a wo statistic is largest, is not among them
-        w, wo = np.sort(case[0]), np.sort(case[1])
-        fn, fp = audit._corners(w, wo)
+        # every candidate is a corner below the largest w statistic, with
+        # the counts a binary search of each arm gives there, and every
+        # corner of largest mu is a candidate; reject-all, a corner of the
+        # reference when a wo statistic is largest, is not among them
+        w, wo, confidence = np.sort(case[0]), np.sort(case[1]), case[2]
+        fn, fp = audit._corners(w, wo, confidence)
         corner = _reference_corners(w, wo)
-        _, tp_ref, fp_ref = split_counts_bruteforce(w, wo)
-        assert fn.tolist() == (w.size - tp_ref)[corner].tolist()
-        assert fp.tolist() == fp_ref[corner].tolist()
+        _, _, fp_ref, fn_ref, _, _, mu = band_mu_bruteforce(w, wo, confidence)
+        assert (np.diff(fn) > 0).all()  # in split order
+        candidates = set(zip(fn.tolist(), fp.tolist()))
+        assert candidates <= set(zip(fn_ref[corner].tolist(), fp_ref[corner].tolist()))
+        best = corner & (mu == mu[corner].max())
+        assert set(zip(fn_ref[best].tolist(), fp_ref[best].tolist())) <= candidates
 
     def test_largest_statistic_in_the_without_arm(self):
         # an informative channel with one wo statistic above every w one:
@@ -467,12 +479,78 @@ class TestSweepMatchesBruteForce:
         assert estimate_from_bounds(got[2], 1e-5).mu_lower > 1.0
 
 
+def _shifted_pair(n_with: int, n_without: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.5, 1.0, n_with), rng.normal(0.0, 1.0, n_without)
+
+
+class TestSweepPruning:
+    """The block bounds keep every block that can hold the first corner of
+    largest mu, at block edges, ties and -inf alike."""
+
+    @pytest.mark.parametrize("n_with", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("n_without", [1, 64, 129, 5_000])
+    def test_arm_sizes_around_a_block(self, n_with, n_without):
+        for seed in range(3):
+            w, wo = _shifted_pair(n_with, n_without, seed)
+            assert repr(sweep_threshold(w, wo, 0.95)) == \
+                repr(sweep_threshold_bruteforce(w, wo, 0.95))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_integer_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        w, wo = rng.integers(0, 4, 5_000).astype(float), rng.integers(-1, 3, 4_000).astype(float)
+        assert repr(sweep_threshold(w, wo, 0.9)) == repr(sweep_threshold_bruteforce(w, wo, 0.9))
+
+    def test_identical_arms(self):
+        w = np.random.default_rng(8).normal(size=10_000)
+        got = sweep_threshold(w, w, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, w, 0.95))
+        assert estimate_from_bounds(got[2]).mu_lower == 0.0
+
+    def test_every_mu_infinite_picks_accept_all(self):
+        # five without-arm statistics at confidence 1 - 1e-6: the FP bound
+        # saturates at every split, every block bound is -inf, and the first
+        # split, accept-all, wins over 200 with-arm ranks
+        w, wo = _shifted_pair(200, 5, seed=1)
+        assert np.isneginf(band_mu_bruteforce(w, wo, 1 - 1e-6)[-1]).all()
+        got = sweep_threshold(w, wo, 1 - 1e-6)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 1 - 1e-6))
+        assert got[1] == AttackCounts(200, 5, 0, 0)
+
+    def test_equal_maxima_in_two_blocks_first_wins(self):
+        # a channel and its mirror image: the splits at tau and -tau swap
+        # the FP and FN counts, so the largest mu is reached at two corners,
+        # here in blocks 1 and 3, and the lower one wins
+        w = np.random.default_rng(0).normal(1.0, 1.0, 1_000)
+        wo = -w
+        corner = _reference_corners(np.sort(w), np.sort(wo))
+        _, _, _, fn, _, _, mu = band_mu_bruteforce(w, wo, 0.95)
+        best = fn[corner & (mu == mu[corner].max())]
+        assert (best // audit._SWEEP_BLOCK).tolist() == [1, 3]
+        got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        assert got[1].false_negatives == best[0]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_best_corner_on_a_blocks_first_rank(self, block):
+        # the first 64 * block with-arm statistics lie below every without-arm
+        # one and the rest above, so the one informative corner is the first
+        # rank of a block whose neighbour before it is pruned
+        start = block * audit._SWEEP_BLOCK
+        w = np.concatenate([np.arange(start) - 1e3, np.arange(500.0) + 1e3])
+        wo = np.arange(300.0)
+        got = sweep_threshold(w, wo, 0.95)
+        assert repr(got) == repr(sweep_threshold_bruteforce(w, wo, 0.95))
+        assert got[1] == AttackCounts(500, 0, start, 300)
+
+
 class TestSweepGrids:
     """The sweep's memory and work."""
 
     def test_memory_at_200k_trials_per_arm(self):
-        # the sorted copies of the arms, the binary search's ranks and the
-        # corners' counts: 7.4 MB
+        # the sorted copies of the arms, 3.2 MB, and the ranks, counts and
+        # bounds of the blocks and of the kept blocks' corners: 3.6 MB
         rng = np.random.default_rng(0)
         w, wo = rng.normal(0.3, 1.0, 200_000), rng.normal(0.0, 1.0, 200_000)
         tracemalloc.start()
@@ -481,7 +559,7 @@ class TestSweepGrids:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10e6
+        assert peak <= 4e6
 
     def test_inputs_are_left_unchanged(self):
         # the sweep sorts copies; the audit alone sorts the arms it owns
@@ -492,9 +570,11 @@ class TestSweepGrids:
         assert (w.tobytes(), wo.tobytes()) == before
 
     def test_ranks_the_corners_once(self):
-        # mu is computed once, at exactly the splits entered by an FP step
-        # and left by an FN step below the largest w statistic: a small
-        # share of the splits
+        # mu is computed twice: at two count pairs per block of with-arm
+        # ranks, which bound it there, and then ranked at the corners of the
+        # blocks that can hold the best one, under 2% of the splits, each a
+        # corner of the reference with its bounds; the winner is the
+        # reference's first corner of largest mu
         rng = np.random.default_rng(3)
         scale = math.sqrt(2.0) * A1_SIGMA
         w, wo = rng.normal(-2.0, scale, 200_000), rng.normal(-4.0, scale, 200_000)
@@ -505,13 +585,16 @@ class TestSweepGrids:
             return mu_from_bounds(alpha_bar, beta_bar)
 
         with mock.patch.object(audit, "mu_from_bounds", spy):
-            sweep_threshold(w, wo, 0.95)
-        assert len(ranked) == 1
+            _, counts, _ = sweep_threshold(w, wo, 0.95)
+        assert len(ranked) == 2
         corner = _reference_corners(np.sort(w), np.sort(wo))
-        _, _, _, _, alpha_bar, beta_bar, _ = band_mu_bruteforce(w, wo, 0.95)
-        assert ranked[0][0].tolist() == alpha_bar[corner].tolist()
-        assert ranked[0][1].tolist() == beta_bar[corner].tolist()
-        assert ranked[0][0].size < 0.2 * alpha_bar.size
+        _, _, fp, fn, alpha_bar, beta_bar, mu = band_mu_bruteforce(w, wo, 0.95)
+        assert ranked[0][0].size == 2 * math.ceil(w.size / audit._SWEEP_BLOCK)
+        assert ranked[1][0].size < 0.02 * alpha_bar.size
+        reference = set(zip(alpha_bar[corner].tolist(), beta_bar[corner].tolist()))
+        assert set(zip(ranked[1][0].tolist(), ranked[1][1].tolist())) <= reference
+        best = int(np.argmax(np.where(corner, mu, -np.inf)))
+        assert (counts.false_negatives, counts.false_positives) == (fn[best], fp[best])
 
 
 # The A1 channel: identical clean rows make the bootstrap statistic exactly
