@@ -264,6 +264,8 @@ def load_run_config(path: str | Path, overrides: Optional[list[str]] = None,
         raise ConfigError(f"config file not found: {path}")
     try:
         config = yaml.load(path.read_text("utf-8"), Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from exc
     if config is None:

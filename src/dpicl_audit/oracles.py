@@ -16,8 +16,10 @@ embeddings. The two live oracles take their answers as data:
   signal text onto its embedding. An embedding responder also takes a raw
   ``emb`` reply.
 
-``ReplayOracle`` re-serves responses persisted as JSONL records, parsed in
-one pass into columns (ctx, trial, partition, vote or embedding).
+``ReplayOracle`` re-serves responses persisted as JSONL records, held as
+columns (ctx, trial, partition, vote or embedding). A file in ``collect``'s
+own line layout is parsed once per distinct value, any other valid JSONL
+the general way, with one JSON parse of all its lines.
 
 `collect` runs the partition-and-query pipeline for both neighboring
 contexts. It holds each context's per-partition responses as one array, as
@@ -39,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -242,11 +244,14 @@ _EMB_FIELDS = frozenset(("ctx", "trial", "part", "emb"))
 
 
 def read_lines(path: Union[str, Path], kind: str, error: type[Exception]) -> list[str]:
-    """The stripped lines of a UTF-8 text file; one that is not UTF-8 raises
-    ``error`` naming the file as a ``kind``."""
+    """The stripped lines of a UTF-8 text file; one that cannot be read (a
+    directory, say) or is not UTF-8 raises ``error`` naming the file as a
+    ``kind``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return [line.strip() for line in handle.read().split("\n")]
+    except OSError as exc:
+        raise error(f"{kind} {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{kind} {path} is not UTF-8 text: {exc}") from None
 
@@ -258,6 +263,20 @@ def _integers(values: tuple, field: str) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{field} does not fit in 64 bits") from None
+
+
+def _response_column(kind: str, responses: Sequence) -> np.ndarray:
+    """Parsed record values of one ``kind`` as a column: int64 votes (n,) or
+    float64 embeddings (n, d). Raises ValueError naming the rule they break."""
+    if kind == "vote":
+        return _integers(responses, "vote")
+    try:
+        emb = np.array(responses)
+    except (ValueError, OverflowError):  # lists of different lengths
+        emb = None
+    if emb is None or emb.ndim != 2 or emb.dtype.kind not in "iuf":
+        raise ValueError("emb must be a list of numbers, of one length in every record")
+    return emb.astype(np.float64, copy=False)
 
 
 def _record_columns(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -284,15 +303,87 @@ def _record_columns(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         bad = next(c for c in ctx if not (isinstance(c, str) and c in _CTX_CODES))
         raise ValueError(f"ctx must be '{CTX_WITH}' or '{CTX_WITHOUT}', got {bad!r}") from None
     trial, part = _integers(trial, "trial"), _integers(part, "part")
-    if kind == "vote":
-        return codes, trial, part, _integers(responses, "vote")
+    return codes, trial, part, _response_column(kind, responses)
+
+
+def _json_columns(path: Union[str, Path], lines: list[str],
+                  body: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_record_columns`` of a records file's non-blank lines ``body``, parsed
+    with one ``json.loads`` over them joined as one JSON array.
+
+    Only when that parse or the columns fail are ``lines`` parsed one by one,
+    to name the first malformed line; a fault of the stream as a whole names
+    the file. Raises OracleError.
+    """
     try:
-        emb = np.array(responses)
-    except (ValueError, OverflowError):  # lists of different lengths
-        emb = None
-    if emb is None or emb.ndim != 2 or emb.dtype.kind not in "iuf":
-        raise ValueError("emb must be a list of numbers, of one length in every record")
-    return codes, trial, part, emb.astype(np.float64, copy=False)
+        payloads = json.loads("[" + ",".join(body) + "]")
+        # each line one object: else a line holding two could stand in for
+        # one object split over two lines
+        if len(payloads) != len(body) or not all(line[0] == "{" and line[-1] == "}"
+                                                 for line in body):
+            raise ValueError("not one JSON object per line")
+        return _record_columns(payloads)
+    except ValueError as exc:
+        for number, line in enumerate(lines, 1):
+            if line:
+                try:
+                    _record_columns([json.loads(line)])
+                except ValueError as fault:
+                    raise OracleError(f"malformed record at {path}:{number}: {fault}") from None
+        raise OracleError(f"{exc} ({path})") from None
+
+
+# A record line in _record_line's layout, by the kind of its value: the ctx,
+# trial and part, then the vote's text or the text inside the embedding's
+# brackets; anchored, so a match is one whole line. Ids are ASCII digits, the
+# only ones JSON reads, and at most 18 of them, so they fit in int64.
+_LAYOUT_HEAD = (r'^\{"ctx":"(with|without)","trial":(0|[1-9][0-9]{0,17}),'
+                r'"part":(0|[1-9][0-9]{0,17}),')
+_LAYOUTS = {"vote": re.compile(_LAYOUT_HEAD + r'"vote":([^\n]*)\}$', re.MULTILINE),
+            "emb": re.compile(_LAYOUT_HEAD + r'"emb":\[([^\n]*)\]\}$', re.MULTILINE)}
+# The opening, separator and closing that join a kind's value texts into one
+# JSON array, and the characters no text may hold, so that each text is one
+# element of the array whatever commas it holds: a vote holds no comma, and
+# an embedding's commas stay inside its own brackets.
+_VALUE_ARRAYS = {"vote": ("[", ",", "]", ',[]{}"'), "emb": ("[[", "],[", "]]", '[]{}"')}
+
+
+def _layout_columns(body: list[str]) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                       np.ndarray]]:
+    """``_record_columns`` of records all in ``_record_line``'s layout and of
+    one kind, parsed once per distinct value text; None if any record is
+    not, or if the values break the type rules (``_json_columns`` then names
+    the fault).
+
+    A canary detector answers only two values, so its records hold two
+    value texts however many records there are.
+    """
+    for kind, layout in _LAYOUTS.items():
+        if layout.match(body[0]):
+            break
+    else:
+        return None
+    fields = layout.findall("\n".join(body))
+    if len(fields) != len(body):
+        return None
+    ctx, trial, part, texts = zip(*fields)
+    # each distinct value text -> its index among them, in first-seen order
+    distinct = {text: index for index, text in enumerate(dict.fromkeys(texts))}
+    opening, separator, closing, banned = _VALUE_ARRAYS[kind]
+    held = "".join(distinct)
+    if any(char in held for char in banned):
+        return None
+    try:
+        values = json.loads(opening + separator.join(distinct) + closing)
+        if len(values) != len(distinct):
+            return None
+        column = _response_column(kind, values)
+    except ValueError:
+        return None
+    n = len(body)
+    return (np.fromiter(map(_CTX_CODES.__getitem__, ctx), dtype=np.int8, count=n),
+            np.array(trial, dtype=np.int64), np.array(part, dtype=np.int64),
+            column[np.fromiter(map(distinct.__getitem__, texts), dtype=np.intp, count=n)])
 
 
 class ReplayOracle:
@@ -317,34 +408,21 @@ class ReplayOracle:
 
     @classmethod
     def from_file(cls, path: Union[str, Path], num_classes: Optional[int] = None) -> "ReplayOracle":
-        """Parse a records file with one ``json.loads`` over its non-blank
-        lines, joined as one JSON array.
-
-        Only when that parse or the columns fail are the lines parsed one by
-        one, to name the first malformed line; a fault of the stream as a
-        whole names the file. ``num_classes`` is the configured label set's
-        size, which bounds the votes; a vote stream requires it.
+        """Parse a records file. One whose every record is in ``collect``'s
+        own layout (``_record_line``) is parsed once per distinct value
+        (``_layout_columns``); any other, or one whose values break the type
+        rules, the general way (``_json_columns``), which names the first
+        malformed line, or the file for a fault of the stream as a whole.
+        ``num_classes`` is the configured label set's size, which bounds the
+        votes; a vote stream requires it.
         """
         lines = read_lines(path, "records file", OracleError)
         body = [line for line in lines if line]
         if not body:
             raise OracleError("no records to replay")
-        try:
-            payloads = json.loads("[" + ",".join(body) + "]")
-            # each line one object: else a line holding two could stand in for
-            # one object split over two lines
-            if len(payloads) != len(body) or not all(line[0] == "{" and line[-1] == "}"
-                                                     for line in body):
-                raise ValueError("not one JSON object per line")
-            columns = _record_columns(payloads)
-        except ValueError as exc:
-            for number, line in enumerate(lines, 1):
-                if line:
-                    try:
-                        _record_columns([json.loads(line)])
-                    except ValueError as fault:
-                        raise OracleError(f"malformed record at {path}:{number}: {fault}") from None
-            raise OracleError(f"{exc} ({path})") from None
+        columns = _layout_columns(body)
+        if columns is None:
+            columns = _json_columns(path, lines, body)
         return cls(*columns, num_classes=num_classes)
 
     def responses(self, ctx: str, subsets: list[ExemplarSubset], n_llm: int,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -879,6 +880,53 @@ class TestMalformedRecords:
         # 20 trials x 4 partitions x 2 contexts are recorded before it
         assert f"malformed record at {records}:161: {message}" in err
 
+    # Lines close to collect's own layout, after 160 lines in it: each is
+    # named as the general parse names it, word for word.
+    @pytest.mark.parametrize("task, text, message", [
+        ("classification", '{"ctx":"with","trial":01,"part":0,"vote":1}',
+         "Expecting ',' delimiter: line 1 column 24 (char 23)"),
+        ("classification", '{"ctx":"with","trial":12345678901234567890,"part":0,"vote":1}',
+         "trial does not fit in 64 bits"),
+        # 1 and an Arabic-Indic three: digits to Python, not to JSON
+        ("classification", '{"ctx":"with","trial":1\u0663,"part":0,"vote":1}',
+         "Expecting ',' delimiter: line 1 column 24 (char 23)"),
+        ("classification", '{"ctx":"with","trial":0,"part":0,"vote":true}',
+         "vote must be an integer"),
+        ("classification", '{"ctx": "with", "trial": 0, "part": 0, "vote": 1.5}',
+         "vote must be an integer"),
+        ("classification", '{"trial":0,"ctx":"maybe","part":0,"vote":1}',
+         "ctx must be 'with' or 'without', got 'maybe'"),
+        # the value texts [1, 2] and 5,6 join to one array of three elements
+        ("generation", "\n".join(f'{{"ctx":"with","trial":0,"part":{part},"emb":{value}}}'
+                                 for part, value in enumerate(["[1", "2]", "5,6"])),
+         "Expecting ',' delimiter: line 1 column 42 (char 41)"),
+        ("generation", '{"ctx":"with","trial":0,"part":0,"emb":[1],[2]}',
+         "Expecting property name enclosed in double quotes: line 1 column 44 (char 43)"),
+        ("generation", '{"ctx":"with","trial":0,"part":0,"emb":[true]}',
+         "emb must be a list of numbers, of one length in every record"),
+        ("generation", '{"ctx":"with","trial":0,"part":9999999999999999999,"emb":[0.0]}',
+         "part does not fit in 64 bits"),
+    ], ids=["leading-zero-id", "20-digit-trial", "non-ascii-digit", "true-vote",
+            "default-spacing", "reordered-keys", "join-trap", "two-lists", "true-coordinate",
+            "19-digit-part"])
+    def test_near_layout_line_is_named(self, tmp_path, capsys, task, text, message):
+        config = GENERATION if task == "generation" else {}
+        code, err, records = self.replay_with(tmp_path, capsys, text, **config)
+        assert code == 3
+        assert err == f"oracle failure: malformed record at {records}:161: {message}\n"
+
+    @pytest.mark.parametrize("task, line, message", [
+        ("generation", '{"ctx":"with","trial":0,"part":0,"emb":[1.0,0.0]}',
+         "emb must be a list of numbers, of one length in every record"),
+        ("generation", '{"ctx":"with","trial":0,"part":0,"vote":1}',
+         "record stream mixes votes and embeddings"),
+    ], ids=["ragged-embeddings", "vote-after-embeddings"])
+    def test_stream_fault_names_the_file(self, tmp_path, capsys, task, line, message):
+        config = GENERATION if task == "generation" else {}
+        code, err, records = self.replay_with(tmp_path, capsys, line, **config)
+        assert code == 3
+        assert err == f"oracle failure: {message} ({records})\n"
+
     def test_votes_mixed_with_embeddings(self, tmp_path, capsys):
         code, err, records = self.replay_with(
             tmp_path, capsys, '{"ctx":"with","trial":0,"part":0,"emb":[1.0,0.0]}')
@@ -891,13 +939,13 @@ class TestMalformedRecords:
         assert code == 3
         assert "vote 7 outside the 2-class label set" in err
 
-    def replay_with(self, tmp_path, capsys, line):
-        first = write_config(tmp_path, name="collect.yaml")
+    def replay_with(self, tmp_path, capsys, line, **config):
+        first = write_config(tmp_path, name="collect.yaml", **config)
         assert main(["collect", "--config", str(first)]) == 0
         records = tmp_path / "out" / "records.jsonl"
         with open(records, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-        second = write_config(tmp_path, name="replay.yaml",
+        second = write_config(tmp_path, name="replay.yaml", **config,
                               oracle={"kind": "replay", "records_path": str(records)},
                               output={"directory": str(tmp_path / "out2")})
         capsys.readouterr()
@@ -1038,6 +1086,34 @@ class TestMalformedOutsideFiles:
         path = write_config(tmp_path, context={"file": str(context)})
         assert main(["audit", "--config", str(path)]) == 2
         assert f"config error: context file {context} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code", [("config", 2), ("context", 2), ("records", 3),
+                                            ("responses", 3)])
+    def test_input_that_is_a_directory(self, tmp_path, capsys, kind, code):
+        directory = tmp_path / "inputs"
+        directory.mkdir()
+        overrides = {"config": {}, "context": {"context": {"file": str(directory)}},
+                     "records": {"oracle": {"kind": "replay", "records_path": str(directory)}},
+                     "responses": {"oracle": {"kind": "responder_file",
+                                              "responses_path": str(directory)}}}[kind]
+        path = directory if kind == "config" else write_config(tmp_path, **overrides)
+        assert main(["audit", "--config", str(path)]) == code
+        label = "config error" if code == 2 else "oracle failure"
+        assert capsys.readouterr().err == (f"{label}: {kind} file {directory} cannot be read: "
+                                           "Is a directory\n")
+
+    def test_input_that_may_not_be_read(self, tmp_path, capsys):
+        denied = PermissionError(13, "Permission denied")
+        path = write_config(tmp_path, context={"file": str(tmp_path / "context.jsonl")})
+        (tmp_path / "context.jsonl").write_text('{"input": "a"}\n')
+        with mock.patch.object(Path, "read_text", side_effect=denied):
+            assert main(["audit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"config error: config file {path} cannot be read: "
+                                           "Permission denied\n")
+        with mock.patch("dpicl_audit.oracles.open", side_effect=denied, create=True):
+            assert main(["audit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"config error: context file {tmp_path / 'context.jsonl'} "
+                                           "cannot be read: Permission denied\n")
 
     def test_undecodable_responses_file(self, tmp_path, capsys):
         responses = tmp_path / "responses.jsonl"

@@ -380,6 +380,80 @@ class TestRecordsWriter:
             for part, value in enumerate(row))
 
 
+def replay_columns(replay):
+    return replay._ctx, replay._trial, replay._part, replay._responses
+
+
+def general_columns(path):
+    """The columns of a records file as the general parse reads them."""
+    lines = oracles.read_lines(path, "records file", OracleError)
+    return oracles._json_columns(path, lines, [line for line in lines if line])
+
+
+def assert_same_columns(got, want):
+    for column, reference in zip(got, want, strict=True):
+        assert (column.dtype, column.shape) == (reference.dtype, reference.shape)
+        assert column.tobytes() == reference.tobytes()
+
+
+def replay_and_general_parses(path, num_classes=2):
+    """``ReplayOracle.from_file(path)`` and how often it ran the general parse."""
+    with mock.patch.object(oracles, "_json_columns", wraps=oracles._json_columns) as general:
+        replay = ReplayOracle.from_file(path, num_classes=num_classes)
+    return replay, general.call_count
+
+
+class TestLayoutParse:
+    """A records file in ``collect``'s own layout is parsed once per distinct
+    value text into the very columns the general parse gives; a file in any
+    other spelling is parsed the general way, to the same columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(collected_responses())
+    def test_columns_equal_the_general_parse(self, responses):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "records.jsonl"
+            _write_responses(path, responses)
+            replay, general_parses = replay_and_general_parses(path)
+            assert general_parses == 0
+            assert_same_columns(replay_columns(replay), general_columns(path))
+
+    @pytest.mark.parametrize("trial", [0, 10, 10**17 + 3, 10**18 - 1])
+    def test_ids_of_up_to_18_digits(self, tmp_path, trial):
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(_record_line(ctx, trial, part, "emb", [0.5, -0.0]) + "\n"
+                                for ctx in (CTX_WITHOUT, CTX_WITH) for part in (0, 7)))
+        replay, general_parses = replay_and_general_parses(path)
+        assert general_parses == 0
+        assert_same_columns(replay_columns(replay), general_columns(path))
+        assert replay._trial.tolist() == [trial] * 4
+
+    @pytest.mark.parametrize("respell", [
+        lambda record: json.dumps(record),
+        lambda record: json.dumps(dict(reversed(record.items())), separators=(",", ":")),
+    ], ids=["default-spacing", "reordered-keys"])
+    def test_other_spellings_parse_the_general_way(self, tmp_path, respell):
+        compact, respelled = tmp_path / "compact.jsonl", tmp_path / "respelled.jsonl"
+        _write_responses(compact, {ctx: np.array([[t % 3, -t] for t in range(4)])
+                                   for ctx in (CTX_WITH, CTX_WITHOUT)})
+        lines = compact.read_text().splitlines()
+        lines[5] = respell(json.loads(lines[5]))  # one line leaves the layout
+        respelled.write_text("\n".join(lines) + "\n")
+        (replay, general_parses), (want, _) = (replay_and_general_parses(path, 3)
+                                               for path in (respelled, compact))
+        assert general_parses == 1
+        assert_same_columns(replay_columns(replay), replay_columns(want))
+
+    @pytest.mark.parametrize("trial", [10**18, 2**63 - 1, -1])
+    def test_ids_outside_the_layout_parse_the_general_way(self, tmp_path, trial):
+        path = tmp_path / "records.jsonl"
+        path.write_text(_record_line(CTX_WITH, 0, 0, "vote", 1) + "\n"
+                        + _record_line(CTX_WITH, trial, 1, "vote", 0) + "\n")
+        replay, general_parses = replay_and_general_parses(path)
+        assert general_parses == 1
+        assert replay._trial.tolist() == [0, trial]
+
+
 class TestReplay:
     def test_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "first.jsonl"
@@ -443,8 +517,9 @@ class TestReplay:
 @st.composite
 def recorded_streams(draw):
     """A records file's lines as a replay may meet them: shuffled, with keys
-    recorded twice, trial ids past n_llm or missing, stray partitions, and
-    integer-valued embeddings."""
+    recorded twice, trial ids past n_llm or missing, stray partitions,
+    integer-valued embeddings, and lines spelled other than ``collect``
+    writes them."""
     task = draw(st.sampled_from(["classification", "generation"]))
     T, d, n_llm = draw(st.integers(2, 40)), draw(st.integers(1, 64)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -469,9 +544,19 @@ def recorded_streams(draw):
     if keys:  # keys recorded twice
         keys += [keys[i] for i in rng.integers(0, len(keys), draw(st.integers(0, 5)))]
     field = "vote" if task == "classification" else "emb"
-    lines = [json.dumps({"ctx": ctx, "trial": trial, "part": part, field: value()},
-                        separators=(",", ":"))
-             for ctx, trial, part in (keys[i] for i in rng.permutation(len(keys)))]
+    # most streams are in collect's own layout; in the rest some lines have
+    # json.dumps's default spacing or their keys in another order
+    respelled = draw(st.sampled_from([0.0, 0.0, 0.3]))
+
+    def line(ctx, trial, part):
+        record = {"ctx": ctx, "trial": trial, "part": part, field: value()}
+        if rng.random() >= respelled:
+            return json.dumps(record, separators=(",", ":"))
+        if rng.random() < 0.5:
+            return json.dumps(record)
+        return json.dumps(dict(reversed(record.items())), separators=(",", ":"))
+
+    lines = [line(*keys[i]) for i in rng.permutation(len(keys))]
     return task, T, n_llm, lines
 
 
