@@ -36,7 +36,7 @@ from .gdp import (
     eps_from_mu_delta,
     mu_from_eps_delta,
 )
-from .oracles import OracleError, collect, emit_requests
+from .oracles import OracleError, collect, companion_path, emit_requests
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,7 +117,10 @@ def cmd_collect(args: argparse.Namespace) -> int:
         return _emit_batch(config, audit_cfg, pair, oracle)
 
     records_path = output_path(config, "records")
-    records_path.unlink(missing_ok=True)
+    # the companion goes with the records it describes, so a collect that
+    # fails leaves neither
+    for stale in (records_path, companion_path(records_path)):
+        stale.unlink(missing_ok=True)
     collection = collect(
         oracle, pair, config["context"]["canary_text"],
         audit_cfg.mechanism.num_partitions, audit_cfg.n_llm,

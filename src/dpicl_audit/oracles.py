@@ -17,9 +17,13 @@ embeddings. The two live oracles take their answers as data:
   ``emb`` reply.
 
 ``ReplayOracle`` re-serves responses persisted as JSONL records, held as
-columns (ctx, trial, partition, vote or embedding). A file in ``collect``'s
-own line layout is parsed once per distinct value, any other valid JSONL
-the general way, with one JSON parse of all its lines.
+columns (ctx, trial, partition, vote or embedding). When ``collect``
+starts a records file, it writes beside it a binary companion
+(``companion_path``): the SHA-256 of the bytes it wrote and the two
+response grids. A replay of a file whose bytes hash to that digest rebuilds
+its columns from the grids; any other file (edited, appended to, written by
+hand or without a companion) is parsed the general way, with one JSON parse
+of all its lines.
 
 `collect` runs the partition-and-query pipeline for both neighboring
 contexts. It holds each context's per-partition responses as one array, as
@@ -33,15 +37,17 @@ straight from the arrays, unclipped.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import operator
+import os
 import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -193,16 +199,44 @@ def _record_line(ctx: str, trial: int, part: int, kind: str, value) -> str:
     return f'{{"ctx":"{ctx}","trial":{trial},"part":{part},"{kind}":{_encode(value)}}}'
 
 
+def companion_path(records_path: Union[str, Path]) -> Path:
+    """Where the binary companion of the records file ``records_path`` lives."""
+    return Path(f"{records_path}.npy")
+
+
 def _write_responses(path: Union[str, Path], responses: dict[str, np.ndarray]) -> None:
     """Append the records of ``collect``'s per-partition responses, one
     ``_record_line`` per (ctx, trial, part) in that order, formatted straight
-    from the arrays."""
-    with open(path, "a", encoding="utf-8") as handle:
-        for ctx, grid in responses.items():
-            kind = "vote" if grid.ndim == 2 else "emb"
-            handle.writelines(_record_line(ctx, trial, part, kind, value) + "\n"
-                              for trial, row in enumerate(grid.tolist())
-                              for part, value in enumerate(row))
+    from the arrays.
+
+    Into a file that was empty, with every value finite (JSON keeps no NaN
+    payload), it also writes the companion: one structured record of the
+    written bytes' SHA-256 and each ctx's grid, saved with ``np.save`` and
+    moved into place atomically.
+    """
+    lines = []
+    for ctx, grid in responses.items():
+        kind = "vote" if grid.ndim == 2 else "emb"
+        lines.extend(_record_line(ctx, trial, part, kind, value) + "\n"
+                     for trial, row in enumerate(grid.tolist()) for part, value in enumerate(row))
+    data = "".join(lines).encode("utf-8")
+    with open(path, "ab") as handle:
+        fresh = handle.tell() == 0
+        handle.write(data)
+    if not (fresh and data and all(np.isfinite(grid).all() for grid in responses.values())):
+        return
+    fields = [("sha256", np.uint8, 32),
+              *((ctx, grid.dtype, grid.shape) for ctx, grid in responses.items())]
+    record = np.array((np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8),
+                       *responses.values()), dtype=fields)
+    companion = companion_path(path)
+    partial = companion.with_name(companion.name + ".tmp")
+    try:
+        with open(partial, "wb") as handle:
+            np.save(handle, record)
+        os.replace(partial, companion)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def zero_shot_candidates(oracle, query: str, pool_size: int, seed: int) -> list[np.ndarray]:
@@ -243,17 +277,32 @@ _VOTE_FIELDS = frozenset(("ctx", "trial", "part", "vote"))
 _EMB_FIELDS = frozenset(("ctx", "trial", "part", "emb"))
 
 
-def read_lines(path: Union[str, Path], kind: str, error: type[Exception]) -> list[str]:
-    """The stripped lines of a UTF-8 text file; one that cannot be read (a
-    directory, say) or is not UTF-8 raises ``error`` naming the file as a
-    ``kind``."""
+def _read_bytes(path: Union[str, Path], kind: str, error: type[Exception]) -> bytes:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return [line.strip() for line in handle.read().split("\n")]
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise error(f"{kind} {path} cannot be read: {exc.strerror}") from None
+
+
+def _text_lines(data: bytes, path: Union[str, Path], kind: str,
+                error: type[Exception]) -> list[str]:
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{kind} {path} is not UTF-8 text: {exc}") from None
+    # lines end at LF, CRLF or CR, as text mode reads them; each loses only
+    # the spaces and tabs JSON allows around a value, so a line padded with
+    # other whitespace (U+00A0, U+2028) stays invalid JSON
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [line.strip(" \t") for line in text.split("\n")]
+
+
+def read_lines(path: Union[str, Path], kind: str, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 text file, stripped of spaces and tabs; one that
+    cannot be read (a directory, say) or is not UTF-8 raises ``error``
+    naming the file as a ``kind``."""
+    return _text_lines(_read_bytes(path, kind, error), path, kind, error)
 
 
 def _integers(values: tuple, field: str) -> np.ndarray:
@@ -263,20 +312,6 @@ def _integers(values: tuple, field: str) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{field} does not fit in 64 bits") from None
-
-
-def _response_column(kind: str, responses: Sequence) -> np.ndarray:
-    """Parsed record values of one ``kind`` as a column: int64 votes (n,) or
-    float64 embeddings (n, d). Raises ValueError naming the rule they break."""
-    if kind == "vote":
-        return _integers(responses, "vote")
-    try:
-        emb = np.array(responses)
-    except (ValueError, OverflowError):  # lists of different lengths
-        emb = None
-    if emb is None or emb.ndim != 2 or emb.dtype.kind not in "iuf":
-        raise ValueError("emb must be a list of numbers, of one length in every record")
-    return emb.astype(np.float64, copy=False)
 
 
 def _record_columns(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -303,7 +338,15 @@ def _record_columns(payloads: list) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         bad = next(c for c in ctx if not (isinstance(c, str) and c in _CTX_CODES))
         raise ValueError(f"ctx must be '{CTX_WITH}' or '{CTX_WITHOUT}', got {bad!r}") from None
     trial, part = _integers(trial, "trial"), _integers(part, "part")
-    return codes, trial, part, _response_column(kind, responses)
+    if kind == "vote":
+        return codes, trial, part, _integers(responses, "vote")
+    try:
+        emb = np.array(responses)
+    except (ValueError, OverflowError):  # lists of different lengths
+        emb = None
+    if emb is None or emb.ndim != 2 or emb.dtype.kind not in "iuf":
+        raise ValueError("emb must be a list of numbers, of one length in every record")
+    return codes, trial, part, emb.astype(np.float64, copy=False)
 
 
 def _json_columns(path: Union[str, Path], lines: list[str],
@@ -333,57 +376,32 @@ def _json_columns(path: Union[str, Path], lines: list[str],
         raise OracleError(f"{exc} ({path})") from None
 
 
-# A record line in _record_line's layout, by the kind of its value: the ctx,
-# trial and part, then the vote's text or the text inside the embedding's
-# brackets; anchored, so a match is one whole line. Ids are ASCII digits, the
-# only ones JSON reads, and at most 18 of them, so they fit in int64.
-_LAYOUT_HEAD = (r'^\{"ctx":"(with|without)","trial":(0|[1-9][0-9]{0,17}),'
-                r'"part":(0|[1-9][0-9]{0,17}),')
-_LAYOUTS = {"vote": re.compile(_LAYOUT_HEAD + r'"vote":([^\n]*)\}$', re.MULTILINE),
-            "emb": re.compile(_LAYOUT_HEAD + r'"emb":\[([^\n]*)\]\}$', re.MULTILINE)}
-# The opening, separator and closing that join a kind's value texts into one
-# JSON array, and the characters no text may hold, so that each text is one
-# element of the array whatever commas it holds: a vote holds no comma, and
-# an embedding's commas stay inside its own brackets.
-_VALUE_ARRAYS = {"vote": ("[", ",", "]", ',[]{}"'), "emb": ("[[", "],[", "]]", '[]{}"')}
-
-
-def _layout_columns(body: list[str]) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                       np.ndarray]]:
-    """``_record_columns`` of records all in ``_record_line``'s layout and of
-    one kind, parsed once per distinct value text; None if any record is
-    not, or if the values break the type rules (``_json_columns`` then names
-    the fault).
-
-    A canary detector answers only two values, so its records hold two
-    value texts however many records there are.
-    """
-    for kind, layout in _LAYOUTS.items():
-        if layout.match(body[0]):
-            break
-    else:
-        return None
-    fields = layout.findall("\n".join(body))
-    if len(fields) != len(body):
-        return None
-    ctx, trial, part, texts = zip(*fields)
-    # each distinct value text -> its index among them, in first-seen order
-    distinct = {text: index for index, text in enumerate(dict.fromkeys(texts))}
-    opening, separator, closing, banned = _VALUE_ARRAYS[kind]
-    held = "".join(distinct)
-    if any(char in held for char in banned):
-        return None
+def _companion_columns(path: Union[str, Path],
+                       data: bytes) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                      np.ndarray]]:
+    """The columns of the records file ``path``, whose bytes are ``data``,
+    rebuilt from its companion's grids in ``_write_responses``'s record
+    order; None when there is no companion, it cannot be read as one, or
+    its digest is not the SHA-256 of ``data``."""
     try:
-        values = json.loads(opening + separator.join(distinct) + closing)
-        if len(values) != len(distinct):
+        with open(companion_path(path), "rb") as handle:
+            record = np.lib.format.read_array(handle, allow_pickle=False)
+        names = record.dtype.names or ()
+        if (record.shape != () or names[:1] != ("sha256",)
+                or not set(names[1:]) <= set(_CTX_CODES)
+                or record["sha256"].tobytes() != hashlib.sha256(data).digest()):
             return None
-        column = _response_column(kind, values)
-    except ValueError:
+    except (OSError, ValueError):
         return None
-    n = len(body)
-    return (np.fromiter(map(_CTX_CODES.__getitem__, ctx), dtype=np.int8, count=n),
-            np.array(trial, dtype=np.int64), np.array(part, dtype=np.int64),
-            column[np.fromiter(map(distinct.__getitem__, texts), dtype=np.intp, count=n)])
+    columns = []
+    for ctx in names[1:]:
+        grid = record[ctx]
+        trials, parts = grid.shape[:2]
+        columns.append((np.full(trials * parts, _CTX_CODES[ctx], dtype=np.int8),
+                        np.repeat(np.arange(trials, dtype=np.int64), parts),
+                        np.tile(np.arange(parts, dtype=np.int64), trials),
+                        grid.reshape(trials * parts, *grid.shape[2:])))
+    return tuple(map(np.concatenate, zip(*columns)))
 
 
 class ReplayOracle:
@@ -408,20 +426,24 @@ class ReplayOracle:
 
     @classmethod
     def from_file(cls, path: Union[str, Path], num_classes: Optional[int] = None) -> "ReplayOracle":
-        """Parse a records file. One whose every record is in ``collect``'s
-        own layout (``_record_line``) is parsed once per distinct value
-        (``_layout_columns``); any other, or one whose values break the type
-        rules, the general way (``_json_columns``), which names the first
-        malformed line, or the file for a fault of the stream as a whole.
+        """Read a records file. Its bytes are read once; when its companion
+        (``companion_path``) holds their SHA-256, the columns are rebuilt
+        from the companion's grids (``_companion_columns``), so only the
+        exact bytes ``collect`` wrote take this path. Any other file (no
+        companion, an unreadable one, or another digest) is decoded from the
+        same bytes and parsed the general way (``_json_columns``), which
+        names the first malformed line, or the file for a fault of the
+        stream as a whole.
         ``num_classes`` is the configured label set's size, which bounds the
         votes; a vote stream requires it.
         """
-        lines = read_lines(path, "records file", OracleError)
-        body = [line for line in lines if line]
-        if not body:
-            raise OracleError("no records to replay")
-        columns = _layout_columns(body)
+        data = _read_bytes(path, "records file", OracleError)
+        columns = _companion_columns(path, data)
         if columns is None:
+            lines = _text_lines(data, path, "records file", OracleError)
+            body = [line for line in lines if line]
+            if not body:
+                raise OracleError("no records to replay")
             columns = _json_columns(path, lines, body)
         return cls(*columns, num_classes=num_classes)
 

@@ -16,7 +16,7 @@ from dpicl_audit import config as config_module
 from dpicl_audit.audit import AuditConfig, run_audit
 from dpicl_audit.cli import main
 from dpicl_audit.mechanisms import MechanismConfig
-from dpicl_audit.oracles import SignalPair
+from dpicl_audit.oracles import SignalPair, companion_path
 
 from reference import read_records, record_lines, scale_canary_partition
 
@@ -382,6 +382,27 @@ class TestConfigHandling:
                                 env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         assert result.stdout.strip().splitlines()[-1] == "False"
 
+    def test_replay_from_a_companion_imports_nothing_new(self, tmp_path):
+        # what a replay audit imports adds to set-up and the first audit
+        assert main(["collect", "--config", str(write_config(tmp_path))]) == 0
+        path = write_config(tmp_path, name="replay.yaml",
+                            oracle={"kind": "replay",
+                                    "records_path": str(tmp_path / "out" / "records.jsonl")},
+                            output={"directory": str(tmp_path / "replayed")})
+        script = ("import sys\n"
+                  "from dpicl_audit import cli, config\n"
+                  "before = set(sys.modules)\n"
+                  "def general_parse(*args):\n"
+                  "    raise AssertionError('the records were parsed, not read from the companion')\n"
+                  "from dpicl_audit import oracles\n"
+                  "oracles._json_columns = general_parse\n"
+                  f"assert cli.main(['audit', '--config', {str(path)!r}]) == 0\n"
+                  "print(sorted(set(sys.modules) - before))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+
     def test_start_up_heap_is_frozen_once(self, tmp_path):
         # importing the CLI freezes what start-up left for the collector, and
         # no command freezes more (frozen objects freed by refcount leave the
@@ -591,6 +612,19 @@ class TestCollect:
                               output={"directory": str(tmp_path / "out2")})
         assert main(["collect", "--config", str(second)]) == 0
         assert recorded.read_bytes() == (tmp_path / "out2" / "records.jsonl").read_bytes()
+
+    def test_failed_collect_leaves_no_companion(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["collect", "--config", str(path)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        assert companion_path(records).exists()
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text('{"text": "yes"}\n')  # exhausted after one reply
+        failing = write_config(tmp_path, name="failing.yaml",
+                               oracle={"kind": "responder_file", "responses_path": str(responses)})
+        assert main(["collect", "--config", str(failing)]) == 3
+        assert not records.exists()
+        assert not companion_path(records).exists()
 
     def test_file_responder_requires_single_worker(self, tmp_path):
         responses = tmp_path / "responses.jsonl"
@@ -1101,6 +1135,29 @@ class TestMalformedOutsideFiles:
         label = "config error" if code == 2 else "oracle failure"
         assert capsys.readouterr().err == (f"{label}: {kind} file {directory} cannot be read: "
                                            "Is a directory\n")
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u001c"],
+                             ids=["no-break-space", "line-separator", "file-separator"])
+    @pytest.mark.parametrize("kind, line, message", [
+        ("records", '{"ctx":"with","trial":0,"part":0,"vote":0}',
+         "oracle failure: malformed record at {}:1: Expecting value: line 1 column 1 (char 0)"),
+        ("responses", '{"text": "yes"}',
+         "oracle failure: malformed response at {}:1: Expecting value: line 1 column 1 (char 0)"),
+        ("context", '{"input": "a"}',
+         "config error: context line {}:1 is not a JSON object with a string 'input'"),
+    ], ids=["records", "responses", "context"])
+    def test_line_wrapped_in_other_whitespace_is_named(self, tmp_path, capsys, space, kind, line,
+                                                       message):
+        # JSON allows only space, tab, CR and LF around a value
+        source = tmp_path / f"{kind}.jsonl"
+        source.write_text(f"{space}{line}{space}\n{line}\n", encoding="utf-8")
+        overrides = {"records": {"oracle": {"kind": "replay", "records_path": str(source)}},
+                     "responses": {"oracle": {"kind": "responder_file",
+                                              "responses_path": str(source)}},
+                     "context": {"context": {"file": str(source)}}}[kind]
+        code = 2 if kind == "context" else 3
+        assert main(["audit", "--config", str(write_config(tmp_path, **overrides))]) == code
+        assert capsys.readouterr().err == message.format(source) + "\n"
 
     def test_input_that_may_not_be_read(self, tmp_path, capsys):
         denied = PermissionError(13, "Permission denied")

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpicl_audit import oracles
@@ -324,11 +324,20 @@ class TestRecords:
         assert {ctx: grid.tolist() for ctx, grid in replayed.responses.items()} == {
             ctx: grid.tolist() for ctx, grid in votes.items()}
 
+    def test_read_lines_strips_only_json_whitespace(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(" a\t\r\n\u00a0b\u2028\rc\x1c \r\n".encode())
+        assert oracles.read_lines(path, "lines file", OracleError) == [
+            "a", "\u00a0b\u2028", "c\x1c", ""]
+
     def test_append_only(self, tmp_path):
         path = tmp_path / "records.jsonl"
         _write_responses(path, {CTX_WITH: np.array([[1]])})
+        companion = oracles.companion_path(path).read_bytes()
         _write_responses(path, {CTX_WITH: np.array([[0]])})
         assert len(read_records(path)) == 2
+        # only the call that starts the file writes a companion
+        assert oracles.companion_path(path).read_bytes() == companion
 
 
 _VOTES = st.integers(min_value=-2**63, max_value=2**63 - 1)
@@ -396,6 +405,22 @@ def assert_same_columns(got, want):
         assert column.tobytes() == reference.tobytes()
 
 
+def edit_vote(path, index):
+    """Flip the vote of the records file's line ``index``."""
+    records = read_records(path)
+    records[index]["vote"] ^= 1
+    path.write_text(record_lines(records))
+
+
+def append_line(path, line):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
 def replay_and_general_parses(path, num_classes=2):
     """``ReplayOracle.from_file(path)`` and how often it ran the general parse."""
     with mock.patch.object(oracles, "_json_columns", wraps=oracles._json_columns) as general:
@@ -404,19 +429,48 @@ def replay_and_general_parses(path, num_classes=2):
 
 
 class TestLayoutParse:
-    """A records file in ``collect``'s own layout is parsed once per distinct
-    value text into the very columns the general parse gives; a file in any
-    other spelling is parsed the general way, to the same columns."""
+    """A records file as ``collect`` wrote it is read from its companion
+    into the very columns the general parse gives; any other file (written
+    by hand, respelled, edited, or beside a companion of other bytes) is
+    parsed the general way, to the same columns."""
 
     @settings(max_examples=200, deadline=None)
     @given(collected_responses())
+    @example({CTX_WITH: np.array([[[-0.0, 5e-324]]]),
+              CTX_WITHOUT: np.array([[[0.0, -1.7976931348623157e308]]])})
     def test_columns_equal_the_general_parse(self, responses):
+        # a companion only where every value is finite: JSON keeps no NaN payload
+        finite = all(np.isfinite(grid).all() for grid in responses.values())
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "records.jsonl"
             _write_responses(path, responses)
+            assert oracles.companion_path(path).exists() == finite
             replay, general_parses = replay_and_general_parses(path)
-            assert general_parses == 0
+            assert general_parses == (not finite)
             assert_same_columns(replay_columns(replay), general_columns(path))
+
+    @pytest.mark.parametrize("alter, companion_read", [
+        (lambda path, other: None, True),
+        (lambda path, other: edit_vote(path, 3), False),
+        (lambda path, other: (edit_vote(path, 3), edit_vote(path, 3)), True),
+        (lambda path, other: append_line(path, _record_line(CTX_WITH, 0, 0, "vote", 1)), False),
+        (lambda path, other: collect(vote_detector(0.3), PAIR, "CANARY", 4, 6, seed=8,
+                                     records_path=path), False),
+        (lambda path, other: truncate(oracles.companion_path(path)), False),
+        (lambda path, other: oracles.companion_path(path).write_bytes(
+            oracles.companion_path(other).read_bytes()), False),
+    ], ids=["as-collected", "vote-changed", "vote-changed-back", "line-appended",
+            "second-collect", "companion-truncated", "companion-of-another-cell"])
+    def test_companion_read_exactly_when_the_digest_matches(self, tmp_path, alter,
+                                                            companion_read):
+        path, other = tmp_path / "records.jsonl", tmp_path / "other" / "records.jsonl"
+        other.parent.mkdir()
+        for records, seed in ((path, 7), (other, 9)):
+            collect(vote_detector(0.3), PAIR, "CANARY", 4, 6, seed=seed, records_path=records)
+        alter(path, other)
+        replay, general_parses = replay_and_general_parses(path)
+        assert general_parses == (not companion_read)
+        assert_same_columns(replay_columns(replay), general_columns(path))
 
     @pytest.mark.parametrize("trial", [0, 10, 10**17 + 3, 10**18 - 1])
     def test_ids_of_up_to_18_digits(self, tmp_path, trial):
@@ -424,8 +478,7 @@ class TestLayoutParse:
         path.write_text("".join(_record_line(ctx, trial, part, "emb", [0.5, -0.0]) + "\n"
                                 for ctx in (CTX_WITHOUT, CTX_WITH) for part in (0, 7)))
         replay, general_parses = replay_and_general_parses(path)
-        assert general_parses == 0
-        assert_same_columns(replay_columns(replay), general_columns(path))
+        assert general_parses == 1  # written by hand: no companion
         assert replay._trial.tolist() == [trial] * 4
 
     @pytest.mark.parametrize("respell", [
